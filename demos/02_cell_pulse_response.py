@@ -9,7 +9,7 @@ over tens of seconds. The discrete update is an exact zero-order hold, so
 coarse steps land on the continuous solution for piecewise-constant current.
 """
 
-from evplant import EcmState, load_parameter_set, default_data_dir, step_ecm
+from evplant import EcmState, load_parameter_set, default_data_dir, operating_point, step_ecm
 from evplant.aging import AgingState
 
 pset = load_parameter_set(default_data_dir())
@@ -22,7 +22,7 @@ print("t_s   current_A   v_cell_V   u1_mV    u2_mV    heat_W")
 t = 0.0
 for phase, (current, duration) in enumerate([(26.0, 30), (0.0, 30), (-26.0, 30), (0.0, 30)]):
     for _ in range(duration):
-        state, res = step_ecm(state, pset, fresh, current, temp, dt=1.0)
+        state, res = step_ecm(state, operating_point(pset, fresh, state.soc, temp, dt=1.0), current)
         t += 1.0
         if t % 10 == 0:
             print(

@@ -10,7 +10,7 @@ a pluggable charge strategy.
 from .aging import AgingState, EolStatus, eol_check
 from .bms import BmsLimits, gate_current, usable_capacity
 from .charger import ChargerConfig, ChargerMode, quantize_setpoint
-from .ecm import EcmState, rest_voltage, step_ecm
+from .ecm import EcmState, operating_point, rest_voltage, step_ecm
 from .engine import (
     StrategyObservation,
     Trajectory,
@@ -23,7 +23,6 @@ from .params import (
     CellParameterSet,
     ParamGrid,
     default_data_dir,
-    interpolate,
     load_parameter_set,
     validate_parameter_set,
 )
@@ -55,9 +54,9 @@ __all__ = [
     "emit_report",
     "eol_check",
     "gate_current",
-    "interpolate",
     "load_config",
     "load_parameter_set",
+    "operating_point",
     "quantize_setpoint",
     "rest_voltage",
     "run_scenario",

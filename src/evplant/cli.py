@@ -75,7 +75,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     sim = read_trajectory(args.sim)
     ref = read_trajectory(args.ref)
     metrics = compute_metrics(sim, ref)
-    for key, value in metrics.as_dict().items():
+    for key, value in dataclasses.asdict(metrics).items():
         print(f"{key} = {value!r}")
     return 0
 

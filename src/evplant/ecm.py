@@ -3,15 +3,16 @@
 Sign convention: charging current is positive. The RC overpotentials use the
 exact zero-order-hold update, so the discrete trajectory reproduces the
 continuous solution exactly for piecewise-constant current. Parameters are
-looked up at the state at the start of the step; aged resistance applies as a
-uniform multiplier on r_ser, r1 and r2, and SOC is counted against the aged
-(effective) capacity.
+looked up once per step, at the state at the start of the step (see
+:func:`operating_point`); aged resistance applies as a uniform multiplier on
+r_ser, r1 and r2, and SOC is counted against the aged (effective) capacity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aging import AgingState
 from .params import CellParameterSet
@@ -43,47 +44,55 @@ def _check_finite(label: str, *values: float) -> None:
             raise ValueError(f"non-finite {label}: {v!r}")
 
 
-def _effective_params(
-    state: EcmState, params: CellParameterSet, aging: AgingState, temp: float
-) -> tuple[float, float, float, float, float, float]:
-    """(ocv, r_ser, r1, c1, r2, c2) at the step's starting point, aged."""
-    soc = state.soc
-    ocv = params.ocv.interpolate(soc, temp)
-    r_norm = aging.r_norm
-    r_ser = params.r_ser.interpolate(soc, temp) * r_norm
-    r1 = params.r1.interpolate(soc, temp) * r_norm
-    r2 = params.r2.interpolate(soc, temp) * r_norm
-    c1 = params.c1.interpolate(soc, temp)
-    c2 = params.c2.interpolate(soc, temp)
-    return ocv, r_ser, r1, c1, r2, c2
+class OperatingPoint(NamedTuple):
+    """Aged cell parameters at the start of one step, with its RC decay factors."""
+
+    ocv: float  # V
+    r_ser: float  # Ohm, aged
+    r1: float  # Ohm, aged
+    r2: float  # Ohm, aged
+    k1: float  # exp(-dt / (r1 c1))
+    k2: float  # exp(-dt / (r2 c2))
+    dt: float  # s
+    capacity_ah: float  # aged (effective) capacity
+    n_series: int
 
 
-def step_ecm(
-    state: EcmState,
-    params: CellParameterSet,
-    aging: AgingState,
-    current: float,
-    temp: float,
-    dt: float,
-) -> tuple[EcmState, ElectricalStepResult]:
-    """Advance the cell by one step of ``dt`` seconds at constant ``current`` (A).
+def operating_point(
+    params: CellParameterSet, aging: AgingState, soc: float, temp: float, dt: float
+) -> OperatingPoint:
+    """Look up and age the parameters once for a step of ``dt`` seconds from ``soc``.
 
-    Returns the new state and the step result (terminal voltages, irreversible
-    heat, SOC). SOC leaving [0, 1] saturates and sets ``soc_clipped``; keeping
-    it inside the window is the charge controller's job, not the plant's.
+    The result feeds both :func:`voltage_prediction_coeffs` and :func:`step_ecm`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_finite("step input", state.soc, state.u1, state.u2, current, temp, dt)
-
-    ocv, r_ser, r1, c1, r2, c2 = _effective_params(state, params, aging, temp)
-
+    _check_finite("step input", soc, temp, dt)
+    ocv, r_ser, r1, c1, r2, c2 = params.lookup(soc, temp)
+    r_norm = aging.r_norm
+    r_ser, r1, r2 = r_ser * r_norm, r1 * r_norm, r2 * r_norm
     k1 = math.exp(-dt / (r1 * c1))
     k2 = math.exp(-dt / (r2 * c2))
+    c_eff_ah = params.nominal_capacity_ah * aging.c_norm
+    return OperatingPoint(ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah, params.n_series)
+
+
+def step_ecm(
+    state: EcmState, point: OperatingPoint, current: float
+) -> tuple[EcmState, ElectricalStepResult]:
+    """Advance the cell by one step at constant ``current`` (A).
+
+    ``point`` is the :func:`operating_point` at ``state.soc``. Returns the new
+    state and the step result (terminal voltages, irreversible heat, SOC). SOC
+    leaving [0, 1] saturates and sets ``soc_clipped``; keeping it inside the
+    window is the charge controller's job, not the plant's.
+    """
+    _check_finite("step input", state.soc, state.u1, state.u2, current)
+    ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah, n_series = point
+
     u1 = state.u1 * k1 + r1 * current * (1.0 - k1)
     u2 = state.u2 * k2 + r2 * current * (1.0 - k2)
 
-    c_eff_ah = params.nominal_capacity_ah * aging.c_norm
     soc = state.soc + current * dt / (SECONDS_PER_HOUR * c_eff_ah)
     clipped = soc < 0.0 or soc > 1.0
     if clipped:
@@ -95,7 +104,7 @@ def step_ecm(
 
     result = ElectricalStepResult(
         terminal_voltage_cell=v_cell,
-        terminal_voltage_pack=params.n_series * v_cell,
+        terminal_voltage_pack=n_series * v_cell,
         heat_power=heat,
         soc_after=soc,
         soc_clipped=clipped,
@@ -108,22 +117,13 @@ def rest_voltage(state: EcmState, params: CellParameterSet, temp: float) -> floa
     return params.ocv.interpolate(state.soc, temp) + state.u1 + state.u2
 
 
-def voltage_prediction_coeffs(
-    state: EcmState,
-    params: CellParameterSet,
-    aging: AgingState,
-    temp: float,
-    dt: float,
-) -> tuple[float, float]:
+def voltage_prediction_coeffs(state: EcmState, point: OperatingPoint) -> tuple[float, float]:
     """Affine coefficients (a, b) with predicted end-of-step cell voltage a + b*I.
 
     Mirrors :func:`step_ecm` exactly for constant current over one step, which
     lets a voltage limiter pick the largest current whose predicted voltage
     stays at or under a ceiling.
     """
-    ocv, r_ser, r1, c1, r2, c2 = _effective_params(state, params, aging, temp)
-    k1 = math.exp(-dt / (r1 * c1))
-    k2 = math.exp(-dt / (r2 * c2))
-    a = ocv + state.u1 * k1 + state.u2 * k2
-    b = r_ser + r1 * (1.0 - k1) + r2 * (1.0 - k2)
+    a = point.ocv + state.u1 * point.k1 + state.u2 * point.k2
+    b = point.r_ser + point.r1 * (1.0 - point.k1) + point.r2 * (1.0 - point.k2)
     return a, b

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +45,7 @@ from .charger import (
     quantize_setpoint,
     ramp_power,
 )
-from .ecm import EcmState, rest_voltage, step_ecm, voltage_prediction_coeffs
+from .ecm import EcmState, operating_point, rest_voltage, step_ecm, voltage_prediction_coeffs
 from .params import default_data_dir, load_parameter_set
 from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind
 from .thermal import ThermalMode, ThermalParams, ThermalState, step_thermal
@@ -138,17 +138,6 @@ class ValidationMetrics:
     energy_kwh: float
     duration_min: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "rmse_cell_voltage_mv": self.rmse_cell_voltage_mv,
-            "max_abs_error_cell_voltage_mv": self.max_abs_error_cell_voltage_mv,
-            "rmse_pack_temp_k": self.rmse_pack_temp_k,
-            "max_abs_error_pack_temp_k": self.max_abs_error_pack_temp_k,
-            "charge_ah": self.charge_ah,
-            "energy_kwh": self.energy_kwh,
-            "duration_min": self.duration_min,
-        }
-
 
 def run_scenario(
     config: ScenarioConfig,
@@ -215,6 +204,10 @@ def run_scenario(
         gate = None
         i_dc = 0.0
         p_ac = 0.0
+        try:
+            point = operating_point(params, aging, ecm_state.soc, th_state.t_pack, dt)
+        except ValueError as exc:
+            raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
 
         if plugged:
             ch_cfg = charger_cfgs[rec.charger_mode or config.charger_mode]
@@ -238,9 +231,7 @@ def run_scenario(
                     ctrl = command_setpoint(ctrl, target, p_ac_prev)
             p_ac_set = ramp_power(ctrl, ctrl.t_since_command, ch_cfg)
             p_dc_avail = ac_to_dc(p_ac_set, ch_cfg)
-            a_cell, b_cell = voltage_prediction_coeffs(
-                ecm_state, params, aging, th_state.t_pack, dt
-            )
+            a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
             i_cmd = cc_cv_limit(
                 p_dc_avail,
                 v_pack,
@@ -257,7 +248,7 @@ def run_scenario(
             i_dc = gate.allowed_current
 
         try:
-            ecm_state, res = step_ecm(ecm_state, params, aging, i_dc, th_state.t_pack, dt)
+            ecm_state, res = step_ecm(ecm_state, point, i_dc)
         except ValueError as exc:
             raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
         v_cell = res.terminal_voltage_cell
@@ -374,26 +365,13 @@ def emit_report(
     traj_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "summary.txt"
 
+    float_columns = [getattr(trajectory, f.name) for f in fields(Trajectory) if f.name != "flags"]
     lines = [TRAJECTORY_HEADER]
-    for i in range(trajectory.n_rows):
-        lines.append(
-            ",".join(
-                [
-                    repr(float(trajectory.t_s[i])),
-                    repr(float(trajectory.soc[i])),
-                    repr(float(trajectory.v_cell[i])),
-                    repr(float(trajectory.v_pack[i])),
-                    repr(float(trajectory.i_dc[i])),
-                    repr(float(trajectory.t_pack[i])),
-                    repr(float(trajectory.p_ac[i])),
-                    repr(float(trajectory.p_dc[i])),
-                    repr(float(trajectory.c_norm[i])),
-                    repr(float(trajectory.r_norm[i])),
-                    repr(float(trajectory.eqfc[i])),
-                    trajectory.flags[i],
-                ]
-            )
-        )
+    for start in range(0, trajectory.n_rows, 1024):  # blocks bound the transient Python floats
+        stop = start + 1024
+        block = np.column_stack([c[start:stop] for c in float_columns]).tolist()
+        flags = trajectory.flags[start:stop]
+        lines += (",".join(map(repr, row)) + "," + f for row, f in zip(block, flags))
     traj_path.write_text("\n".join(lines) + "\n")
 
     summary: dict[str, object] = {"rows": trajectory.n_rows}
@@ -416,7 +394,7 @@ def emit_report(
             }
         )
     if metrics is not None:
-        summary.update(metrics.as_dict())
+        summary.update(asdict(metrics))
     summary_lines = [
         f"{key} = {repr(float(val)) if isinstance(val, (int, float)) and not isinstance(val, bool) else val}"
         for key, val in summary.items()

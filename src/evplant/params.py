@@ -40,21 +40,36 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def _bilinear_cell(
+    s_axis: tuple[float, ...], t_axis: tuple[float, ...], soc: float, temp: float
+) -> tuple[int, int, float, float, float, float]:
+    """Cell (i, j) and corner weights (w00, w10, w01, w11) of a clamped bilinear lookup."""
+    s = min(max(soc, s_axis[0]), s_axis[-1])
+    t = min(max(temp, t_axis[0]), t_axis[-1])
+    i = min(max(bisect_right(s_axis, s) - 1, 0), len(s_axis) - 2)
+    j = min(max(bisect_right(t_axis, t) - 1, 0), len(t_axis) - 2)
+    fs = (s - s_axis[i]) / (s_axis[i + 1] - s_axis[i])
+    ft = (t - t_axis[j]) / (t_axis[j + 1] - t_axis[j])
+    return i, j, (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
+
+
 @dataclass(eq=False)
 class ParamGrid:
     """2-D lookup table of one cell parameter over (SOC, temperature).
 
     SOC breakpoints are stored as fractions (table rows in percent are
-    converted on load); temperatures in deg C; values in SI units.
-    Treated as immutable after construction.
+    converted on load); temperatures in deg C; values in SI units. Lookups
+    read ``rows``, the same values as tuples of Python floats. Immutable after
+    construction; the single-slot memo of the last lookup is a pure cache that
+    never changes a result.
     """
 
     name: str
     soc_breakpoints: tuple[float, ...]
     temp_breakpoints: tuple[float, ...]
     values: np.ndarray  # shape (n_soc, n_temp)
+    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
-    # single-slot memo for repeated lookups at one operating point; pure cache,
     # stored/read as one tuple so concurrent readers stay consistent
     _memo: tuple[float, float, float] | None = field(
         default=None, repr=False, compare=False
@@ -75,6 +90,7 @@ class ParamGrid:
             )
         if not np.all(np.isfinite(self.values)):
             raise ParameterDataError(f"{self.name}: non-finite value in table")
+        self.rows = tuple(map(tuple, self.values.tolist()))
 
     def interpolate(self, soc: float, temp: float) -> float:
         """Bilinear lookup with constant extrapolation outside the grid hull."""
@@ -83,32 +99,17 @@ class ParamGrid:
         memo = self._memo
         if memo is not None and memo[0] == soc and memo[1] == temp:
             return memo[2]
-
-        s_axis = self.soc_breakpoints
-        t_axis = self.temp_breakpoints
-        s = min(max(soc, s_axis[0]), s_axis[-1])
-        t = min(max(temp, t_axis[0]), t_axis[-1])
-
-        i = min(max(bisect_right(s_axis, s) - 1, 0), len(s_axis) - 2)
-        j = min(max(bisect_right(t_axis, t) - 1, 0), len(t_axis) - 2)
-        fs = (s - s_axis[i]) / (s_axis[i + 1] - s_axis[i])
-        ft = (t - t_axis[j]) / (t_axis[j + 1] - t_axis[j])
-
-        v = self.values
-        value = (
-            (1.0 - fs) * (1.0 - ft) * v[i, j]
-            + fs * (1.0 - ft) * v[i + 1, j]
-            + (1.0 - fs) * ft * v[i, j + 1]
-            + fs * ft * v[i + 1, j + 1]
+        i, j, w00, w10, w01, w11 = _bilinear_cell(
+            self.soc_breakpoints, self.temp_breakpoints, soc, temp
         )
-        value = float(value)
+        lo, hi = self.rows[i], self.rows[i + 1]
+        value = w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
         self._memo = (soc, temp, value)
         return value
 
 
-def interpolate(grid: ParamGrid, soc: float, temp: float) -> float:
-    """Module-level alias for :meth:`ParamGrid.interpolate`."""
-    return grid.interpolate(soc, temp)
+# order of the values returned by CellParameterSet.lookup
+LOOKUP_ORDER = ("ocv", "r_ser", "r1", "c1", "r2", "c2")
 
 
 @dataclass(eq=False)
@@ -126,8 +127,35 @@ class CellParameterSet:
     v_max: float = V_CELL_MAX
     n_series: int = N_SERIES
 
+    # one entry per distinct breakpoint grid: (soc axis, temp axis, ((result slot, rows), ...))
+    _groups: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        groups: dict = {}
+        for slot, name in enumerate(LOOKUP_ORDER):
+            grid = self.grid(name)
+            key = (grid.soc_breakpoints, grid.temp_breakpoints)
+            groups.setdefault(key, []).append((slot, grid.rows))
+        self._groups = tuple((s, t, tuple(members)) for (s, t), members in groups.items())
+
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)
+
+    def lookup(self, soc: float, temp: float) -> tuple[float, float, float, float, float, float]:
+        """(ocv, r_ser, r1, c1, r2, c2) at one operating point, unaged.
+
+        Equal to each grid's :meth:`ParamGrid.interpolate`, but the clamp,
+        bisect and bilinear weights are computed once per breakpoint grid.
+        """
+        if math.isnan(soc) or math.isnan(temp):
+            raise ValueError("NaN lookup coordinates")
+        out = [0.0] * 6
+        for s_axis, t_axis, members in self._groups:
+            i, j, w00, w10, w01, w11 = _bilinear_cell(s_axis, t_axis, soc, temp)
+            for slot, rows in members:
+                lo, hi = rows[i], rows[i + 1]
+                out[slot] = w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
+        return tuple(out)
 
 
 def _load_grid(path: Path, name: str) -> ParamGrid:

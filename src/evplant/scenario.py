@@ -10,7 +10,7 @@ lasts until the next record's timestamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -114,17 +114,6 @@ class ScenarioConfig:
             raise ValueError("initial_soc must be in [0, 1]")
 
 
-_BMS_KEYS = {
-    "soc_min": "soc_min",
-    "soc_max": "soc_max",
-    "v_cell_min": "v_cell_min",
-    "v_cell_max": "v_cell_max",
-    "t_min_c": "t_min_c",
-    "t_max_c": "t_max_c",
-    "max_current_a": "max_current_a",
-}
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse a ``key = value`` configuration file ('#' starts a comment).
 
@@ -168,8 +157,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 "c_pack_j_per_k",
             ):
                 kwargs[key] = float(value)
-            elif key in _BMS_KEYS:
-                bms_over[_BMS_KEYS[key]] = float(value)
+            elif key in {f.name for f in fields(BmsLimits)}:
+                bms_over[key] = float(value)
             else:
                 raise ValueError(f"unknown key '{key}'")
         except ValueError as exc:

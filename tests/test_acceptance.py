@@ -31,7 +31,7 @@ from evplant.charger import (
     quantize_setpoint,
     ramp_power,
 )
-from evplant.ecm import EcmState, rest_voltage, step_ecm
+from evplant.ecm import EcmState, operating_point, rest_voltage, step_ecm
 from evplant.engine import emit_report, make_constant_strategy, run_scenario
 from evplant.scenario import ProfileRecord, ScenarioConfig, ScenarioProfile, SegmentKind
 from evplant.thermal import ThermalMode, ThermalParams, ThermalState, step_thermal
@@ -94,7 +94,7 @@ def test_criterion_3_rest_voltage(pset):
     state = EcmState(soc=0.50)
     v_cell = rest_voltage(state, pset, 25.0)
     assert v_cell == 3.6936
-    _, res = step_ecm(state, pset, AgingState(), current=0.0, temp=25.0, dt=1.0)
+    _, res = step_ecm(state, operating_point(pset, AgingState(), 0.50, 25.0, dt=1.0), current=0.0)
     assert res.terminal_voltage_cell == 3.6936
     assert res.terminal_voltage_pack == 93 * 3.6936
     assert res.terminal_voltage_pack == pytest.approx(343.50, abs=5e-3)

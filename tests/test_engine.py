@@ -20,6 +20,7 @@ from evplant.engine import (
     strategy_max_power,
     strategy_off,
 )
+from evplant.params import PARAM_NAMES, CellParameterSet, ParamGrid
 from evplant.scenario import (
     ProfileRecord,
     ScenarioConfig,
@@ -212,6 +213,27 @@ class TestRunScenario:
         traj = run_scenario(config, charge_profile(duration=120.0), strategy_off)
         assert np.all(traj.i_dc == 0.0)
         assert np.all(traj.p_ac == 0.0)
+
+    def test_plugged_step_looks_up_parameters_once(self, monkeypatch):
+        grids, points = [], []
+        interpolate, lookup = ParamGrid.interpolate, CellParameterSet.lookup
+
+        def counting_interpolate(grid, soc, temp):
+            grids.append(grid.name)
+            return interpolate(grid, soc, temp)
+
+        def counting_lookup(pset, soc, temp):
+            points.append((soc, temp))
+            return lookup(pset, soc, temp)
+
+        monkeypatch.setattr(ParamGrid, "interpolate", counting_interpolate)
+        monkeypatch.setattr(CellParameterSet, "lookup", counting_lookup)
+        config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
+        traj = run_scenario(config, charge_profile(duration=300.0))
+        assert traj.n_rows == 300 and traj.p_ac.max() > 0
+        assert len(points) == 300
+        # the only electrical-table read outside the fused lookup: the initial rest voltage
+        assert [name for name in grids if name in PARAM_NAMES] == ["ocv"]
 
 
 class TestMetrics:

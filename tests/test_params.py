@@ -7,12 +7,15 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evplant.params import (
+    LOOKUP_ORDER,
+    PARAM_NAMES,
     CellParameterSet,
     ParamGrid,
     ParameterDataError,
-    interpolate,
     load_parameter_set,
     validate_parameter_set,
 )
@@ -94,7 +97,7 @@ class TestInterpolation:
     def test_bilinear_midpoint(self, pset):
         # halfway between the SOC 50 % and 55 % rows of the 25 degC column
         expected = 0.5 * (0.0020704 + 0.0020316)
-        assert interpolate(pset.r1, 0.525, 25.0) == pytest.approx(expected, rel=1e-12)
+        assert pset.r1.interpolate(0.525, 25.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(2.0510e-3, rel=1e-4)
 
     def test_clamps_above_temperature_range(self, pset):
@@ -122,6 +125,42 @@ class TestInterpolation:
             pset.ocv.interpolate(float("nan"), 25.0)
         with pytest.raises(ValueError, match="NaN"):
             pset.ocv.interpolate(0.5, float("nan"))
+
+
+def _axis_points(pset, axis: str, lo: float, hi: float):
+    """Floats in [lo, hi] plus every breakpoint of the set's grids on ``axis``."""
+    nodes = sorted({b for name in LOOKUP_ORDER for b in getattr(pset.grid(name), axis)})
+    return st.one_of(st.floats(lo, hi), st.sampled_from(nodes))
+
+
+def _same_as_interpolate(pset, soc, temp):
+    expected = tuple(pset.grid(name).interpolate(soc, temp) for name in LOOKUP_ORDER)
+    assert pset.lookup(soc, temp) == expected
+
+
+class TestFusedLookup:
+    @given(data=st.data())
+    def test_equals_each_grid_interpolate(self, pset, data):
+        soc = data.draw(_axis_points(pset, "soc_breakpoints", -0.5, 1.5))
+        temp = data.draw(_axis_points(pset, "temp_breakpoints", -40.0, 70.0))
+        _same_as_interpolate(pset, soc, temp)
+
+    def test_tables_on_different_grids(self, data_dir, tmp_path):
+        for name in PARAM_NAMES:
+            shutil.copy(data_dir / f"{name}.csv", tmp_path / f"{name}.csv")
+        # keep every other SOC row of r1, so it no longer shares the R/C grid
+        lines = (tmp_path / "r1.csv").read_text().splitlines()
+        (tmp_path / "r1.csv").write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+        pset = load_parameter_set(tmp_path)
+        assert len(pset.r1.soc_breakpoints) == 11
+        assert pset.r1.soc_breakpoints != pset.r2.soc_breakpoints
+        for soc in (-0.1, 0.0, 0.05, 0.33, 0.5, 0.97, 1.0, 1.2):
+            for temp in (-30.0, -15.0, 0.0, 22.5, 35.0, 60.0):
+                _same_as_interpolate(pset, soc, temp)
+
+    def test_nan_input_rejected(self, pset):
+        with pytest.raises(ValueError, match="NaN"):
+            pset.lookup(float("nan"), 25.0)
 
 
 class TestValidation:
