@@ -9,13 +9,14 @@ calendar-only plus cycle-only runs sum exactly to a combined run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .params import ParamGrid, _load_grid
+from .params import ParamGrid, _GridGroup, _Reader, _group_grids, _load_grid
 from .rainflow import HalfCycle, RainflowCounter
 
 # end-of-life thresholds
@@ -39,6 +40,8 @@ class CalendarCoeffGrid:
 
     alpha_c: ParamGrid
     alpha_r: ParamGrid
+    _groups: tuple[_GridGroup, ...] = field(init=False, repr=False)
+    _read: _Reader = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for grid in (self.alpha_c, self.alpha_r):
@@ -48,6 +51,13 @@ class CalendarCoeffGrid:
         diffs = np.diff(self.alpha_c.values, axis=1)
         if np.any(diffs <= 0):
             raise ValueError("calendar_alpha_c: rate must increase with temperature")
+        self._groups, self._read = _group_grids((self.alpha_c, self.alpha_r))
+
+    def rates(self, soc: float, temp: float) -> tuple[float, float]:
+        """(alpha_c, alpha_r) at one storage point; equal to each grid's ``interpolate``."""
+        if math.isnan(soc) or math.isnan(temp):
+            raise ValueError("calendar rates: NaN lookup coordinates")
+        return self._read(soc, temp)
 
 
 @dataclass(eq=False)
@@ -119,8 +129,9 @@ def calendar_step(
     """Accrue storage aging for ``dt_days`` at the given operating point."""
     if dt_days < 0:
         raise ValueError(f"dt_days must be >= 0, got {dt_days}")
-    state.c_norm -= coeffs.alpha_c.interpolate(soc, temp) * dt_days
-    state.r_norm += coeffs.alpha_r.interpolate(soc, temp) * dt_days
+    alpha_c, alpha_r = coeffs.rates(soc, temp)
+    state.c_norm -= alpha_c * dt_days
+    state.r_norm += alpha_r * dt_days
     state.elapsed_days += dt_days
     return state
 

@@ -40,8 +40,13 @@ def resolve_strategy(spec: str | None) -> Strategy | None:
         return make_constant_strategy(float(spec.split(":", 1)[1]))
     if ":" in spec:
         module_name, attr = spec.split(":", 1)
-        module = importlib.import_module(module_name)
-        return getattr(module, attr)
+        try:
+            strategy = getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError, ValueError) as exc:
+            raise ValueError(f"cannot load strategy '{spec}': {exc}") from None
+        if not callable(strategy):
+            raise ValueError(f"strategy '{spec}' is not callable")
+        return strategy
     raise ValueError(f"unknown strategy '{spec}'")
 
 
@@ -152,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

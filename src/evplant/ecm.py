@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple
 
 from .aging import AgingState
@@ -39,6 +40,11 @@ class ElectricalStepResult:
 
 
 def _check_finite(label: str, *values: float) -> None:
+    """Raise the labelled error for the first non-finite value.
+
+    Per-step callers test an inline ``isfinite`` chain first and call this
+    only on failure, which saves a varargs call per check.
+    """
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"non-finite {label}: {v!r}")
@@ -67,7 +73,8 @@ def operating_point(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_finite("step input", soc, temp, dt)
+    if not (isfinite(soc) and isfinite(temp) and isfinite(dt)):
+        _check_finite("step input", soc, temp, dt)
     ocv, r_ser, r1, c1, r2, c2 = params.lookup(soc, temp)
     r_norm = aging.r_norm
     r_ser, r1, r2 = r_ser * r_norm, r1 * r_norm, r2 * r_norm
@@ -87,7 +94,8 @@ def step_ecm(
     leaving [0, 1] saturates and sets ``soc_clipped``; keeping it inside the
     window is the charge controller's job, not the plant's.
     """
-    _check_finite("step input", state.soc, state.u1, state.u2, current)
+    if not (isfinite(state.soc) and isfinite(state.u1) and isfinite(state.u2) and isfinite(current)):
+        _check_finite("step input", state.soc, state.u1, state.u2, current)
     ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah, n_series = point
 
     u1 = state.u1 * k1 + r1 * current * (1.0 - k1)
@@ -100,7 +108,8 @@ def step_ecm(
 
     v_cell = ocv + current * r_ser + u1 + u2
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
-    _check_finite("step output", u1, u2, soc, v_cell, heat)
+    if not (isfinite(u1) and isfinite(u2) and isfinite(soc) and isfinite(v_cell) and isfinite(heat)):
+        _check_finite("step output", u1, u2, soc, v_cell, heat)
 
     result = ElectricalStepResult(
         terminal_voltage_cell=v_cell,

@@ -172,6 +172,7 @@ def run_scenario(
         )
         for mode in ChargerMode
     }
+    setpoints = {mode: achievable_setpoints(cfg) for mode, cfg in charger_cfgs.items()}
     limits = config.bms
     if strategy is None:
         strategy = make_profile_strategy(profile)
@@ -182,25 +183,36 @@ def run_scenario(
     t_init = config.initial_temp_c if config.initial_temp_c is not None else records[0].ambient_c
     th_state = ThermalState(t_pack=t_init)
     v_cell = rest_voltage(ecm_state, params, th_state.t_pack)
-    v_pack = params.n_series * v_cell
-    v_max_pack = params.n_series * (params.v_max - CV_MARGIN_V_PER_CELL)
+    n_series = params.n_series
+    v_pack = n_series * v_cell
+    v_max_pack = n_series * (params.v_max - CV_MARGIN_V_PER_CELL)
+    ev_operation = config.thermal_mode is ThermalMode.EV_OPERATION
 
     ctrl = ChargeControlState()
     p_ac_prev = 0.0
     was_plugged = False
-    rec_idx = 0
+    # segment state, resolved when the step time reaches the next record
+    rec_idx = -1
+    next_t = t0
 
     rows: list[tuple] = []
     flags_col: list[str] = []
 
     for k in range(n_steps):
         t = t0 + k * dt
-        while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
-            rec_idx += 1
-        rec = records[rec_idx]
-        kind = rec.kind
-        plugged = kind is SegmentKind.PLUGGED
-        flags = [kind.value]
+        if t >= next_t:
+            while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
+                rec_idx += 1
+            next_t = records[rec_idx + 1].t_s if rec_idx + 1 < len(records) else math.inf
+            rec = records[rec_idx]
+            kind_value = rec.kind.value
+            plugged = rec.kind is SegmentKind.PLUGGED
+            driving = rec.kind is SegmentKind.DRIVE
+            ambient = rec.ambient_c
+            mode = rec.charger_mode or config.charger_mode
+            ch_cfg = charger_cfgs[mode]
+            ch_setpoints = setpoints[mode]
+        flags = [kind_value]
         gate = None
         i_dc = 0.0
         p_ac = 0.0
@@ -210,7 +222,6 @@ def run_scenario(
             raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
 
         if plugged:
-            ch_cfg = charger_cfgs[rec.charger_mode or config.charger_mode]
             if not was_plugged:
                 ctrl = ChargeControlState()
                 p_ac_prev = 0.0
@@ -221,9 +232,14 @@ def run_scenario(
                     t_pack_c=th_state.t_pack,
                     plugged=True,
                     ac_power_w=p_ac_prev,
-                    setpoints_w=achievable_setpoints(ch_cfg),
+                    setpoints_w=ch_setpoints,
                 )
-                requested = float(strategy(obs))
+                try:
+                    requested = float(strategy(obs))
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+                    ) from exc
                 if not math.isfinite(requested) or requested < 0:
                     raise ValueError(f"strategy returned invalid power {requested!r} at t={t}")
                 target = quantize_setpoint(requested, ch_cfg)
@@ -236,13 +252,13 @@ def run_scenario(
                 p_dc_avail,
                 v_pack,
                 v_max_pack,
-                params.n_series * a_cell,
-                params.n_series * b_cell,
+                n_series * a_cell,
+                n_series * b_cell,
             )
             gate = gate_current(i_cmd, ecm_state.soc, v_cell, th_state.t_pack, limits)
             i_dc = gate.allowed_current
             ctrl.t_since_command += dt
-        elif kind is SegmentKind.DRIVE:
+        elif driving:
             i_req = rec.value_w / v_pack
             gate = gate_current(i_req, ecm_state.soc, v_cell, th_state.t_pack, limits)
             i_dc = gate.allowed_current
@@ -255,18 +271,14 @@ def run_scenario(
         v_pack = res.terminal_voltage_pack
         p_dc = i_dc * v_pack
         if plugged and p_dc > 0:
-            p_ac = dc_to_ac(p_dc, charger_cfgs[rec.charger_mode or config.charger_mode])
+            p_ac = dc_to_ac(p_dc, ch_cfg)
 
-        cooling = (
-            config.thermal_mode is ThermalMode.EV_OPERATION
-            and (kind is SegmentKind.DRIVE or (plugged and i_dc > 0))
-            and th_state.t_pack > rec.ambient_c
-        )
+        cooling = ev_operation and (driving or (plugged and i_dc > 0)) and th_state.t_pack > ambient
         try:
             th_state = step_thermal(
                 th_state,
-                res.heat_power * params.n_series,
-                rec.ambient_c,
+                res.heat_power * n_series,
+                ambient,
                 dt,
                 th_params,
                 cooling_active=cooling,

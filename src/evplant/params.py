@@ -3,7 +3,15 @@
 One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
-Loaded sets are immutable and safe to share across concurrent simulation runs.
+
+Tables that share a breakpoint grid are looked up together by one
+:class:`_GridGroup`, which caches the last query, its values and its grid
+cell: an exact repeat returns the stored values, and a query in the same
+cell skips the clamp-and-bisect. Steps move SOC and temperature by far less
+than a cell, so nearly every lookup reuses the cell. The cache gives the same
+floats as a fresh lookup and is checked against each query before use, so
+loaded sets stay immutable in effect and safe to share across concurrent
+simulation runs.
 """
 
 from __future__ import annotations
@@ -11,7 +19,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -53,15 +63,125 @@ def _bilinear_cell(
     return i, j, (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
 
 
+class _GridGroup:
+    """Tables sharing one (SOC, temperature) breakpoint grid, looked up together.
+
+    ``rows`` holds one value matrix per member table. :meth:`values` caches
+    the last query, its values and the cell it fell in, as one tuple: an
+    exact repeat returns the stored values, and a query inside the same cell
+    reuses the cell's corner values and skips the bisect. A cell's box is
+    half-open like the bisect (``lo <= x < hi``) and open-ended on the hull's
+    outer sides, where the query is clamped onto the hull as in
+    :func:`_bilinear_cell`. The weights and the term order are those of
+    :func:`_bilinear_cell`, and the cache is read once and checked against
+    the query before use, so it never changes a result and the group may be
+    shared between threads.
+    """
+
+    __slots__ = ("s_axis", "t_axis", "rows", "_cache")
+
+    def __init__(self, s_axis: tuple[float, ...], t_axis: tuple[float, ...], rows) -> None:
+        self.s_axis = s_axis
+        self.t_axis = t_axis
+        self.rows = tuple(rows)
+        # (soc, temp, values, cell) of the last query; cell as built by _cell
+        self._cache: tuple[float, float, tuple[float, ...], tuple] | None = None
+
+    def _cell(self, i: int, j: int) -> tuple:
+        """Cell (i, j) as the flat tuple :meth:`values` unpacks (a plain tuple imports faster).
+
+        Its fields: the box (s_in, s_out, t_in, t_out), which holds a query
+        with ``s_in <= soc < s_out and t_in <= temp < t_out``; the hull
+        (s_min, s_max, t_min, t_max) for the clamp on the outer cells; the
+        cell origin and width per axis (s_lo, ds, t_lo, dt); and ``corners``,
+        (v00, v10, v01, v11) per member.
+        """
+        s_axis, t_axis, inf = self.s_axis, self.t_axis, math.inf
+        return (
+            -inf if i == 0 else s_axis[i],
+            inf if i == len(s_axis) - 2 else s_axis[i + 1],
+            -inf if j == 0 else t_axis[j],
+            inf if j == len(t_axis) - 2 else t_axis[j + 1],
+            s_axis[0],
+            s_axis[-1],
+            t_axis[0],
+            t_axis[-1],
+            s_axis[i],
+            s_axis[i + 1] - s_axis[i],
+            t_axis[j],
+            t_axis[j + 1] - t_axis[j],
+            tuple((r[i][j], r[i + 1][j], r[i][j + 1], r[i + 1][j + 1]) for r in self.rows),
+        )
+
+    def values(self, soc: float, temp: float) -> tuple[float, ...]:
+        """Each member's bilinear value at (soc, temp), which must not be NaN."""
+        cache = self._cache
+        cell = None
+        if cache is not None:
+            if cache[0] == soc and cache[1] == temp:
+                return cache[2]
+            s_in, s_out, t_in, t_out, s_min, s_max, t_min, t_max, s_lo, ds, t_lo, dt, corners = cache[3]
+            if s_in <= soc < s_out and t_in <= temp < t_out:
+                cell = cache[3]
+                s = soc
+                if s < s_min:
+                    s = s_min
+                elif s > s_max:
+                    s = s_max
+                t = temp
+                if t < t_min:
+                    t = t_min
+                elif t > t_max:
+                    t = t_max
+                fs = (s - s_lo) / ds
+                ft = (t - t_lo) / dt
+                w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
+        if cell is None:
+            i, j, w00, w10, w01, w11 = _bilinear_cell(self.s_axis, self.t_axis, soc, temp)
+            cell = self._cell(i, j)
+            corners = cell[12]
+        values = tuple([w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11 for v00, v10, v01, v11 in corners])
+        self._cache = (soc, temp, values, cell)
+        return values
+
+
+_Reader = Callable[[float, float], tuple[float, ...]]
+
+
+def _group_grids(grids) -> tuple[tuple[_GridGroup, ...], _Reader]:
+    """Group two or more ``grids`` by breakpoint grid.
+
+    Returns one :class:`_GridGroup` per distinct grid and ``read(soc, temp)``,
+    which gives every grid's value as one tuple in the order of ``grids``.
+    """
+    members: dict = {}
+    for idx, grid in enumerate(grids):
+        members.setdefault((grid.soc_breakpoints, grid.temp_breakpoints), []).append((idx, grid.rows))
+    groups = tuple(_GridGroup(s, t, (rows for _, rows in m)) for (s, t), m in members.items())
+    if len(groups) == 1:
+        return groups, groups[0].values
+    position = [idx for m in members.values() for idx, _ in m]
+    pick = itemgetter(*sorted(range(len(position)), key=position.__getitem__))
+
+    def read(soc: float, temp: float) -> tuple[float, ...]:
+        values: tuple[float, ...] = ()
+        for group in groups:
+            values += group.values(soc, temp)
+        return pick(values)
+
+    return groups, read
+
+
 @dataclass(eq=False)
 class ParamGrid:
     """2-D lookup table of one cell parameter over (SOC, temperature).
 
     SOC breakpoints are stored as fractions (table rows in percent are
     converted on load); temperatures in deg C; values in SI units. Lookups
-    read ``rows``, the same values as tuples of Python floats. Immutable after
-    construction; the single-slot memo of the last lookup is a pure cache that
-    never changes a result.
+    read ``rows``, the same values as tuples of Python floats, through a
+    one-member :class:`_GridGroup`; its cache of the last query and cell is
+    checked against every query and never changes a result. Immutable after
+    construction.
     """
 
     name: str
@@ -69,11 +189,7 @@ class ParamGrid:
     temp_breakpoints: tuple[float, ...]
     values: np.ndarray  # shape (n_soc, n_temp)
     rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
-
-    # stored/read as one tuple so concurrent readers stay consistent
-    _memo: tuple[float, float, float] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _group: _GridGroup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.soc_breakpoints) < 2 or len(self.temp_breakpoints) < 2:
@@ -91,21 +207,13 @@ class ParamGrid:
         if not np.all(np.isfinite(self.values)):
             raise ParameterDataError(f"{self.name}: non-finite value in table")
         self.rows = tuple(map(tuple, self.values.tolist()))
+        self._group = _GridGroup(self.soc_breakpoints, self.temp_breakpoints, (self.rows,))
 
     def interpolate(self, soc: float, temp: float) -> float:
         """Bilinear lookup with constant extrapolation outside the grid hull."""
         if math.isnan(soc) or math.isnan(temp):
             raise ValueError(f"{self.name}: NaN lookup coordinates")
-        memo = self._memo
-        if memo is not None and memo[0] == soc and memo[1] == temp:
-            return memo[2]
-        i, j, w00, w10, w01, w11 = _bilinear_cell(
-            self.soc_breakpoints, self.temp_breakpoints, soc, temp
-        )
-        lo, hi = self.rows[i], self.rows[i + 1]
-        value = w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
-        self._memo = (soc, temp, value)
-        return value
+        return self._group.values(soc, temp)[0]
 
 
 # order of the values returned by CellParameterSet.lookup
@@ -127,16 +235,11 @@ class CellParameterSet:
     v_max: float = V_CELL_MAX
     n_series: int = N_SERIES
 
-    # one entry per distinct breakpoint grid: (soc axis, temp axis, ((result slot, rows), ...))
-    _groups: tuple = field(init=False, repr=False)
+    _groups: tuple[_GridGroup, ...] = field(init=False, repr=False)
+    _read: _Reader = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        groups: dict = {}
-        for slot, name in enumerate(LOOKUP_ORDER):
-            grid = self.grid(name)
-            key = (grid.soc_breakpoints, grid.temp_breakpoints)
-            groups.setdefault(key, []).append((slot, grid.rows))
-        self._groups = tuple((s, t, tuple(members)) for (s, t), members in groups.items())
+        self._groups, self._read = _group_grids([self.grid(name) for name in LOOKUP_ORDER])
 
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)
@@ -145,17 +248,12 @@ class CellParameterSet:
         """(ocv, r_ser, r1, c1, r2, c2) at one operating point, unaged.
 
         Equal to each grid's :meth:`ParamGrid.interpolate`, but the clamp,
-        bisect and bilinear weights are computed once per breakpoint grid.
+        bisect and bilinear weights are computed once per breakpoint grid,
+        and the bisect only when the query leaves the previous query's cell.
         """
         if math.isnan(soc) or math.isnan(temp):
             raise ValueError("NaN lookup coordinates")
-        out = [0.0] * 6
-        for s_axis, t_axis, members in self._groups:
-            i, j, w00, w10, w01, w11 = _bilinear_cell(s_axis, t_axis, soc, temp)
-            for slot, rows in members:
-                lo, hi = rows[i], rows[i + 1]
-                out[slot] = w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
-        return tuple(out)
+        return self._read(soc, temp)
 
 
 def _load_grid(path: Path, name: str) -> ParamGrid:

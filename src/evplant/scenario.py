@@ -10,6 +10,7 @@ lasts until the next record's timestamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -114,11 +115,19 @@ class ScenarioConfig:
             raise ValueError("initial_soc must be in [0, 1]")
 
 
+def _finite(key: str, value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got '{value}'")
+    return number
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse a ``key = value`` configuration file ('#' starts a comment).
 
     Relative paths are resolved against the config file's directory. Unknown
-    keys are rejected so typos do not silently fall back to defaults.
+    keys are rejected so typos do not silently fall back to defaults, and
+    numbers must be finite; errors name the file, the line and the key.
     """
     path = Path(path)
     if not path.is_file():
@@ -145,9 +154,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 kwargs["thermal_mode"] = ThermalMode(value.lower())
             elif key == "charger_mode":
                 kwargs["charger_mode"] = ChargerMode(value.lower())
-            elif key == "initial_temp_c":
-                kwargs["initial_temp_c"] = float(value)
             elif key in (
+                "initial_temp_c",
                 "grid_voltage_v",
                 "dt_s",
                 "control_interval_s",
@@ -156,9 +164,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 "dead_time_s",
                 "c_pack_j_per_k",
             ):
-                kwargs[key] = float(value)
+                kwargs[key] = _finite(key, value)
             elif key in {f.name for f in fields(BmsLimits)}:
-                bms_over[key] = float(value)
+                bms_over[key] = _finite(key, value)
             else:
                 raise ValueError(f"unknown key '{key}'")
         except ValueError as exc:

@@ -141,3 +141,37 @@ def test_unknown_strategy_is_reported(scenario_files, tmp_path, capsys):
     )
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def _simulate(config, profile, out, *extra):
+    argv = ["simulate", "--config", str(config), "--profile", str(profile), "--out", str(out)]
+    return main(argv + list(extra))
+
+
+def test_step_failure_is_reported(tmp_path, capsys):
+    config = tmp_path / "coarse.cfg"
+    # a step beyond the thermal model's explicit-Euler stability bound
+    config.write_text("dt_s = 4000\ncontrol_interval_s = 4000\naging_interval_s = 4000\n")
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE.replace("600,idle", "8000,idle"))
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: thermal step failed at step 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("nosuch.mod:fn", "cannot load strategy 'nosuch.mod:fn': No module named 'nosuch'"),
+        ("math:nosuch", "cannot load strategy 'math:nosuch'"),
+        ("math:pi", "strategy 'math:pi' is not callable"),
+        ("math:sqrt", "strategy failed at step 0 (t=0.0 s): TypeError"),
+    ],
+)
+def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, spec, message):
+    config, profile = scenario_files
+    assert _simulate(config, profile, tmp_path / "o", "--strategy", spec) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

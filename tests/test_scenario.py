@@ -106,6 +106,25 @@ max_current_a = 80
         with pytest.raises(ValueError, match="unknown key"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dt_s", "nan"),
+            ("initial_temp_c", "nan"),
+            ("grid_voltage_v", "inf"),
+            ("aging_interval_s", "-inf"),
+            ("soc_max", "NaN"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, key, value):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"initial_soc = 0.5\n{key} = {value}\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        message = str(info.value)
+        assert message.startswith(f"{path} line 2: ")
+        assert f"{key} must be a finite number, got '{value}'" in message
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path, data_dir):
         (tmp_path / "tables").mkdir()
         for f in data_dir.glob("*.csv"):
