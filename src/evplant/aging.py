@@ -9,14 +9,13 @@ calendar-only plus cycle-only runs sum exactly to a combined run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .params import ParamGrid, _GridGroup, _Reader, _group_grids, _load_grid
+from .params import GridLookup, ParamGrid, load_grid
 from .rainflow import HalfCycle, RainflowCounter
 
 # end-of-life thresholds
@@ -40,8 +39,7 @@ class CalendarCoeffGrid:
 
     alpha_c: ParamGrid
     alpha_r: ParamGrid
-    _groups: tuple[_GridGroup, ...] = field(init=False, repr=False)
-    _read: _Reader = field(init=False, repr=False)
+    _lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for grid in (self.alpha_c, self.alpha_r):
@@ -51,13 +49,11 @@ class CalendarCoeffGrid:
         diffs = np.diff(self.alpha_c.values, axis=1)
         if np.any(diffs <= 0):
             raise ValueError("calendar_alpha_c: rate must increase with temperature")
-        self._groups, self._read = _group_grids((self.alpha_c, self.alpha_r))
+        self._lookup = GridLookup("calendar rates", (self.alpha_c, self.alpha_r))
 
     def rates(self, soc: float, temp: float) -> tuple[float, float]:
         """(alpha_c, alpha_r) at one storage point; equal to each grid's ``interpolate``."""
-        if math.isnan(soc) or math.isnan(temp):
-            raise ValueError("calendar rates: NaN lookup coordinates")
-        return self._read(soc, temp)
+        return self._lookup(soc, temp)
 
 
 @dataclass(eq=False)
@@ -66,6 +62,7 @@ class CycleCoeffGrid:
 
     beta_c: ParamGrid
     beta_r: ParamGrid
+    _lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for grid in (self.beta_c, self.beta_r):
@@ -73,11 +70,16 @@ class CycleCoeffGrid:
                 raise ValueError(f"{grid.name}: cycle rates must be >= 0")
         if np.any(np.diff(self.beta_c.values, axis=0) < 0):
             raise ValueError("cycle_beta_c: rate must not decrease with cycle depth")
+        self._lookup = GridLookup("cycle rates", (self.beta_c, self.beta_r))
+
+    def rates(self, depth: float, mean_soc: float) -> tuple[float, float]:
+        """(beta_c, beta_r) of one half cycle; equal to each grid's ``interpolate``."""
+        return self._lookup(depth, mean_soc)
 
 
 def _load_fraction_grid(path: Path, name: str) -> ParamGrid:
     """Like the electrical loader, but the column axis is also percent."""
-    grid = _load_grid(path, name)
+    grid = load_grid(path, name)
     return ParamGrid(
         name=grid.name,
         soc_breakpoints=grid.soc_breakpoints,
@@ -89,7 +91,7 @@ def _load_fraction_grid(path: Path, name: str) -> ParamGrid:
 def load_calendar_coeffs(directory: str | Path) -> CalendarCoeffGrid:
     """Load calendar_alpha_c.csv / calendar_alpha_r.csv from ``directory``."""
     directory = Path(directory)
-    c, r = (_load_grid(directory / f"{n}.csv", n) for n in CALENDAR_FILES)
+    c, r = (load_grid(directory / f"{n}.csv", n) for n in CALENDAR_FILES)
     return CalendarCoeffGrid(alpha_c=c, alpha_r=r)
 
 
@@ -139,8 +141,9 @@ def calendar_step(
 def _apply_half_cycle(state: AgingState, half: HalfCycle, coeffs: CycleCoeffGrid) -> None:
     weight = 0.5 * half.depth  # equivalent full cycles of this half cycle
     state.eqfc += weight
-    state.c_norm -= weight * coeffs.beta_c.interpolate(half.depth, half.mean)
-    state.r_norm += weight * coeffs.beta_r.interpolate(half.depth, half.mean)
+    beta_c, beta_r = coeffs.rates(half.depth, half.mean)
+    state.c_norm -= weight * beta_c
+    state.r_norm += weight * beta_r
 
 
 def cycle_accumulate(state: AgingState, soc_sample: float, coeffs: CycleCoeffGrid) -> AgingState:

@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from .params import default_data_dir, read_csv_rows
+
 # ramp dynamics after a new set-point command
 RAMP_UP_DURATION_S = 52.0  # upward target reached after at most this
 RAMP_DOWN_DELAY_S = 4.0  # downward target reached after this
@@ -60,36 +62,32 @@ class PiecewiseLinear:
 
 def load_curve(path: str | Path) -> PiecewiseLinear:
     """Two-column comma-separated curve file (header row, then abscissa,value)."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"missing curve file: {path}")
-    rows = [ln.split(",") for ln in path.read_text().splitlines() if ln.strip()]
-    try:
-        points = [(float(a), float(b)) for a, b in rows[1:]]
-    except ValueError:
-        raise ValueError(f"non-numeric entry in curve file {path}") from None
+    rows = read_csv_rows(path, "curve", None)
+    n, head = next(rows)
+    if len(head) != 2:
+        raise ValueError(f"{path} row {n}: expected 2 cells, got {len(head)}")
+    points = []
+    for n, (x, y) in rows:
+        try:
+            points.append((float(x), float(y)))
+        except ValueError as exc:
+            raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
     return PiecewiseLinear(points)
 
 
-def _default_curve_dir() -> Path:
-    return Path(__file__).parent / "data"
-
-
-@dataclass
+@dataclass(frozen=True)
 class ChargerConfig:
     mode: ChargerMode = ChargerMode.THREE_PHASE
     grid_voltage: float = DEFAULT_GRID_VOLTAGE_V  # V per phase
-    min_current_a: int = MIN_CURRENT_A
-    max_current_a: int = MAX_CURRENT_A
-    current_step_a: int = CURRENT_STEP_A
-    one_phase_setpoints: tuple[float, ...] = ONE_PHASE_SETPOINTS_W
     efficiency: PiecewiseLinear = field(
-        default_factory=lambda: load_curve(_default_curve_dir() / "efficiency_curve.csv")
+        default_factory=lambda: load_curve(default_data_dir() / "efficiency_curve.csv")
     )
     ramp: PiecewiseLinear = field(
-        default_factory=lambda: load_curve(_default_curve_dir() / "ramp_curve.csv")
+        default_factory=lambda: load_curve(default_data_dir() / "ramp_curve.csv")
     )
     dead_time_s: float = DEFAULT_DEAD_TIME_S
+    # all commandable AC powers including 0 (charging off), ascending
+    setpoints: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         etas = [y for _, y in self.efficiency.points]
@@ -103,62 +101,45 @@ class ChargerConfig:
             )
         if not 0.0 <= self.dead_time_s < RAMP_UP_DURATION_S:
             raise ValueError("dead time must lie within the ramp-up duration")
+        if self.mode is ChargerMode.ONE_PHASE:
+            powers = ONE_PHASE_SETPOINTS_W
+        else:
+            amps = range(MIN_CURRENT_A, MAX_CURRENT_A + 1, CURRENT_STEP_A)
+            powers = tuple(N_PHASES * self.grid_voltage * n for n in amps)
+        object.__setattr__(self, "setpoints", (0.0,) + powers)
 
 
 def achievable_setpoints(config: ChargerConfig) -> tuple[float, ...]:
     """All commandable AC powers including 0 (charging off), ascending."""
-    if config.mode is ChargerMode.ONE_PHASE:
-        return (0.0,) + tuple(sorted(config.one_phase_setpoints))
-    powers = [
-        N_PHASES * config.grid_voltage * n
-        for n in range(config.min_current_a, config.max_current_a + 1, config.current_step_a)
-    ]
-    return (0.0,) + tuple(powers)
+    return config.setpoints
 
 
 def quantize_setpoint(requested_w: float, config: ChargerConfig) -> float:
     """Largest achievable set-point not exceeding the request; 0 below the minimum."""
     if requested_w < 0 or not math.isfinite(requested_w):
         raise ValueError(f"requested power must be finite and >= 0, got {requested_w}")
-    best = 0.0
-    for p in achievable_setpoints(config):
-        if p <= requested_w:
-            best = p
-    return best
-
-
-class Direction(Enum):
-    UP = "up"
-    DOWN = "down"
-    NONE = "none"
+    setpoints = config.setpoints
+    return setpoints[bisect_right(setpoints, requested_w) - 1]
 
 
 @dataclass
 class ChargeControlState:
-    """Commanded set-point plus what is needed to replay the ramp."""
+    """Commanded set-point plus what is needed to replay the ramp.
+
+    The ramp's direction follows from the pair: up when ``p_target`` exceeds
+    ``p_at_command``, otherwise hold-then-step (a no-op for an equal pair).
+    """
 
     p_target: float = 0.0  # W AC, quantized
     p_at_command: float = 0.0  # W AC when the command was issued
     t_since_command: float = RAMP_UP_DURATION_S
-    direction: Direction = Direction.NONE
 
 
 def command_setpoint(
     state: ChargeControlState, new_target_w: float, current_power_w: float
 ) -> ChargeControlState:
     """Record a new (already quantized) set-point; the ramp restarts from now."""
-    if new_target_w > current_power_w:
-        direction = Direction.UP
-    elif new_target_w < current_power_w:
-        direction = Direction.DOWN
-    else:
-        direction = Direction.NONE
-    return ChargeControlState(
-        p_target=new_target_w,
-        p_at_command=current_power_w,
-        t_since_command=0.0,
-        direction=direction,
-    )
+    return ChargeControlState(p_target=new_target_w, p_at_command=current_power_w, t_since_command=0.0)
 
 
 def ramp_power(state: ChargeControlState, t: float, config: ChargerConfig) -> float:
@@ -170,9 +151,7 @@ def ramp_power(state: ChargeControlState, t: float, config: ChargerConfig) -> fl
     the reaction dead time, with the remaining shape compressed so the target
     is still reached at 52 s.
     """
-    if state.direction is Direction.NONE:
-        return state.p_target
-    if state.direction is Direction.DOWN:
+    if state.p_target <= state.p_at_command:
         return state.p_at_command if t < RAMP_DOWN_DELAY_S else state.p_target
     if t >= RAMP_UP_DURATION_S:
         return state.p_target

@@ -19,7 +19,7 @@ from .engine import (
     strategy_max_power,
     strategy_off,
 )
-from .params import load_parameter_set, validate_parameter_set
+from .params import load_parameter_set, read_csv_rows, validate_parameter_set
 from .scenario import ScenarioProfile, load_config
 
 
@@ -96,21 +96,11 @@ def _run_batch_entry(entry: tuple[str, str, str, str]) -> str:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    manifest = Path(args.manifest)
-    if not manifest.is_file():
-        raise ValueError(f"missing manifest file: {manifest}")
-    base = manifest.parent
-    lines = [ln for ln in manifest.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "config,profile,out,strategy":
-        raise ValueError(f"{manifest}: first line must be 'config,profile,out,strategy'")
+    base = Path(args.manifest).parent
     entries = []
-    for idx, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 4:
-            raise ValueError(f"{manifest} row {idx}: expected 4 cells, got {len(cells)}")
-        entries.append(
-            (str(base / cells[0]), str(base / cells[1]), str(base / cells[2]), cells[3])
-        )
+    for _, cells in read_csv_rows(args.manifest, "manifest", "config,profile,out,strategy"):
+        config, profile, out, strategy = (c.strip() for c in cells)
+        entries.append((str(base / config), str(base / profile), str(base / out), strategy))
 
     if args.jobs <= 1:
         results = [_run_batch_entry(e) for e in entries]

@@ -46,7 +46,7 @@ from .charger import (
     ramp_power,
 )
 from .ecm import EcmState, operating_point, rest_voltage, step_ecm, voltage_prediction_coeffs
-from .params import default_data_dir, load_parameter_set
+from .params import default_data_dir, load_parameter_set, read_csv_rows
 from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind
 from .thermal import ThermalMode, ThermalParams, ThermalState, step_thermal
 
@@ -417,19 +417,13 @@ def emit_report(
 
 def read_trajectory(path: str | Path) -> Trajectory:
     """Read back a trajectory CSV written by :func:`emit_report`."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"missing trajectory file: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise ValueError(f"{path}: first line must be '{TRAJECTORY_HEADER}'")
     rows = []
     flags = []
-    for idx, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 12:
-            raise ValueError(f"{path} row {idx}: expected 12 cells, got {len(cells)}")
-        rows.append(tuple(float(c) for c in cells[:11]))
+    for n, cells in read_csv_rows(path, "trajectory", TRAJECTORY_HEADER):
+        try:
+            rows.append(tuple(map(float, cells[:11])))
+        except ValueError as exc:
+            raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
         flags.append(cells[11])
     cols = list(zip(*rows)) if rows else [[]] * 11
     return Trajectory(*(np.asarray(c, dtype=float) for c in cols), flags=flags)

@@ -3,15 +3,8 @@
 One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
-
-Tables that share a breakpoint grid are looked up together by one
-:class:`_GridGroup`, which caches the last query, its values and its grid
-cell: an exact repeat returns the stored values, and a query in the same
-cell skips the clamp-and-bisect. Steps move SOC and temperature by far less
-than a cell, so nearly every lookup reuses the cell. The cache gives the same
-floats as a fresh lookup and is checked against each query before use, so
-loaded sets stay immutable in effect and safe to share across concurrent
-simulation runs.
+Every CSV file of the package is read by :func:`read_csv_rows`. Tables are
+looked up through a :class:`GridLookup`, which caches the last grid cell.
 """
 
 from __future__ import annotations
@@ -21,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +43,40 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def read_csv_rows(
+    path: str | Path, what: str, header: str | None, error: type[ValueError] = ValueError
+) -> Iterator[tuple[int, list[str]]]:
+    """Rows of a comma-separated file as (line number, cells), read lazily.
+
+    Blank lines are skipped, and line numbers count from 1 at the top of the
+    file, blank lines included. The first non-blank line is the header: it
+    must equal ``header``, or, when ``header`` is None (tables and curves
+    carry numbers there), it is yielded as the first row. Every row must have
+    as many cells as the header. A missing or empty file, a wrong header and
+    a row of the wrong width raise ``error`` naming the path (``what`` names
+    the kind of file) and the row. Cells are not stripped.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"missing {what} file: {path}")
+    width = 0
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if not width:
+            width = len(cells)
+            if header is not None:
+                if line.strip() != header:
+                    raise error(f"{path} row {n}: expected the header '{header}'")
+                continue
+        elif len(cells) != width:
+            raise error(f"{path} row {n}: expected {width} cells, got {len(cells)}")
+        yield n, cells
+    if not width:
+        raise error(f"{path}: empty file")
+
+
 def _bilinear_cell(
     s_axis: tuple[float, ...], t_axis: tuple[float, ...], soc: float, temp: float
 ) -> tuple[int, int, float, float, float, float]:
@@ -69,13 +96,14 @@ class _GridGroup:
     ``rows`` holds one value matrix per member table. :meth:`values` caches
     the last query, its values and the cell it fell in, as one tuple: an
     exact repeat returns the stored values, and a query inside the same cell
-    reuses the cell's corner values and skips the bisect. A cell's box is
-    half-open like the bisect (``lo <= x < hi``) and open-ended on the hull's
-    outer sides, where the query is clamped onto the hull as in
-    :func:`_bilinear_cell`. The weights and the term order are those of
-    :func:`_bilinear_cell`, and the cache is read once and checked against
-    the query before use, so it never changes a result and the group may be
-    shared between threads.
+    reuses the cell's corner values and skips the bisect. Steps move SOC and
+    temperature by far less than a cell, so nearly every lookup reuses it.
+    A cell's box is half-open like the bisect (``lo <= x < hi``) and
+    open-ended on the hull's outer sides, where the query is clamped onto
+    the hull as in :func:`_bilinear_cell`. The weights and the term order are
+    those of :func:`_bilinear_cell`, and the cache is read once and checked
+    against the query before use, so it never changes a result, bit for bit,
+    and the group may be shared between threads and concurrent runs.
     """
 
     __slots__ = ("s_axis", "t_axis", "rows", "_cache")
@@ -90,11 +118,9 @@ class _GridGroup:
     def _cell(self, i: int, j: int) -> tuple:
         """Cell (i, j) as the flat tuple :meth:`values` unpacks (a plain tuple imports faster).
 
-        Its fields: the box (s_in, s_out, t_in, t_out), which holds a query
-        with ``s_in <= soc < s_out and t_in <= temp < t_out``; the hull
-        (s_min, s_max, t_min, t_max) for the clamp on the outer cells; the
-        cell origin and width per axis (s_lo, ds, t_lo, dt); and ``corners``,
-        (v00, v10, v01, v11) per member.
+        Its fields: the box (s_in, s_out, t_in, t_out); the hull (s_min,
+        s_max, t_min, t_max); the cell origin and width per axis (s_lo, ds,
+        t_lo, dt); and ``corners``, (v00, v10, v01, v11) per member.
         """
         s_axis, t_axis, inf = self.s_axis, self.t_axis, math.inf
         return (
@@ -145,31 +171,40 @@ class _GridGroup:
         return values
 
 
-_Reader = Callable[[float, float], tuple[float, ...]]
+class GridLookup:
+    """Bilinear lookup of several 2-D tables at one point, one value per table.
 
-
-def _group_grids(grids) -> tuple[tuple[_GridGroup, ...], _Reader]:
-    """Group two or more ``grids`` by breakpoint grid.
-
-    Returns one :class:`_GridGroup` per distinct grid and ``read(soc, temp)``,
-    which gives every grid's value as one tuple in the order of ``grids``.
+    ``grids`` are :class:`ParamGrid`-like tables (``soc_breakpoints``,
+    ``temp_breakpoints``, ``rows``); tables on the same breakpoint grid share
+    one :class:`_GridGroup`, so the clamp, bisect and weights are computed
+    once per grid. Each value equals the table's own
+    :meth:`ParamGrid.interpolate`, bit for bit. A NaN coordinate raises
+    ``ValueError`` naming ``label``.
     """
-    members: dict = {}
-    for idx, grid in enumerate(grids):
-        members.setdefault((grid.soc_breakpoints, grid.temp_breakpoints), []).append((idx, grid.rows))
-    groups = tuple(_GridGroup(s, t, (rows for _, rows in m)) for (s, t), m in members.items())
-    if len(groups) == 1:
-        return groups, groups[0].values
-    position = [idx for m in members.values() for idx, _ in m]
-    pick = itemgetter(*sorted(range(len(position)), key=position.__getitem__))
 
-    def read(soc: float, temp: float) -> tuple[float, ...]:
+    __slots__ = ("label", "groups", "_pick")
+
+    def __init__(self, label: str, grids: Sequence) -> None:
+        self.label = label
+        members: dict = {}
+        for idx, grid in enumerate(grids):
+            members.setdefault((grid.soc_breakpoints, grid.temp_breakpoints), []).append((idx, grid.rows))
+        self.groups = tuple(_GridGroup(s, t, (rows for _, rows in m)) for (s, t), m in members.items())
+        # concatenated group values back into the order of ``grids``
+        position = [idx for m in members.values() for idx, _ in m]
+        self._pick = itemgetter(*sorted(range(len(position)), key=position.__getitem__))
+
+    def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
+        """Every table's value at (soc, temp), in the order of ``grids``."""
+        if math.isnan(soc) or math.isnan(temp):
+            raise ValueError(f"{self.label}: NaN lookup coordinates")
+        groups = self.groups
+        if len(groups) == 1:
+            return groups[0].values(soc, temp)
         values: tuple[float, ...] = ()
         for group in groups:
             values += group.values(soc, temp)
-        return pick(values)
-
-    return groups, read
+        return self._pick(values)
 
 
 @dataclass(eq=False)
@@ -179,9 +214,7 @@ class ParamGrid:
     SOC breakpoints are stored as fractions (table rows in percent are
     converted on load); temperatures in deg C; values in SI units. Lookups
     read ``rows``, the same values as tuples of Python floats, through a
-    one-member :class:`_GridGroup`; its cache of the last query and cell is
-    checked against every query and never changes a result. Immutable after
-    construction.
+    one-table :class:`GridLookup`. Immutable after construction.
     """
 
     name: str
@@ -189,7 +222,7 @@ class ParamGrid:
     temp_breakpoints: tuple[float, ...]
     values: np.ndarray  # shape (n_soc, n_temp)
     rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
-    _group: _GridGroup = field(init=False, repr=False)
+    _lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.soc_breakpoints) < 2 or len(self.temp_breakpoints) < 2:
@@ -207,13 +240,11 @@ class ParamGrid:
         if not np.all(np.isfinite(self.values)):
             raise ParameterDataError(f"{self.name}: non-finite value in table")
         self.rows = tuple(map(tuple, self.values.tolist()))
-        self._group = _GridGroup(self.soc_breakpoints, self.temp_breakpoints, (self.rows,))
+        self._lookup = GridLookup(self.name, (self,))
 
     def interpolate(self, soc: float, temp: float) -> float:
         """Bilinear lookup with constant extrapolation outside the grid hull."""
-        if math.isnan(soc) or math.isnan(temp):
-            raise ValueError(f"{self.name}: NaN lookup coordinates")
-        return self._group.values(soc, temp)[0]
+        return self._lookup(soc, temp)[0]
 
 
 # order of the values returned by CellParameterSet.lookup
@@ -235,67 +266,46 @@ class CellParameterSet:
     v_max: float = V_CELL_MAX
     n_series: int = N_SERIES
 
-    _groups: tuple[_GridGroup, ...] = field(init=False, repr=False)
-    _read: _Reader = field(init=False, repr=False)
+    _lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._groups, self._read = _group_grids([self.grid(name) for name in LOOKUP_ORDER])
+        self._lookup = GridLookup("cell parameters", [self.grid(name) for name in LOOKUP_ORDER])
 
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)
 
     def lookup(self, soc: float, temp: float) -> tuple[float, float, float, float, float, float]:
-        """(ocv, r_ser, r1, c1, r2, c2) at one operating point, unaged.
-
-        Equal to each grid's :meth:`ParamGrid.interpolate`, but the clamp,
-        bisect and bilinear weights are computed once per breakpoint grid,
-        and the bisect only when the query leaves the previous query's cell.
-        """
-        if math.isnan(soc) or math.isnan(temp):
-            raise ValueError("NaN lookup coordinates")
-        return self._read(soc, temp)
+        """(ocv, r_ser, r1, c1, r2, c2) at one operating point, unaged."""
+        return self._lookup(soc, temp)
 
 
-def _load_grid(path: Path, name: str) -> ParamGrid:
-    if not path.is_file():
-        raise ParameterDataError(f"missing parameter file for '{name}': {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ParameterDataError(f"{name}: {path} has too few rows")
+def load_grid(path: Path, name: str) -> ParamGrid:
+    """One table file: column breakpoints in the header row, SOC in percent in the first column."""
+    rows = read_csv_rows(path, "parameter", None, ParameterDataError)
 
-    header = lines[0].split(",")
-    try:
-        temps = tuple(float(tok) for tok in header[1:])
-    except ValueError as exc:
-        raise ParameterDataError(f"{name}: bad temperature header in {path}: {exc}") from None
-
-    socs: list[float] = []
-    rows: list[list[float]] = []
-    for idx, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(temps) + 1:
-            raise ParameterDataError(
-                f"{name}: {path} row {idx} has {len(cells)} cells, expected {len(temps) + 1}"
-            )
+    def numbers(n: int, cells: list[str]) -> list[float]:
         try:
-            socs.append(float(cells[0]) / 100.0)  # percent -> fraction
-            rows.append([float(tok) for tok in cells[1:]])
-        except ValueError:
-            raise ParameterDataError(f"{name}: non-numeric cell in {path} row {idx}") from None
+            return [float(tok) for tok in cells]
+        except ValueError as exc:
+            raise ParameterDataError(f"{path} row {n}: non-numeric cell ({exc})") from None
 
-    return ParamGrid(name, tuple(socs), temps, np.array(rows))
+    n, head = next(rows)
+    temps = tuple(numbers(n, head[1:]))
+    body = [numbers(n, cells) for n, cells in rows]
+    socs = tuple(row[0] / 100.0 for row in body)  # percent -> fraction
+    return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
 
 
 def load_parameter_set(directory: str | Path) -> CellParameterSet:
     """Load all six electrical parameter tables from ``directory``.
 
-    Raises :class:`ParameterDataError` naming the parameter, file, and row for
-    any missing file, malformed row, non-numeric cell, or non-monotone
-    breakpoint axis. Value-level findings (sign, time-constant ordering) are
-    the job of :func:`validate_parameter_set`.
+    Raises :class:`ParameterDataError` naming the file, and the row where
+    there is one, for any missing file, malformed row, non-numeric cell, or
+    non-monotone breakpoint axis. Value-level findings (sign, time-constant
+    ordering) are the job of :func:`validate_parameter_set`.
     """
     directory = Path(directory)
-    grids = {name: _load_grid(directory / f"{name}.csv", name) for name in PARAM_NAMES}
+    grids = {name: load_grid(directory / f"{name}.csv", name) for name in PARAM_NAMES}
     return CellParameterSet(**grids)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bms import BmsLimits
 from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, ChargerMode
-from .params import default_data_dir
+from .params import default_data_dir, read_csv_rows
 from .thermal import PACK_HEAT_CAPACITY, ThermalMode
 
 MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejected
@@ -63,26 +63,21 @@ class ScenarioProfile:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScenarioProfile":
-        path = Path(path)
-        if not path.is_file():
-            raise ValueError(f"missing profile file: {path}")
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != PROFILE_HEADER:
-            raise ValueError(f"{path}: first line must be '{PROFILE_HEADER}'")
         records = []
-        for idx, line in enumerate(lines[1:], start=2):
-            cells = [c.strip() for c in line.split(",")]
-            if len(cells) != 5:
-                raise ValueError(f"{path} row {idx}: expected 5 cells, got {len(cells)}")
+        for n, cells in read_csv_rows(path, "profile", PROFILE_HEADER):
+            t_s, kind, value_w, ambient_c, mode = (c.strip() for c in cells)
             try:
-                t_s = float(cells[0])
-                kind = SegmentKind(cells[1].lower())
-                value_w = float(cells[2]) if cells[2] else 0.0
-                ambient_c = float(cells[3])
-                mode = ChargerMode(cells[4].lower()) if cells[4] else None
+                records.append(
+                    ProfileRecord(
+                        float(t_s),
+                        SegmentKind(kind.lower()),
+                        float(value_w) if value_w else 0.0,
+                        float(ambient_c),
+                        ChargerMode(mode.lower()) if mode else None,
+                    )
+                )
             except ValueError as exc:
-                raise ValueError(f"{path} row {idx}: {exc}") from None
-            records.append(ProfileRecord(t_s, kind, value_w, ambient_c, mode))
+                raise ValueError(f"{path} row {n}: {exc}") from None
         return cls(records)
 
 
@@ -107,6 +102,10 @@ class ScenarioConfig:
     efficiency_curve: Path | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
         if self.control_interval_s < self.dt_s or self.aging_interval_s < self.dt_s:

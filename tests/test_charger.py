@@ -12,7 +12,6 @@ from evplant.charger import (
     ChargeControlState,
     ChargerConfig,
     ChargerMode,
-    Direction,
     PiecewiseLinear,
     ac_to_dc,
     achievable_setpoints,
@@ -71,13 +70,8 @@ class TestCommand:
     def test_directions(self):
         state = ChargeControlState()
         up = command_setpoint(state, 4140.0, 0.0)
-        assert up.direction is Direction.UP
         assert up.p_at_command == 0.0
         assert up.t_since_command == 0.0
-        down = command_setpoint(up, 4140.0, 9000.0)
-        assert down.direction is Direction.DOWN
-        level = command_setpoint(up, 4140.0, 4140.0)
-        assert level.direction is Direction.NONE
 
 
 class TestRamp:

@@ -160,6 +160,12 @@ def test_step_failure_is_reported(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_dt_is_reported(scenario_files, tmp_path, capsys):
+    config, profile = scenario_files
+    assert _simulate(config, profile, tmp_path / "o", "--dt", "nan") == 2
+    assert capsys.readouterr().err == "error: dt_s must be a finite number, got nan\n"
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

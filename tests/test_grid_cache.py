@@ -1,9 +1,10 @@
 """The cached cell of a grid group never changes a lookup result.
 
-A random walk with jumps of (soc, temp) runs through fused lookups and
-calendar rates, and every result is compared with ``==`` to a cache-free
-bilinear evaluation. The points include exact breakpoints, points outside
-the grid hull, exact repeats and tables with 2-point axes.
+A random walk with jumps of (soc, temp) runs through fused lookups, calendar
+rates and cycle rates (at depth soc and mean SOC temp / 100), and every
+result is compared with ``==`` to a cache-free bilinear evaluation. The
+points include exact breakpoints, points outside the grid hull, exact
+repeats and tables with 2-point axes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from evplant.aging import CalendarCoeffGrid, load_calendar_coeffs
+from evplant.aging import CalendarCoeffGrid, CycleCoeffGrid, load_calendar_coeffs, load_cycle_coeffs
 from evplant.params import (
     LOOKUP_ORDER,
     CellParameterSet,
@@ -25,11 +26,12 @@ from evplant.params import (
 
 SHIPPED = load_parameter_set(default_data_dir())
 SHIPPED_CAL = load_calendar_coeffs(default_data_dir())
+SHIPPED_CYC = load_cycle_coeffs(default_data_dir())
 
 
-def _grid(name, socs, temps, seed):
+def _grid(name, socs, temps, seed, rising_axis=1):
     values = np.random.default_rng(seed).uniform(0.5, 2.0, (len(socs), len(temps)))
-    return ParamGrid(name, socs, temps, np.sort(values, axis=1))  # rising with temperature
+    return ParamGrid(name, socs, temps, np.sort(values, axis=rising_axis))
 
 
 # small tables on 2-point axes, three electrical grids and two calendar grids
@@ -45,6 +47,10 @@ SMALL_CAL = CalendarCoeffGrid(
     alpha_c=_grid("calendar_alpha_c", (0.0, 1.0), (25.0, 60.0), 7),
     alpha_r=_grid("calendar_alpha_r", (0.0, 0.5, 1.0), (25.0, 40.0, 60.0), 8),
 )
+SMALL_CYC = CycleCoeffGrid(
+    beta_c=_grid("cycle_beta_c", (0.0, 1.0), (0.0, 0.4, 1.0), 9, rising_axis=0),
+    beta_r=_grid("cycle_beta_r", (0.0, 0.5, 1.0), (0.0, 1.0), 10, rising_axis=0),
+)
 
 ALL_GRIDS = [SHIPPED.grid(n) for n in LOOKUP_ORDER] + list(SMALL.values()) + [
     SHIPPED_CAL.alpha_c,
@@ -52,8 +58,11 @@ ALL_GRIDS = [SHIPPED.grid(n) for n in LOOKUP_ORDER] + list(SMALL.values()) + [
     SMALL_CAL.alpha_c,
     SMALL_CAL.alpha_r,
 ]
-SOC_NODES = sorted({b for g in ALL_GRIDS for b in g.soc_breakpoints})
-TEMP_NODES = sorted({b for g in ALL_GRIDS for b in g.temp_breakpoints})
+CYCLE_GRIDS = [SHIPPED_CYC.beta_c, SHIPPED_CYC.beta_r, SMALL_CYC.beta_c, SMALL_CYC.beta_r]
+SOC_NODES = sorted({b for g in ALL_GRIDS + CYCLE_GRIDS for b in g.soc_breakpoints})
+TEMP_NODES = sorted(
+    {b for g in ALL_GRIDS for b in g.temp_breakpoints} | {b * 100.0 for g in CYCLE_GRIDS for b in g.temp_breakpoints}
+)
 SOCS = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(SOC_NODES))
 TEMPS = st.one_of(st.floats(-40.0, 70.0), st.sampled_from(TEMP_NODES))
 
@@ -76,6 +85,10 @@ class CachedLookups(RuleBasedStateMachine):
         self.cals = [
             CalendarCoeffGrid(alpha_c=SHIPPED_CAL.alpha_c, alpha_r=SHIPPED_CAL.alpha_r),
             CalendarCoeffGrid(alpha_c=SMALL_CAL.alpha_c, alpha_r=SMALL_CAL.alpha_r),
+        ]
+        self.cycles = [
+            CycleCoeffGrid(beta_c=SHIPPED_CYC.beta_c, beta_r=SHIPPED_CYC.beta_r),
+            CycleCoeffGrid(beta_c=SMALL_CYC.beta_c, beta_r=SMALL_CYC.beta_r),
         ]
         self.soc, self.temp = 0.5, 20.0
 
@@ -109,12 +122,17 @@ class CachedLookups(RuleBasedStateMachine):
         for cal in self.cals:
             expected = (fresh(cal.alpha_c, soc, temp), fresh(cal.alpha_r, soc, temp))
             assert cal.rates(soc, temp) == expected, (soc, temp)
+        mean = temp / 100.0
+        for cyc in self.cycles:
+            expected = (fresh(cyc.beta_c, soc, mean), fresh(cyc.beta_r, soc, mean))
+            assert cyc.rates(soc, mean) == expected, (soc, mean)
         # On a cell's upper edge both neighbours give the same value, so only
         # the cached cell shows whether the box is half-open like the bisect.
-        for owner in self.psets + self.cals:
-            for group in owner._groups:
+        queried = [(owner, temp) for owner in self.psets + self.cals] + [(cyc, mean) for cyc in self.cycles]
+        for owner, t in queried:
+            for group in owner._lookup.groups:
                 s_in, s_out, t_in, t_out = group._cache[3][:4]
-                assert s_in <= soc < s_out and t_in <= temp < t_out, (soc, temp)
+                assert s_in <= soc < s_out and t_in <= t < t_out, (soc, t)
 
 
 CachedLookups.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)

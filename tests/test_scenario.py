@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from evplant.charger import ChargerMode
@@ -133,6 +136,12 @@ max_current_a = 80
         path.write_text("data_dir = tables\n")
         config = load_config(path)
         assert config.data_dir == (tmp_path / "tables").resolve()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if "float" in f.type])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
+            ScenarioConfig(**{name: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):
