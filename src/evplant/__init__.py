@@ -1,10 +1,10 @@
 """Deterministic electro-thermal model of an EV traction battery and charger.
 
-A 2RC equivalent-circuit cell model (93 in series), a lumped pack thermal
-model with liquid cooling, superposed calendar/cycle aging with rainflow
-cycle counting, an IEC 61851-1 style charge controller with measured ramp
-dynamics and efficiency, and a fixed-timestep engine that couples them under
-a pluggable charge strategy.
+A 2RC equivalent-circuit cell model, a lumped pack thermal model with liquid
+cooling, superposed calendar/cycle aging with rainflow cycle counting, an
+IEC 61851-1 style charge controller with measured ramp dynamics and
+efficiency, and a fixed-timestep engine that couples them under a pluggable
+charge strategy and scales the cell 93 in series to the pack.
 """
 
 from .aging import AgingState, EolStatus, eol_check
@@ -27,7 +27,7 @@ from .params import (
     validate_parameter_set,
 )
 from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind, load_config
-from .thermal import ThermalMode, ThermalParams, ThermalState, step_thermal
+from .thermal import ThermalMode, ThermalParams, step_thermal
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "StrategyObservation",
     "ThermalMode",
     "ThermalParams",
-    "ThermalState",
     "Trajectory",
     "ValidationMetrics",
     "compute_metrics",

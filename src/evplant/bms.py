@@ -1,5 +1,8 @@
 """Battery-management limits: usable SOC window, voltage/temperature envelope.
 
+The limits are the model's single definition of the permissible operating
+window; the engine's ``temp_envelope`` flag reads ``t_min_c``/``t_max_c``.
+
 The gate never flips the sign of a requested current; it either passes it,
 clamps its magnitude to the current limit, or forces it to zero with a
 reason. The default current cap of 2C is a conservative stand-in for the
@@ -8,7 +11,8 @@ unpublished BMS limit (the cell's cycle-test rating) and is configurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -43,6 +47,10 @@ class BmsLimits:
     max_current_a: float = DEFAULT_MAX_CURRENT_A
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         # equality is tolerated as a degenerate (zero-capacity) window
         if self.soc_min > self.soc_max:
             raise ValueError("soc_min must not exceed soc_max")

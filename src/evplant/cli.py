@@ -19,7 +19,7 @@ from .engine import (
     strategy_max_power,
     strategy_off,
 )
-from .params import load_parameter_set, read_csv_rows, validate_parameter_set
+from .params import PARAM_NAMES, load_parameter_set, read_csv_rows, validate_parameter_set
 from .scenario import ScenarioProfile, load_config
 
 
@@ -50,22 +50,31 @@ def resolve_strategy(spec: str | None) -> Strategy | None:
     raise ValueError(f"unknown strategy '{spec}'")
 
 
+def _simulate(
+    config_path: str,
+    profile_path: str,
+    out_dir: str,
+    strategy_spec: str | None,
+    dt_s: float | None = None,
+) -> list[Path]:
+    """Load one scenario, run it and write its report; ``dt_s`` overrides the config's."""
+    config = load_config(config_path)
+    if dt_s is not None:
+        config = dataclasses.replace(config, dt_s=dt_s)
+    profile = ScenarioProfile.from_csv(profile_path)
+    trajectory = run_scenario(config, profile, resolve_strategy(strategy_spec))
+    return emit_report(trajectory, None, out_dir)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if args.dt is not None:
-        config = dataclasses.replace(config, dt_s=args.dt)
-    profile = ScenarioProfile.from_csv(args.profile)
-    strategy = resolve_strategy(args.strategy)
-    trajectory = run_scenario(config, profile, strategy)
-    paths = emit_report(trajectory, None, args.out)
-    for p in paths:
+    for p in _simulate(args.config, args.profile, args.out, args.strategy, args.dt):
         print(p)
     return 0
 
 
 def _cmd_validate_params(args: argparse.Namespace) -> int:
     pset = load_parameter_set(args.data)
-    for name in ("ocv", "r_ser", "r1", "r2", "c1", "c2"):
+    for name in PARAM_NAMES:
         grid = pset.grid(name)
         print(
             f"{name}: {len(grid.soc_breakpoints)} SOC rows x "
@@ -85,29 +94,21 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_batch_entry(entry: tuple[str, str, str, str]) -> str:
-    config_path, profile_path, out_dir, strategy_spec = entry
-    config = load_config(config_path)
-    profile = ScenarioProfile.from_csv(profile_path)
-    strategy = resolve_strategy(strategy_spec or None)
-    trajectory = run_scenario(config, profile, strategy)
-    emit_report(trajectory, None, out_dir)
-    return out_dir
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     base = Path(args.manifest).parent
     entries = []
     for _, cells in read_csv_rows(args.manifest, "manifest", "config,profile,out,strategy"):
         config, profile, out, strategy = (c.strip() for c in cells)
-        entries.append((str(base / config), str(base / profile), str(base / out), strategy))
+        entries.append((str(base / config), str(base / profile), str(base / out), strategy or None))
 
     if args.jobs <= 1:
-        results = [_run_batch_entry(e) for e in entries]
+        for entry in entries:
+            _simulate(*entry)
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_batch_entry, entries))
-    for out_dir in results:
+            for future in [pool.submit(_simulate, *entry) for entry in entries]:
+                future.result()
+    for _, _, out_dir, _ in entries:
         print(f"done {out_dir}")
     return 0
 

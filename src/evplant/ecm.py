@@ -1,4 +1,4 @@
-"""Discrete-time dual-polarization (2RC) cell model, scaled 93-in-series to the pack.
+"""Discrete-time dual-polarization (2RC) model of one cell.
 
 Sign convention: charging current is positive. The RC overpotentials use the
 exact zero-order-hold update, so the discrete trajectory reproduces the
@@ -6,6 +6,7 @@ continuous solution exactly for piecewise-constant current. Parameters are
 looked up once per step, at the state at the start of the step (see
 :func:`operating_point`); aged resistance applies as a uniform multiplier on
 r_ser, r1 and r2, and SOC is counted against the aged (effective) capacity.
+Every value here is per cell; the engine scales voltage and heat to the pack.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ class EcmState:
     u2: float = 0.0
 
 
-@dataclass
-class ElectricalStepResult:
-    terminal_voltage_cell: float  # V
-    terminal_voltage_pack: float  # V
-    heat_power: float  # W, per cell, >= 0
-    soc_after: float
-    soc_clipped: bool = False
-
-
 def _check_finite(label: str, *values: float) -> None:
     """Raise the labelled error for the first non-finite value.
 
@@ -61,7 +53,6 @@ class OperatingPoint(NamedTuple):
     k2: float  # exp(-dt / (r2 c2))
     dt: float  # s
     capacity_ah: float  # aged (effective) capacity
-    n_series: int
 
 
 def operating_point(
@@ -81,22 +72,23 @@ def operating_point(
     k1 = math.exp(-dt / (r1 * c1))
     k2 = math.exp(-dt / (r2 * c2))
     c_eff_ah = params.nominal_capacity_ah * aging.c_norm
-    return OperatingPoint(ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah, params.n_series)
+    return OperatingPoint(ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah)
 
 
 def step_ecm(
     state: EcmState, point: OperatingPoint, current: float
-) -> tuple[EcmState, ElectricalStepResult]:
+) -> tuple[EcmState, float, float, bool]:
     """Advance the cell by one step at constant ``current`` (A).
 
     ``point`` is the :func:`operating_point` at ``state.soc``. Returns the new
-    state and the step result (terminal voltages, irreversible heat, SOC). SOC
-    leaving [0, 1] saturates and sets ``soc_clipped``; keeping it inside the
-    window is the charge controller's job, not the plant's.
+    state, the end-of-step terminal voltage (V), the irreversible heat (W,
+    >= 0) and whether SOC was clipped: SOC leaving [0, 1] saturates, and
+    keeping it inside the window is the charge controller's job, not the
+    plant's.
     """
     if not (isfinite(state.soc) and isfinite(state.u1) and isfinite(state.u2) and isfinite(current)):
         _check_finite("step input", state.soc, state.u1, state.u2, current)
-    ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah, n_series = point
+    ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah = point
 
     u1 = state.u1 * k1 + r1 * current * (1.0 - k1)
     u2 = state.u2 * k2 + r2 * current * (1.0 - k2)
@@ -110,15 +102,7 @@ def step_ecm(
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
     if not (isfinite(u1) and isfinite(u2) and isfinite(soc) and isfinite(v_cell) and isfinite(heat)):
         _check_finite("step output", u1, u2, soc, v_cell, heat)
-
-    result = ElectricalStepResult(
-        terminal_voltage_cell=v_cell,
-        terminal_voltage_pack=n_series * v_cell,
-        heat_power=heat,
-        soc_after=soc,
-        soc_clipped=clipped,
-    )
-    return EcmState(soc=soc, u1=u1, u2=u2), result
+    return EcmState(soc=soc, u1=u1, u2=u2), v_cell, heat, clipped
 
 
 def rest_voltage(state: EcmState, params: CellParameterSet, temp: float) -> float:

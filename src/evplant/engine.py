@@ -4,8 +4,9 @@ Each step: resolve the active profile segment; when plugged in, poll the
 strategy at the control interval, quantize and ramp the AC set-point, convert
 to DC, apply the CV current limit and the BMS gate; when driving, convert the
 requested DC power to current against the latest pack voltage and gate it.
-Then advance the cell electrics, feed the cell heat (times the series count)
-to the thermal model, and accrue aging at its own cadence. Runs are purely
+Then advance the cell electrics, scale the cell voltage and heat by the
+series count (the one place the pack scaling lives), advance the pack
+temperature, and accrue aging at its own cadence. Runs are purely
 deterministic: identical inputs give bit-identical trajectories.
 
 The CV limiter targets the cell voltage ceiling minus a 0.1 mV margin so the
@@ -48,14 +49,12 @@ from .charger import (
 from .ecm import EcmState, operating_point, rest_voltage, step_ecm, voltage_prediction_coeffs
 from .params import default_data_dir, load_parameter_set, read_csv_rows
 from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind
-from .thermal import ThermalMode, ThermalParams, ThermalState, step_thermal
+from .thermal import ThermalMode, ThermalParams, step_thermal
 
 SECONDS_PER_DAY = 86400.0
 
 # CV target sits this far below the cell voltage limit (see module docstring)
 CV_MARGIN_V_PER_CELL = 1e-4
-
-TRAJECTORY_HEADER = "t_s,soc,v_cell_v,v_pack_v,i_dc_a,t_pack_c,p_ac_w,p_dc_w,c_norm,r_norm,eqfc,flags"
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,10 @@ def make_profile_strategy(profile: ScenarioProfile) -> Strategy:
     return strategy
 
 
+# CSV names of the Trajectory fields, in field order
+TRAJECTORY_HEADER = "t_s,soc,v_cell_v,v_pack_v,i_dc_a,t_pack_c,p_ac_w,p_dc_w,c_norm,r_norm,eqfc,flags"
+
+
 @dataclass
 class Trajectory:
     """Per-step simulation record; rows are stamped with the end of each step."""
@@ -119,13 +122,21 @@ class Trajectory:
     flags: list[str]
 
     @classmethod
+    def from_rows(cls, rows: list[tuple[float, ...]], flags: list[str]) -> "Trajectory":
+        """Build from one tuple of the float columns, in field order, per row."""
+        table = np.array(rows, dtype=float).reshape(len(rows), len(FLOAT_COLUMNS))
+        return cls(*(np.ascontiguousarray(c) for c in table.T), flags=flags)
+
+    @classmethod
     def empty(cls) -> "Trajectory":
-        z = np.zeros(0)
-        return cls(z, z, z, z, z, z, z, z, z, z, z, [])
+        return cls.from_rows([], [])
 
     @property
     def n_rows(self) -> int:
         return len(self.t_s)
+
+
+FLOAT_COLUMNS = tuple(f.name for f in fields(Trajectory) if f.name != "flags")
 
 
 @dataclass
@@ -146,8 +157,6 @@ def run_scenario(
 ) -> Trajectory:
     """Simulate one scenario; see the module docstring for the step order."""
     records = profile.records
-    if len(records) < 2:
-        return Trajectory.empty()
     dt = config.dt_s
     n_steps = int(math.floor(profile.duration_s / dt + 1e-9))
     if n_steps <= 0:
@@ -180,9 +189,8 @@ def run_scenario(
     ecm_state = EcmState(soc=config.initial_soc)
     aging = AgingState()
     t0 = records[0].t_s
-    t_init = config.initial_temp_c if config.initial_temp_c is not None else records[0].ambient_c
-    th_state = ThermalState(t_pack=t_init)
-    v_cell = rest_voltage(ecm_state, params, th_state.t_pack)
+    t_pack = config.initial_temp_c if config.initial_temp_c is not None else records[0].ambient_c
+    v_cell = rest_voltage(ecm_state, params, t_pack)
     n_series = params.n_series
     v_pack = n_series * v_cell
     v_max_pack = n_series * (params.v_max - CV_MARGIN_V_PER_CELL)
@@ -217,7 +225,7 @@ def run_scenario(
         i_dc = 0.0
         p_ac = 0.0
         try:
-            point = operating_point(params, aging, ecm_state.soc, th_state.t_pack, dt)
+            point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
         except ValueError as exc:
             raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
 
@@ -229,7 +237,7 @@ def run_scenario(
                 obs = StrategyObservation(
                     t_s=t,
                     soc=ecm_state.soc,
-                    t_pack_c=th_state.t_pack,
+                    t_pack_c=t_pack,
                     plugged=True,
                     ac_power_w=p_ac_prev,
                     setpoints_w=ch_setpoints,
@@ -255,29 +263,28 @@ def run_scenario(
                 n_series * a_cell,
                 n_series * b_cell,
             )
-            gate = gate_current(i_cmd, ecm_state.soc, v_cell, th_state.t_pack, limits)
+            gate = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
             i_dc = gate.allowed_current
             ctrl.t_since_command += dt
         elif driving:
             i_req = rec.value_w / v_pack
-            gate = gate_current(i_req, ecm_state.soc, v_cell, th_state.t_pack, limits)
+            gate = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
             i_dc = gate.allowed_current
 
         try:
-            ecm_state, res = step_ecm(ecm_state, point, i_dc)
+            ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
         except ValueError as exc:
             raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
-        v_cell = res.terminal_voltage_cell
-        v_pack = res.terminal_voltage_pack
+        v_pack = n_series * v_cell
         p_dc = i_dc * v_pack
         if plugged and p_dc > 0:
             p_ac = dc_to_ac(p_dc, ch_cfg)
 
-        cooling = ev_operation and (driving or (plugged and i_dc > 0)) and th_state.t_pack > ambient
+        cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
         try:
-            th_state = step_thermal(
-                th_state,
-                res.heat_power * n_series,
+            t_pack = step_thermal(
+                t_pack,
+                heat * n_series,
                 ambient,
                 dt,
                 th_params,
@@ -289,17 +296,17 @@ def run_scenario(
 
         if (k + 1) % aging_every == 0:
             calendar_step(
-                aging, ecm_state.soc, th_state.t_pack, aging_every * dt / SECONDS_PER_DAY, cal_coeffs
+                aging, ecm_state.soc, t_pack, aging_every * dt / SECONDS_PER_DAY, cal_coeffs
             )
             cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
 
         if gate is not None and gate.reason is not GateReason.OK:
             flags.append(gate.reason.value)
-        if res.soc_clipped:
+        if soc_clipped:
             flags.append("soc_clip")
         if gate is not None and gate.heating_required:
             flags.append("heating")
-        if not th_state.in_envelope():
+        if not limits.t_min_c <= t_pack <= limits.t_max_c:
             flags.append("temp_envelope")
 
         rows.append(
@@ -309,7 +316,7 @@ def run_scenario(
                 v_cell,
                 v_pack,
                 i_dc,
-                th_state.t_pack,
+                t_pack,
                 p_ac,
                 p_dc,
                 aging.c_norm,
@@ -323,12 +330,11 @@ def run_scenario(
 
     # book the unclosed residual half cycles into the final reported state
     flush_cycles(aging, cyc_coeffs)
-    if rows:
-        last = rows[-1]
-        rows[-1] = last[:8] + (aging.c_norm, aging.r_norm, aging.eqfc)
-
-    cols = list(zip(*rows)) if rows else [[]] * 11
-    return Trajectory(*(np.asarray(c, dtype=float) for c in cols), flags=flags_col)
+    trajectory = Trajectory.from_rows(rows, flags_col)
+    trajectory.c_norm[-1] = aging.c_norm
+    trajectory.r_norm[-1] = aging.r_norm
+    trajectory.eqfc[-1] = aging.eqfc
+    return trajectory
 
 
 def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics:
@@ -336,7 +342,7 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
 
     The reference is zero-order-hold resampled onto the simulation timestamps;
     samples outside the reference's time span are dropped. Charge and energy
-    integrals use the trapezoidal rule over the simulated trajectory.
+    are the step sums over the simulated trajectory, as in ``summary.txt``.
     """
     if sim.n_rows == 0 or reference.n_rows == 0:
         raise ValueError("cannot compute metrics on an empty trajectory")
@@ -352,8 +358,8 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
         max_abs_error_cell_voltage_mv=float(np.max(np.abs(dv_mv))),
         rmse_pack_temp_k=float(np.sqrt(np.mean(dt_k**2))),
         max_abs_error_pack_temp_k=float(np.max(np.abs(dt_k))),
-        charge_ah=float(np.trapezoid(sim.i_dc, sim.t_s) / 3600.0),
-        energy_kwh=float(np.trapezoid(sim.i_dc * sim.v_pack, sim.t_s) / 3.6e6),
+        charge_ah=_step_integral(sim.i_dc, sim.t_s) / 3600.0,
+        energy_kwh=_step_integral(sim.i_dc * sim.v_pack, sim.t_s) / 3.6e6,
         duration_min=float((sim.t_s[-1] - sim.t_s[0]) / 60.0),
     )
 
@@ -377,7 +383,7 @@ def emit_report(
     traj_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "summary.txt"
 
-    float_columns = [getattr(trajectory, f.name) for f in fields(Trajectory) if f.name != "flags"]
+    float_columns = [getattr(trajectory, name) for name in FLOAT_COLUMNS]
     lines = [TRAJECTORY_HEADER]
     for start in range(0, trajectory.n_rows, 1024):  # blocks bound the transient Python floats
         stop = start + 1024
@@ -421,9 +427,8 @@ def read_trajectory(path: str | Path) -> Trajectory:
     flags = []
     for n, cells in read_csv_rows(path, "trajectory", TRAJECTORY_HEADER):
         try:
-            rows.append(tuple(map(float, cells[:11])))
+            rows.append(tuple(map(float, cells[:-1])))
         except ValueError as exc:
             raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
-        flags.append(cells[11])
-    cols = list(zip(*rows)) if rows else [[]] * 11
-    return Trajectory(*(np.asarray(c, dtype=float) for c in cols), flags=flags)
+        flags.append(cells[-1])
+    return Trajectory.from_rows(rows, flags)

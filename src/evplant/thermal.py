@@ -3,7 +3,9 @@
 Heat leaves by surface convection and, when the loop is running, by liquid
 cooling whose coolant flow rate rises linearly with pack temperature and whose
 coolant temperature equals ambient. While charging, the pack heater keeps the
-temperature from dropping below 0 degC.
+temperature from dropping below 0 degC. The state is the pack temperature
+alone: :func:`step_thermal` maps one value (degC) to the next. The permissible
+temperatures are the BMS limits (:class:`evplant.bms.BmsLimits`).
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ FLOW_RATE_SLOPE = 1.513e-5  # m^3/s at 45 degC
 FLOW_RATE_REF_TEMP = 45.0  # degC
 
 PACK_HEAT_CAPACITY = 17120.0  # J/K
-
-# permissible operating envelope, reported (not clamped) by the temperature check
-T_ENVELOPE_MIN = -25.0  # degC
-T_ENVELOPE_MAX = 55.0  # degC
 
 HEATER_FLOOR_C = 0.0  # pack is kept above this while charging
 
@@ -49,31 +47,20 @@ class ThermalParams:
     alpha_x: float = _ALPHAS[ThermalMode.EV_OPERATION][0]  # W/K
     alpha_y: float = _ALPHAS[ThermalMode.EV_OPERATION][1]
     alpha_z: float = _ALPHAS[ThermalMode.EV_OPERATION][2]
-    rho_coolant: float = RHO_COOLANT
-    c_coolant: float = C_COOLANT
-    mode: ThermalMode = ThermalMode.EV_OPERATION
 
     def __post_init__(self) -> None:
-        for name in ("c_pack", "alpha_x", "alpha_y", "alpha_z", "rho_coolant", "c_coolant"):
+        for name in ("c_pack", "alpha_x", "alpha_y", "alpha_z"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"thermal parameter {name} must be positive")
 
     @classmethod
     def for_mode(cls, mode: ThermalMode, c_pack: float = PACK_HEAT_CAPACITY) -> "ThermalParams":
         ax, ay, az = _ALPHAS[mode]
-        return cls(c_pack=c_pack, alpha_x=ax, alpha_y=ay, alpha_z=az, mode=mode)
+        return cls(c_pack=c_pack, alpha_x=ax, alpha_y=ay, alpha_z=az)
 
     @property
     def alpha_sum(self) -> float:
         return self.alpha_x + self.alpha_y + self.alpha_z
-
-
-@dataclass
-class ThermalState:
-    t_pack: float  # degC
-
-    def in_envelope(self) -> bool:
-        return T_ENVELOPE_MIN <= self.t_pack <= T_ENVELOPE_MAX
 
 
 def convection_power(t_pack: float, t_ambient: float, params: ThermalParams) -> float:
@@ -88,27 +75,27 @@ def coolant_flow_rate(t_pack: float) -> float:
 
 def cooling_power(t_pack: float, t_ambient: float, params: ThermalParams) -> float:
     """Heat flow removed by the liquid cooling loop (W), coolant at ambient."""
-    return (t_pack - t_ambient) * params.rho_coolant * params.c_coolant * coolant_flow_rate(t_pack)
+    return (t_pack - t_ambient) * RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
 
 
 def stable_dt_limit(t_pack: float, params: ThermalParams, cooling_active: bool) -> float:
     """Largest explicit-Euler step that cannot overshoot the ambient fixed point."""
     conductance = params.alpha_sum
     if cooling_active:
-        conductance += params.rho_coolant * params.c_coolant * coolant_flow_rate(t_pack)
+        conductance += RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
     return params.c_pack / conductance
 
 
 def step_thermal(
-    state: ThermalState,
+    t_pack: float,
     q_gen: float,
     t_ambient: float,
     dt: float,
     params: ThermalParams,
     cooling_active: bool = False,
     charging: bool = False,
-) -> ThermalState:
-    """Advance the pack temperature by one explicit-Euler step of ``dt`` seconds.
+) -> float:
+    """Pack temperature (degC) one explicit-Euler step of ``dt`` seconds after ``t_pack``.
 
     ``q_gen`` is the heat generated inside the pack (W). Liquid cooling is
     applied only when ``cooling_active``; while ``charging``, the heater floor
@@ -116,20 +103,18 @@ def step_thermal(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not (math.isfinite(q_gen) and math.isfinite(t_ambient) and math.isfinite(state.t_pack)):
+    if not (math.isfinite(q_gen) and math.isfinite(t_ambient) and math.isfinite(t_pack)):
         raise ValueError("non-finite thermal step input")
-    if dt > stable_dt_limit(state.t_pack, params, cooling_active):
-        raise ValueError(
-            f"dt={dt} s exceeds the explicit-Euler stability bound "
-            f"{stable_dt_limit(state.t_pack, params, cooling_active):.1f} s"
-        )
+    dt_limit = stable_dt_limit(t_pack, params, cooling_active)
+    if dt > dt_limit:
+        raise ValueError(f"dt={dt} s exceeds the explicit-Euler stability bound {dt_limit:.1f} s")
 
-    q_out = convection_power(state.t_pack, t_ambient, params)
+    q_out = convection_power(t_pack, t_ambient, params)
     if cooling_active:
-        q_out += cooling_power(state.t_pack, t_ambient, params)
-    t_new = state.t_pack + dt * (q_gen - q_out) / params.c_pack
+        q_out += cooling_power(t_pack, t_ambient, params)
+    t_new = t_pack + dt * (q_gen - q_out) / params.c_pack
     if charging and t_new < HEATER_FLOOR_C:
         t_new = HEATER_FLOOR_C
     if not math.isfinite(t_new):
         raise ValueError("non-finite pack temperature")
-    return ThermalState(t_pack=t_new)
+    return t_new

@@ -34,7 +34,7 @@ from evplant.charger import (
 from evplant.ecm import EcmState, operating_point, rest_voltage, step_ecm
 from evplant.engine import emit_report, make_constant_strategy, run_scenario
 from evplant.scenario import ProfileRecord, ScenarioConfig, ScenarioProfile, SegmentKind
-from evplant.thermal import ThermalMode, ThermalParams, ThermalState, step_thermal
+from evplant.thermal import ThermalMode, ThermalParams, step_thermal
 
 EXPECTED_TABLE_DIR = Path(__file__).parent / "data"
 
@@ -94,11 +94,13 @@ def test_criterion_3_rest_voltage(pset):
     state = EcmState(soc=0.50)
     v_cell = rest_voltage(state, pset, 25.0)
     assert v_cell == 3.6936
-    _, res = step_ecm(state, operating_point(pset, AgingState(), 0.50, 25.0, dt=1.0), current=0.0)
-    assert res.terminal_voltage_cell == 3.6936
-    assert res.terminal_voltage_pack == 93 * 3.6936
-    assert res.terminal_voltage_pack == pytest.approx(343.50, abs=5e-3)
-    _report(3, f"rest voltage {v_cell} V/cell, {res.terminal_voltage_pack:.2f} V pack")
+    point = operating_point(pset, AgingState(), 0.50, 25.0, dt=1.0)
+    _, v_step, _, _ = step_ecm(state, point, current=0.0)
+    assert v_step == 3.6936
+    v_pack = pset.n_series * v_step
+    assert v_pack == 93 * 3.6936
+    assert v_pack == pytest.approx(343.50, abs=5e-3)
+    _report(3, f"rest voltage {v_cell} V/cell, {v_pack:.2f} V pack")
 
 
 def test_criterion_4_calendar_eol_window(cal_coeffs):
@@ -236,11 +238,11 @@ def test_criterion_10_thermal_oracle():
     asymptote = q_gen / params.alpha_sum
     assert asymptote == pytest.approx(89.6, abs=0.05)
 
-    state = ThermalState(t_pack=t_ambient)
+    t_pack = t_ambient
     coarse = []
     for _ in range(3600):
-        state = step_thermal(state, q_gen, t_ambient, 1.0, params, cooling_active=False)
-        coarse.append(state.t_pack)
+        t_pack = step_thermal(t_pack, q_gen, t_ambient, 1.0, params, cooling_active=False)
+        coarse.append(t_pack)
     assert max(coarse) - t_ambient < asymptote
 
     # independent fine-step Euler oracle at 1 ms

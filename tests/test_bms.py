@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from evplant.aging import AgingState
 from evplant.bms import BmsLimits, GateReason, gate_current, usable_capacity
+from evplant.engine import run_scenario
+from evplant.scenario import ProfileRecord, ScenarioConfig, ScenarioProfile, SegmentKind
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +104,26 @@ class TestUsableCapacity:
 
     def test_max_reachable_dod(self, limits):
         assert limits.soc_max - limits.soc_min == pytest.approx(0.921, rel=1e-12)
+
+
+class TestLimitValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(BmsLimits)])
+    def test_non_finite_limit_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
+            BmsLimits(**{name: value})
+
+    def test_drive_stops_at_the_window_instead_of_a_nan_limit(self):
+        # a NaN soc_min would compare false and let the drive empty the cell
+        with pytest.raises(ValueError, match="^soc_min must be a finite number"):
+            BmsLimits(soc_min=math.nan)
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.DRIVE, -20000.0, 20.0, None),
+                ProfileRecord(1200.0, SegmentKind.IDLE, 0.0, 20.0, None),
+            ]
+        )
+        traj = run_scenario(ScenarioConfig(initial_soc=0.1, initial_temp_c=20.0), profile)
+        assert any("soc_low" in f for f in traj.flags)
+        assert not any("soc_clip" in f for f in traj.flags)
+        assert traj.soc.min() > 0.03

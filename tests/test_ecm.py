@@ -1,4 +1,4 @@
-"""Cell electrical model: exact-hold RC update, heat, pack scaling."""
+"""Cell electrical model: exact-hold RC update, heat, SOC saturation."""
 
 from __future__ import annotations
 
@@ -33,25 +33,24 @@ def tau2_at(pset, soc, temp):
 class TestStep:
     def test_zero_current_rest(self, pset, fresh):
         state = EcmState(soc=0.5)
-        new, res = step(state, pset, fresh, current=0.0, temp=25.0, dt=1.0)
-        assert res.terminal_voltage_cell == 3.6936
-        assert res.terminal_voltage_pack == 93 * 3.6936
-        assert res.heat_power == 0.0
+        new, v_cell, heat, _ = step(state, pset, fresh, current=0.0, temp=25.0, dt=1.0)
+        assert v_cell == 3.6936
+        assert heat == 0.0
         assert new.soc == 0.5
 
     def test_instantaneous_ohmic_drop(self, pset, fresh):
         # for dt -> 0+ only the series resistance contributes
         state = EcmState(soc=0.5)
-        _, res = step(state, pset, fresh, current=52.0, temp=25.0, dt=1e-6)
+        _, v_cell, _, _ = step(state, pset, fresh, current=52.0, temp=25.0, dt=1e-6)
         ir = 52.0 * 7.186e-4
         assert ir == pytest.approx(0.03737, abs=1e-5)
-        assert res.terminal_voltage_cell - 3.6936 == pytest.approx(ir, abs=2e-4)
+        assert v_cell - 3.6936 == pytest.approx(ir, abs=2e-4)
 
     def test_overpotential_decays_by_e_over_one_time_constant(self, pset, fresh):
         dt = tau2_at(pset, 0.5, 25.0)
         assert dt == pytest.approx(15.37, abs=5e-3)
         state = EcmState(soc=0.5, u1=0.01, u2=0.05)
-        new, _ = step(state, pset, fresh, current=0.0, temp=25.0, dt=dt)
+        new, *_ = step(state, pset, fresh, current=0.0, temp=25.0, dt=dt)
         assert new.u2 == pytest.approx(0.05 * math.exp(-1.0), rel=1e-12)
         assert new.u2 == pytest.approx(0.01839, abs=1e-5)
         # the fast branch has all but vanished after ~1000 of its time constants
@@ -61,7 +60,7 @@ class TestStep:
         state = EcmState(soc=0.5, u1=0.02, u2=-0.03)
         prev_u1, prev_u2 = state.u1, state.u2
         for _ in range(200):
-            state, _ = step(state, pset, fresh, current=0.0, temp=25.0, dt=5.0)
+            state, *_ = step(state, pset, fresh, current=0.0, temp=25.0, dt=5.0)
             assert abs(state.u1) <= abs(prev_u1)
             assert abs(state.u2) <= abs(prev_u2)
             assert state.soc == 0.5
@@ -77,33 +76,27 @@ class TestStep:
         start = state.soc
         for _ in range(600):
             current = rng.uniform(-40.0, 40.0)
-            state, _ = step(state, pset, fresh, current, 25.0, dt)
+            state, *_ = step(state, pset, fresh, current, 25.0, dt)
             charge_as += current * dt
         expected = start + charge_as / (3600.0 * pset.nominal_capacity_ah)
         assert abs(state.soc - expected) < 600 * 1e-9
 
     def test_half_steps_match_full_step_at_rest(self, pset, fresh):
         state = EcmState(soc=0.5, u1=0.01, u2=0.04)
-        one, _ = step(state, pset, fresh, 0.0, 25.0, dt=10.0)
+        one, *_ = step(state, pset, fresh, 0.0, 25.0, dt=10.0)
         half = EcmState(soc=0.5, u1=0.01, u2=0.04)
         for _ in range(2):
-            half, _ = step(half, pset, fresh, 0.0, 25.0, dt=5.0)
+            half, *_ = step(half, pset, fresh, 0.0, 25.0, dt=5.0)
         assert half.u1 == pytest.approx(one.u1, rel=1e-12)
         assert half.u2 == pytest.approx(one.u2, rel=1e-12)
 
-    def test_pack_voltage_is_93_times_cell(self, pset, fresh):
-        state = EcmState(soc=0.3)
-        for current in (-30.0, 0.0, 30.0):
-            state, res = step(state, pset, fresh, current, 15.0, 1.0)
-            assert res.terminal_voltage_pack == 93 * res.terminal_voltage_cell
-
     def test_soc_saturation_sets_flag(self, pset, fresh):
         state = EcmState(soc=0.9999)
-        new, res = step(state, pset, fresh, current=104.0, temp=25.0, dt=60.0)
-        assert res.soc_clipped
+        new, _, _, clipped = step(state, pset, fresh, current=104.0, temp=25.0, dt=60.0)
+        assert clipped
         assert new.soc == 1.0
-        low, res2 = step(EcmState(soc=0.0001), pset, fresh, -104.0, 25.0, 60.0)
-        assert res2.soc_clipped
+        low, _, _, clipped = step(EcmState(soc=0.0001), pset, fresh, -104.0, 25.0, 60.0)
+        assert clipped
         assert low.soc == 0.0
 
     def test_non_finite_input_is_hard_error(self, pset, fresh):
@@ -118,22 +111,22 @@ class TestStep:
         rng = random.Random(7)
         state = EcmState(soc=0.6)
         for _ in range(300):
-            state, res = step(state, pset, fresh, rng.uniform(-60, 60), 5.0, 1.0)
-            assert res.heat_power >= 0.0
+            state, _, heat, _ = step(state, pset, fresh, rng.uniform(-60, 60), 5.0, 1.0)
+            assert heat >= 0.0
 
     def test_aged_resistance_scales_ohmic_drop(self, pset):
         aged = AgingState(c_norm=1.0, r_norm=1.5)
         fresh = AgingState()
-        _, res_aged = step(EcmState(soc=0.5), pset, aged, 52.0, 25.0, 1e-6)
-        _, res_fresh = step(EcmState(soc=0.5), pset, fresh, 52.0, 25.0, 1e-6)
+        _, v_aged, _, _ = step(EcmState(soc=0.5), pset, aged, 52.0, 25.0, 1e-6)
+        _, v_fresh, _, _ = step(EcmState(soc=0.5), pset, fresh, 52.0, 25.0, 1e-6)
         # the instantaneous RC charging term ~ I*dt/C is resistance-free, so
         # only the series-resistance part of the drop scales with r_norm
-        extra = res_aged.terminal_voltage_cell - res_fresh.terminal_voltage_cell
+        extra = v_aged - v_fresh
         assert extra == pytest.approx(0.5 * 52.0 * 7.186e-4, rel=1e-3)
 
     def test_aged_capacity_scales_soc_rate(self, pset):
         aged = AgingState(c_norm=0.8, r_norm=1.0)
-        new, _ = step(EcmState(soc=0.5), pset, aged, 52.0, 25.0, 36.0)
+        new, *_ = step(EcmState(soc=0.5), pset, aged, 52.0, 25.0, 36.0)
         dsoc = new.soc - 0.5
         assert dsoc == pytest.approx(52.0 * 36.0 / (3600.0 * 52.0 * 0.8), rel=1e-12)
 
@@ -155,8 +148,8 @@ class TestPrediction:
         state = EcmState(soc=0.7, u1=0.005, u2=0.02)
         for current in (0.0, 12.0, 29.0):
             a, b = voltage_prediction_coeffs(state, operating_point(pset, fresh, state.soc, 25.0, 1.0))
-            _, res = step(state, pset, fresh, current, 25.0, 1.0)
-            assert a + b * current == pytest.approx(res.terminal_voltage_cell, abs=1e-12)
+            _, v_cell, _, _ = step(state, pset, fresh, current, 25.0, 1.0)
+            assert a + b * current == pytest.approx(v_cell, abs=1e-12)
 
 
 def test_fine_step_euler_oracle_agrees_within_1mv(pset):
@@ -167,8 +160,8 @@ def test_fine_step_euler_oracle_agrees_within_1mv(pset):
     state = EcmState(soc=0.5)
     coarse = []
     for current in profile:
-        state, res = step(state, pset, fresh, current, 25.0, 1.0)
-        coarse.append(res.terminal_voltage_cell)
+        state, v_cell, _, _ = step(state, pset, fresh, current, 25.0, 1.0)
+        coarse.append(v_cell)
 
     # oracle: naive Euler integration of du/dt = (R*i - u)/tau at 1 ms
     soc, u1, u2 = 0.5, 0.0, 0.0

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evplant.bms import BmsLimits
 from evplant.charger import ChargerMode
 from evplant.engine import (
     StrategyObservation,
@@ -111,6 +112,36 @@ class TestRunScenario:
         # sweep realizes the maximum reachable depth of discharge of 92.1 %
         assert traj.soc.min() <= limits.soc_min + 0.01
         assert traj.soc.max() - traj.soc.min() == pytest.approx(0.921, abs=2e-3)
+
+    def test_pack_voltage_is_93_times_cell(self):
+        traj = run_scenario(ScenarioConfig(initial_soc=0.4, initial_temp_c=20.0), mixed_profile())
+        assert np.all(traj.v_pack == 93 * traj.v_cell)
+
+    @pytest.mark.parametrize(
+        "limits, temp, flagged",
+        [
+            pytest.param({}, 25.0, False, id="default-inside"),
+            pytest.param({}, -25.0, False, id="default-min-inclusive"),
+            pytest.param({}, 55.0, False, id="default-max-inclusive"),
+            pytest.param({}, 60.0, True, id="default-above"),
+            pytest.param({}, -30.0, True, id="default-below"),
+            pytest.param({"t_max_c": 40.0}, 40.0, False, id="custom-max-inclusive"),
+            pytest.param({"t_max_c": 40.0}, 45.0, True, id="custom-above"),
+            pytest.param({"t_min_c": -10.0}, -15.0, True, id="custom-below"),
+        ],
+    )
+    def test_temp_envelope_flag_reads_bms_limits(self, limits, temp, flagged):
+        # idle at ambient: no heat and no convection, so the pack stays at temp
+        config = ScenarioConfig(initial_soc=0.5, initial_temp_c=temp, bms=BmsLimits(**limits))
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.IDLE, 0.0, temp, None),
+                ProfileRecord(120.0, SegmentKind.IDLE, 0.0, temp, None),
+            ]
+        )
+        traj = run_scenario(config, profile)
+        assert np.all(traj.t_pack == temp)
+        assert traj.flags == ["idle|temp_envelope" if flagged else "idle"] * 120
 
     def test_charge_terminates_with_cv_taper(self, pset):
         config = ScenarioConfig(initial_soc=0.90, initial_temp_c=20.0)
@@ -278,8 +309,9 @@ class TestMetrics:
             flags=["idle"] * 100,
         )
         metrics = compute_metrics(const, const)
-        assert metrics.charge_ah == pytest.approx(10.0 * 99.0 / 3600.0, rel=1e-12)
-        assert metrics.energy_kwh == pytest.approx(10.0 * 344.1 * 99.0 / 3.6e6, rel=1e-12)
+        # rows hold each step's constant current, stamped at the step's end
+        assert metrics.charge_ah == pytest.approx(10.0 * 100.0 / 3600.0, rel=1e-12)
+        assert metrics.energy_kwh == pytest.approx(10.0 * 344.1 * 100.0 / 3.6e6, rel=1e-12)
         assert metrics.duration_min == pytest.approx(99.0 / 60.0, rel=1e-12)
 
 

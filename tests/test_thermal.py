@@ -7,7 +7,6 @@ import pytest
 from evplant.thermal import (
     ThermalMode,
     ThermalParams,
-    ThermalState,
     convection_power,
     coolant_flow_rate,
     cooling_power,
@@ -69,61 +68,46 @@ class TestCoolantLoop:
 
 class TestStep:
     def test_equilibrium_is_fixed_point(self, ev_params):
-        state = ThermalState(t_pack=22.0)
-        new = step_thermal(state, 0.0, 22.0, 60.0, ev_params, cooling_active=True)
-        assert new.t_pack == 22.0
+        assert step_thermal(22.0, 0.0, 22.0, 60.0, ev_params, cooling_active=True) == 22.0
 
     def test_heating_rate(self, ev_params):
-        state = ThermalState(t_pack=20.0)
-        new = step_thermal(state, 500.0, 20.0, 60.0, ev_params)
-        assert new.t_pack - 20.0 == pytest.approx(500.0 * 60.0 / 17120.0, rel=1e-12)
-        assert new.t_pack - 20.0 == pytest.approx(1.752, abs=1e-3)
+        new = step_thermal(20.0, 500.0, 20.0, 60.0, ev_params)
+        assert new - 20.0 == pytest.approx(500.0 * 60.0 / 17120.0, rel=1e-12)
+        assert new - 20.0 == pytest.approx(1.752, abs=1e-3)
 
     def test_heater_floor_while_charging(self, ev_params):
-        state = ThermalState(t_pack=-5.0)
-        new = step_thermal(state, 0.0, -10.0, 60.0, ev_params, charging=True)
-        assert new.t_pack == 0.0
+        assert step_thermal(-5.0, 0.0, -10.0, 60.0, ev_params, charging=True) == 0.0
 
     def test_no_heater_floor_while_driving(self, ev_params):
-        state = ThermalState(t_pack=-5.0)
-        new = step_thermal(state, 0.0, -10.0, 60.0, ev_params, charging=False)
-        assert new.t_pack < -5.0
+        assert step_thermal(-5.0, 0.0, -10.0, 60.0, ev_params, charging=False) < -5.0
 
     def test_dissipative_approach_to_ambient(self, ev_params):
-        state = ThermalState(t_pack=40.0)
-        prev = state.t_pack
+        prev = 40.0
         for _ in range(500):
-            state = step_thermal(state, 0.0, 20.0, 100.0, ev_params, cooling_active=True)
+            t_pack = step_thermal(prev, 0.0, 20.0, 100.0, ev_params, cooling_active=True)
             if prev - 20.0 > 1e-9:
-                assert state.t_pack < prev
-            assert state.t_pack > 20.0 - 1e-12
-            prev = state.t_pack
+                assert t_pack < prev
+            assert t_pack > 20.0 - 1e-12
+            prev = t_pack
 
     def test_stability_bound_enforced(self, ev_params):
         bound = stable_dt_limit(30.0, ev_params, cooling_active=False)
         assert bound == pytest.approx(17120.0 / 5.579, rel=1e-12)
-        with pytest.raises(ValueError, match="stability"):
-            step_thermal(ThermalState(30.0), 0.0, 20.0, bound * 1.01, ev_params)
+        dt = bound * 1.01
+        with pytest.raises(ValueError) as info:
+            step_thermal(30.0, 0.0, 20.0, dt, ev_params)
+        assert str(info.value) == f"dt={dt} s exceeds the explicit-Euler stability bound {bound:.1f} s"
 
     def test_cooling_shortens_settling(self, ev_params):
-        hot = ThermalState(t_pack=45.0)
-        cooled = step_thermal(hot, 0.0, 20.0, 60.0, ev_params, cooling_active=True)
-        convection_only = step_thermal(hot, 0.0, 20.0, 60.0, ev_params, cooling_active=False)
-        assert cooled.t_pack < convection_only.t_pack
+        cooled = step_thermal(45.0, 0.0, 20.0, 60.0, ev_params, cooling_active=True)
+        convection_only = step_thermal(45.0, 0.0, 20.0, 60.0, ev_params, cooling_active=False)
+        assert cooled < convection_only
 
     def test_non_finite_rejected(self, ev_params):
         with pytest.raises(ValueError):
-            step_thermal(ThermalState(float("nan")), 0.0, 20.0, 1.0, ev_params)
+            step_thermal(float("nan"), 0.0, 20.0, 1.0, ev_params)
         with pytest.raises(ValueError):
-            step_thermal(ThermalState(20.0), float("inf"), 20.0, 1.0, ev_params)
-
-
-def test_envelope_check_reports_not_clamps():
-    assert ThermalState(25.0).in_envelope()
-    assert ThermalState(-25.0).in_envelope()
-    assert ThermalState(55.0).in_envelope()
-    assert not ThermalState(60.0).in_envelope()
-    assert not ThermalState(-30.0).in_envelope()
+            step_thermal(20.0, float("inf"), 20.0, 1.0, ev_params)
 
 
 def test_mode_coefficients_differ():
