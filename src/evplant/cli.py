@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import sys
@@ -101,16 +102,26 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         config, profile, out, strategy = (c.strip() for c in cells)
         entries.append((str(base / config), str(base / profile), str(base / out), strategy or None))
 
-    if args.jobs <= 1:
-        for entry in entries:
-            _simulate(*entry)
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for future in [pool.submit(_simulate, *entry) for entry in entries]:
-                future.result()
-    for _, _, out_dir, _ in entries:
-        print(f"done {out_dir}")
-    return 0
+    any_failed = False
+    with contextlib.ExitStack() as stack:
+        if args.jobs <= 1:
+            errors = map(_run_entry, entries)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            errors = pool.map(_run_entry, entries)
+        for (_, _, out_dir, _), error in zip(entries, errors):
+            print(f"done {out_dir}" if error is None else f"failed {out_dir}: {error}")
+            any_failed = any_failed or error is not None
+    return 2 if any_failed else 0
+
+
+def _run_entry(entry: tuple[str, str, str, str | None]) -> str | None:
+    """Run one batch entry; the reason it failed, or None when it ran."""
+    try:
+        _simulate(*entry)
+    except (ValueError, OSError, RuntimeError) as exc:
+        return str(exc)
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:

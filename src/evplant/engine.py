@@ -137,6 +137,10 @@ class Trajectory:
 
 
 FLOAT_COLUMNS = tuple(f.name for f in fields(Trajectory) if f.name != "flags")
+# one trajectory.csv row, as np.loadtxt parses it
+_ROW_DTYPE = np.dtype([(name, np.float64) for name in FLOAT_COLUMNS] + [("flags", object)])
+# rows per block written at once by emit_report
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -365,11 +369,38 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
 
 
 def _step_integral(values: np.ndarray, t: np.ndarray) -> float:
-    """Sum of value*dt for end-of-step stamped rows on a uniform grid."""
+    """Sum of value*width for end-of-step stamped rows on any time grid.
+
+    Row k holds the step that ends at t[k], so its width is t[k] - t[k-1];
+    the first row, whose start is not recorded, takes the second row's width.
+    """
     if len(t) < 2:
         return 0.0
-    dt = float(t[1] - t[0])
-    return float(np.sum(values) * dt)
+    widths = np.diff(t)
+    return float(np.sum(values * np.concatenate((widths[:1], widths))))
+
+
+def _write_trajectory(trajectory: Trajectory, path: Path) -> None:
+    """Write the CSV rows: each float as its shortest ``repr``, the flags as they are.
+
+    ``repr`` dominates the cost, and columns repeat values, so it runs once
+    per distinct value of a column; values are told apart by their float64
+    bit patterns, which keeps ``-0.0`` and ``0.0`` apart. Rows are streamed
+    in blocks, which bounds the transient Python strings.
+    """
+    columns = []
+    for name in FLOAT_COLUMNS:
+        bits = np.ascontiguousarray(getattr(trajectory, name), dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        columns.append((texts, inverse))
+    with open(path, "w") as f:
+        f.write(TRAJECTORY_HEADER + "\n")
+        for start in range(0, trajectory.n_rows, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            cells = [texts[inverse[start:stop]].tolist() for texts, inverse in columns]
+            rows = zip(*cells, trajectory.flags[start:stop])
+            f.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def emit_report(
@@ -383,14 +414,7 @@ def emit_report(
     traj_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "summary.txt"
 
-    float_columns = [getattr(trajectory, name) for name in FLOAT_COLUMNS]
-    lines = [TRAJECTORY_HEADER]
-    for start in range(0, trajectory.n_rows, 1024):  # blocks bound the transient Python floats
-        stop = start + 1024
-        block = np.column_stack([c[start:stop] for c in float_columns]).tolist()
-        flags = trajectory.flags[start:stop]
-        lines += (",".join(map(repr, row)) + "," + f for row, f in zip(block, flags))
-    traj_path.write_text("\n".join(lines) + "\n")
+    _write_trajectory(trajectory, traj_path)
 
     summary: dict[str, object] = {"rows": trajectory.n_rows}
     if trajectory.n_rows:
@@ -422,7 +446,27 @@ def emit_report(
 
 
 def read_trajectory(path: str | Path) -> Trajectory:
-    """Read back a trajectory CSV written by :func:`emit_report`."""
+    """Read back a trajectory CSV written by :func:`emit_report`.
+
+    A well-formed file is parsed in one ``np.loadtxt`` call, which checks the
+    row width too; any other file, and one without rows (``loadtxt`` warns on
+    those), goes through :func:`read_csv_rows`, whose errors name the row.
+    ``loadtxt`` gets the same ``splitlines`` lines, so both split rows alike,
+    and it accepts a subset of what ``float`` does, with the same values,
+    except for ``\\x1f``, which it strips as whitespace.
+    """
+    path = Path(path)
+    text = path.read_text() if path.is_file() else ""
+    lines = text.splitlines()
+    body = lines[1:]
+    if lines[:1] == [TRAJECTORY_HEADER] and any(body) and "\x1f" not in text:
+        try:
+            table = np.loadtxt(body, _ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            columns = (np.ascontiguousarray(table[name]) for name in FLOAT_COLUMNS)
+            return Trajectory(*columns, flags=table["flags"].tolist())
     rows = []
     flags = []
     for n, cells in read_csv_rows(path, "trajectory", TRAJECTORY_HEADER):

@@ -11,7 +11,7 @@ temperatures are the BMS limits (:class:`evplant.bms.BmsLimits`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 # coolant: water/glycol mixture
@@ -49,9 +49,12 @@ class ThermalParams:
     alpha_z: float = _ALPHAS[ThermalMode.EV_OPERATION][2]
 
     def __post_init__(self) -> None:
-        for name in ("c_pack", "alpha_x", "alpha_y", "alpha_z"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"thermal parameter {name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"thermal parameter {f.name} must be positive")
 
     @classmethod
     def for_mode(cls, mode: ThermalMode, c_pack: float = PACK_HEAT_CAPACITY) -> "ThermalParams":

@@ -114,6 +114,28 @@ def test_batch_sequential_and_parallel(scenario_files, tmp_path, capsys):
     assert capsys.readouterr().out.count("done") >= 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_runs_every_entry_and_reports_failures(scenario_files, tmp_path, capsys, jobs):
+    config, profile = scenario_files
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "config,profile,out,strategy\n"
+        f"{config.name},{profile.name},good_one,\n"
+        f"{config.name},{profile.name},bad,bogus\n"
+        f"{config.name},{profile.name},good_two,\n"
+    )
+    rc = main(["batch", "--manifest", str(manifest), "--jobs", jobs])
+    assert rc == 2
+    assert (tmp_path / "good_one" / "trajectory.csv").is_file()
+    assert (tmp_path / "good_two" / "trajectory.csv").is_file()
+    assert not (tmp_path / "bad").exists()
+    assert capsys.readouterr().out.splitlines() == [
+        f"done {tmp_path / 'good_one'}",
+        f"failed {tmp_path / 'bad'}: unknown strategy 'bogus'",
+        f"done {tmp_path / 'good_two'}",
+    ]
+
+
 def test_strategy_resolution():
     assert resolve_strategy(None) is None
     assert resolve_strategy("profile") is None

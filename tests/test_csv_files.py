@@ -6,6 +6,8 @@ lines anywhere, one data row is corrupted (a cell added, a cell dropped or
 text put in a numeric cell), and the parser must raise a ``ValueError``
 naming the path and ``row <n>``, where n is the row's 1-based line in the
 file. The CLI commands reading such a file exit 2 with one ``error:`` line.
+The trajectory reader's one-call parse must also agree with the row-by-row
+reader it replaced on valid and broken files alike.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ import io
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evplant.charger import load_curve
 from evplant.cli import _cmd_batch, main
-from evplant.engine import TRAJECTORY_HEADER, read_trajectory
-from evplant.params import PARAM_NAMES, default_data_dir, load_grid
+from evplant.engine import FLOAT_COLUMNS, TRAJECTORY_HEADER, Trajectory, read_trajectory
+from evplant.params import PARAM_NAMES, default_data_dir, load_grid, read_csv_rows
 from evplant.scenario import PROFILE_HEADER, ScenarioProfile
 
 MANIFEST_HEADER = "config,profile,out,strategy"
@@ -199,3 +203,83 @@ def test_missing_and_empty_files_name_the_path(kind, tmp_path):
     empty.write_text("\n  \n")
     with pytest.raises(ValueError, match=re.escape(f"{empty}: empty file")):
         parse(empty)
+
+
+def _read_row_by_row(path: Path) -> Trajectory:
+    """The trajectory reader before the one-call parse, kept as the oracle."""
+    rows = []
+    flags = []
+    for n, cells in read_csv_rows(path, "trajectory", TRAJECTORY_HEADER):
+        try:
+            rows.append(tuple(map(float, cells[:-1])))
+        except ValueError as exc:
+            raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
+        flags.append(cells[-1])
+    return Trajectory.from_rows(rows, flags)
+
+
+def _outcome(read, path: Path) -> tuple:
+    """Bit patterns and dtypes of the columns plus the flags, or the error message."""
+    try:
+        traj = read(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    columns = [getattr(traj, name) for name in FLOAT_COLUMNS]
+    return [(c.dtype, c.tobytes()) for c in columns], traj.flags
+
+
+# cells that float() and np.loadtxt may judge differently: underscores,
+# padding, the unit separator NumPy strips as whitespace, non-ASCII digits
+ODD_CELLS = [
+    "1_0", " 1", "1 ", "\x1f1", "1\x1f", " \x1f1", "+1e400", "-0", "1.", ".5", "nan", "-inf", "0x10", "", "\uff11",
+]
+# line breaks of str.splitlines and other whitespace, and the delimiter
+FLAG_CHARS = "ab|_ \t\x0c\x1f\x85\u2028\u3000#\",\r"
+
+
+@st.composite
+def trajectory_text(draw):
+    """A trajectory file as emit_report writes it, perhaps with quirks and faults."""
+    plain_flags = st.sampled_from(["idle", "drive|soc_clip", ""])
+    flag = draw(st.sampled_from([plain_flags, st.text(st.sampled_from(FLAG_CHARS), max_size=4)]))
+    rows = draw(st.lists(st.tuples(st.lists(NUMBERS, min_size=11, max_size=11), flag), max_size=6))
+    if rows and draw(st.booleans()):
+        cells = rows[draw(st.integers(0, len(rows) - 1))][0]
+        cells[draw(st.integers(0, 10))] = draw(st.sampled_from(ODD_CELLS))
+    header = draw(st.sampled_from([TRAJECTORY_HEADER] * 6 + [TRAJECTORY_HEADER + " ", "t_s,soc"]))
+    blank = draw(st.sampled_from([st.just(""), BLANKS | st.just("\u3000")]))
+    lines = []
+    for line in [header] + [",".join(cells + [f]) for cells, f in rows]:
+        lines += draw(st.lists(blank, max_size=1))
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trajectory_text())
+def test_trajectory_reader_matches_the_row_by_row_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        path.write_text(text)
+        assert _outcome(read_trajectory, path) == _outcome(_read_row_by_row, path)
+
+
+@pytest.mark.parametrize(
+    "row", [c + ",1.0" * 10 + ",idle" for c in ODD_CELLS] + ["1.0," * 11 + f"a{c}b" for c in FLAG_CHARS]
+)
+def test_odd_cell_reads_as_the_row_by_row_reader_reads_it(row, tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_text(f"{TRAJECTORY_HEADER}\n{row}\n{row}\n")
+    assert _outcome(read_trajectory, path) == _outcome(_read_row_by_row, path)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n \n\t\n"])
+def test_header_only_trajectory_reads_empty_without_a_warning(body, tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_text(TRAJECTORY_HEADER + "\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = read_trajectory(path)
+    assert traj.n_rows == 0 and traj.flags == []
+    assert all(getattr(traj, name).dtype == np.float64 for name in FLOAT_COLUMNS)

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evplant.bms import BmsLimits
 from evplant.charger import ChargerMode
 from evplant.engine import (
+    FLOAT_COLUMNS,
+    TRAJECTORY_HEADER,
     StrategyObservation,
     Trajectory,
     compute_metrics,
@@ -314,8 +319,85 @@ class TestMetrics:
         assert metrics.energy_kwh == pytest.approx(10.0 * 344.1 * 100.0 / 3.6e6, rel=1e-12)
         assert metrics.duration_min == pytest.approx(99.0 / 60.0, rel=1e-12)
 
+    def test_integrals_on_a_non_uniform_grid(self, tmp_path):
+        # each row covers the time since the previous row; the first row
+        # takes the second row's width: 10 A for 1 + 1 + 2 + 4 s
+        n = 4
+        traj = Trajectory(
+            t_s=np.array([1.0, 2.0, 4.0, 8.0]),
+            soc=np.full(n, 0.5),
+            v_cell=np.full(n, 3.7),
+            v_pack=np.full(n, 344.1),
+            i_dc=np.full(n, 10.0),
+            t_pack=np.full(n, 25.0),
+            p_ac=np.zeros(n),
+            p_dc=np.full(n, 3441.0),
+            c_norm=np.ones(n),
+            r_norm=np.ones(n),
+            eqfc=np.zeros(n),
+            flags=["plugged"] * n,
+        )
+        metrics = compute_metrics(traj, traj)
+        assert metrics.charge_ah == pytest.approx(80.0 / 3600.0, rel=1e-12)
+        assert metrics.energy_kwh == pytest.approx(80.0 * 344.1 / 3.6e6, rel=1e-12)
+        _, summary = emit_report(traj, None, tmp_path)
+        assert f"charge_ah = {80.0 / 3600.0!r}" in summary.read_text().splitlines()
+        assert f"dc_energy_kwh = {8.0 * 3441.0 / 3.6e6!r}" in summary.read_text().splitlines()
+
+
+def _rowwise_csv(trajectory: Trajectory) -> bytes:
+    """trajectory.csv as the row-by-row writer before the per-value one wrote it."""
+    float_columns = [getattr(trajectory, name) for name in FLOAT_COLUMNS]
+    lines = [TRAJECTORY_HEADER]
+    for start in range(0, trajectory.n_rows, 1024):
+        stop = start + 1024
+        block = np.column_stack([c[start:stop] for c in float_columns]).tolist()
+        flags = trajectory.flags[start:stop]
+        lines += (",".join(map(repr, row)) + "," + f for row, f in zip(block, flags))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# a subnormal, the smallest subnormal and values near the float64 limits
+EDGE_FLOATS = [0.0, -0.0, 1e-310, 5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def report_trajectory(draw):
+    """A trajectory over a few write blocks whose columns repeat a few values.
+
+    One column holds -0.0 next to 0.0, one is int-typed and one is a
+    strided view.
+    """
+    n = draw(st.integers(0, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = st.floats() | st.sampled_from(EDGE_FLOATS)
+    columns = {}
+    for name in FLOAT_COLUMNS:
+        pool = np.array(draw(st.lists(value, min_size=1, max_size=6)))
+        columns[name] = pool[rng.integers(0, len(pool), n)]
+    columns["p_ac"][n // 2 : n // 2 + 2] = [-0.0, 0.0][: n - n // 2]
+    ints = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4)), dtype=np.int64)
+    columns["eqfc"] = ints[rng.integers(0, len(ints), n)]
+    strided = np.empty(2 * n)
+    strided[::2] = columns["v_pack"]
+    columns["v_pack"] = strided[::2]
+    flags = draw(st.lists(st.text("abc|_ ", max_size=8), min_size=1, max_size=4))
+    return Trajectory(**columns, flags=[flags[i] for i in rng.integers(0, len(flags), n)])
+
 
 class TestReports:
+    @settings(max_examples=40, deadline=None)
+    @given(traj=report_trajectory())
+    def test_writer_matches_the_row_by_row_writer(self, traj, tmp_path_factory):
+        with np.errstate(all="ignore"):  # summary.txt sums the infinities
+            path = emit_report(traj, None, tmp_path_factory.mktemp("out"))[0]
+        assert path.read_bytes() == _rowwise_csv(traj)
+
+    def test_scenario_report_matches_the_row_by_row_writer(self, tmp_path):
+        traj = run_scenario(ScenarioConfig(initial_soc=0.4, initial_temp_c=20.0), mixed_profile())
+        path = emit_report(traj, None, tmp_path)[0]
+        assert path.read_bytes() == _rowwise_csv(traj)
+
     def test_emit_and_read_roundtrip(self, tmp_path):
         config = ScenarioConfig(initial_soc=0.4, initial_temp_c=20.0)
         traj = run_scenario(config, mixed_profile())

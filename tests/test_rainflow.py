@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evplant.rainflow import RainflowCounter
 
@@ -94,3 +97,11 @@ def test_repeated_samples_do_not_break_reversal_detection():
     halves = feed_all(c, [0.1, 0.1, 0.5, 0.5, 0.9, 0.9, 0.5, 0.1, 0.1, 0.9])
     total = sum(0.5 * h.depth for h in halves) + sum(0.5 * h.depth for h in c.flush())
     assert total == pytest.approx(0.5 * 0.8 * 2 + 0.5 * 0.8, rel=1e-12)
+
+
+@given(st.lists(st.floats(-1e300, 1e300), max_size=60))
+def test_half_cycle_depths_sum_to_total_travel(samples):
+    # ASTM E1049-85: the half cycles decompose the series' travel exactly
+    c = RainflowCounter()
+    depth = sum(h.depth for h in feed_all(c, samples) + c.flush())
+    assert depth == pytest.approx(float(np.sum(np.abs(np.diff(samples)))))

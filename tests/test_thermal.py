@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from evplant.thermal import (
@@ -120,3 +123,11 @@ def test_mode_coefficients_differ():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         ThermalParams(c_pack=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(ThermalParams)])
+def test_non_finite_params_rejected(name, value):
+    # a NaN passes a "<= 0" check and would only fail at the first step
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
+        ThermalParams(**{name: value})
