@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite
-from typing import NamedTuple
 
 from .aging import AgingState
 from .params import CellParameterSet
@@ -42,25 +41,19 @@ def _check_finite(label: str, *values: float) -> None:
             raise ValueError(f"non-finite {label}: {v!r}")
 
 
-class OperatingPoint(NamedTuple):
-    """Aged cell parameters at the start of one step, with its RC decay factors."""
-
-    ocv: float  # V
-    r_ser: float  # Ohm, aged
-    r1: float  # Ohm, aged
-    r2: float  # Ohm, aged
-    k1: float  # exp(-dt / (r1 c1))
-    k2: float  # exp(-dt / (r2 c2))
-    dt: float  # s
-    capacity_ah: float  # aged (effective) capacity
+# order of the values in the tuple returned by operating_point: the aged cell
+# parameters at the start of one step, with its RC decay factors, in V, Ohm,
+# exp(-dt / (r1 c1)), exp(-dt / (r2 c2)), s and Ah (the aged, effective capacity)
+POINT_ORDER = ("ocv", "r_ser", "r1", "r2", "k1", "k2", "dt", "capacity_ah")
 
 
 def operating_point(
     params: CellParameterSet, aging: AgingState, soc: float, temp: float, dt: float
-) -> OperatingPoint:
+) -> tuple[float, float, float, float, float, float, float, float]:
     """Look up and age the parameters once for a step of ``dt`` seconds from ``soc``.
 
-    The result feeds both :func:`voltage_prediction_coeffs` and :func:`step_ecm`.
+    Returns a plain tuple in :data:`POINT_ORDER`; it feeds both
+    :func:`voltage_prediction_coeffs` and :func:`step_ecm`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -72,11 +65,11 @@ def operating_point(
     k1 = math.exp(-dt / (r1 * c1))
     k2 = math.exp(-dt / (r2 * c2))
     c_eff_ah = params.nominal_capacity_ah * aging.c_norm
-    return OperatingPoint(ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah)
+    return ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah
 
 
 def step_ecm(
-    state: EcmState, point: OperatingPoint, current: float
+    state: EcmState, point: tuple[float, ...], current: float
 ) -> tuple[EcmState, float, float, bool]:
     """Advance the cell by one step at constant ``current`` (A).
 
@@ -102,7 +95,7 @@ def step_ecm(
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
     if not (isfinite(u1) and isfinite(u2) and isfinite(soc) and isfinite(v_cell) and isfinite(heat)):
         _check_finite("step output", u1, u2, soc, v_cell, heat)
-    return EcmState(soc=soc, u1=u1, u2=u2), v_cell, heat, clipped
+    return EcmState(soc, u1, u2), v_cell, heat, clipped
 
 
 def rest_voltage(state: EcmState, params: CellParameterSet, temp: float) -> float:
@@ -110,13 +103,14 @@ def rest_voltage(state: EcmState, params: CellParameterSet, temp: float) -> floa
     return params.ocv.interpolate(state.soc, temp) + state.u1 + state.u2
 
 
-def voltage_prediction_coeffs(state: EcmState, point: OperatingPoint) -> tuple[float, float]:
+def voltage_prediction_coeffs(state: EcmState, point: tuple[float, ...]) -> tuple[float, float]:
     """Affine coefficients (a, b) with predicted end-of-step cell voltage a + b*I.
 
     Mirrors :func:`step_ecm` exactly for constant current over one step, which
     lets a voltage limiter pick the largest current whose predicted voltage
     stays at or under a ceiling.
     """
-    a = point.ocv + state.u1 * point.k1 + state.u2 * point.k2
-    b = point.r_ser + point.r1 * (1.0 - point.k1) + point.r2 * (1.0 - point.k2)
+    ocv, r_ser, r1, r2, k1, k2, _, _ = point
+    a = ocv + state.u1 * k1 + state.u2 * k2
+    b = r_ser + r1 * (1.0 - k1) + r2 * (1.0 - k2)
     return a, b

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -124,7 +125,8 @@ class Trajectory:
     @classmethod
     def from_rows(cls, rows: list[tuple[float, ...]], flags: list[str]) -> "Trajectory":
         """Build from one tuple of the float columns, in field order, per row."""
-        table = np.array(rows, dtype=float).reshape(len(rows), len(FLOAT_COLUMNS))
+        width = len(FLOAT_COLUMNS)
+        table = np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
         return cls(*(np.ascontiguousarray(c) for c in table.T), flags=flags)
 
     @classmethod
@@ -224,7 +226,6 @@ def run_scenario(
             mode = rec.charger_mode or config.charger_mode
             ch_cfg = charger_cfgs[mode]
             ch_setpoints = setpoints[mode]
-        flags = [kind_value]
         gate = None
         i_dc = 0.0
         p_ac = 0.0
@@ -304,14 +305,16 @@ def run_scenario(
             )
             cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
 
+        # the segment kind, then "|reason" for each rare extra flag
+        flags = kind_value
         if gate is not None and gate.reason is not GateReason.OK:
-            flags.append(gate.reason.value)
+            flags += "|" + gate.reason.value
         if soc_clipped:
-            flags.append("soc_clip")
+            flags += "|soc_clip"
         if gate is not None and gate.heating_required:
-            flags.append("heating")
+            flags += "|heating"
         if not limits.t_min_c <= t_pack <= limits.t_max_c:
-            flags.append("temp_envelope")
+            flags += "|temp_envelope"
 
         rows.append(
             (
@@ -328,7 +331,7 @@ def run_scenario(
                 aging.eqfc,
             )
         )
-        flags_col.append("|".join(flags))
+        flags_col.append(flags)
         p_ac_prev = p_ac
         was_plugged = plugged
 
@@ -364,7 +367,7 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
         max_abs_error_pack_temp_k=float(np.max(np.abs(dt_k))),
         charge_ah=_step_integral(sim.i_dc, sim.t_s) / 3600.0,
         energy_kwh=_step_integral(sim.i_dc * sim.v_pack, sim.t_s) / 3.6e6,
-        duration_min=float((sim.t_s[-1] - sim.t_s[0]) / 60.0),
+        duration_min=(float(sim.t_s[-1]) - float(sim.t_s[0])) / 60.0,
     )
 
 
@@ -373,11 +376,13 @@ def _step_integral(values: np.ndarray, t: np.ndarray) -> float:
 
     Row k holds the step that ends at t[k], so its width is t[k] - t[k-1];
     the first row, whose start is not recorded, takes the second row's width.
+    Infinities, NaN and overflow give ``inf`` or ``nan`` without a warning.
     """
     if len(t) < 2:
         return 0.0
-    widths = np.diff(t)
-    return float(np.sum(values * np.concatenate((widths[:1], widths))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = np.diff(t)
+        return float(np.sum(values * np.concatenate((widths[:1], widths))))
 
 
 def _write_trajectory(trajectory: Trajectory, path: Path) -> None:
@@ -423,7 +428,7 @@ def emit_report(
         )
         summary.update(
             {
-                "duration_min": (trajectory.t_s[-1] - trajectory.t_s[0]) / 60.0,
+                "duration_min": (float(trajectory.t_s[-1]) - float(trajectory.t_s[0])) / 60.0,
                 "charge_ah": _step_integral(trajectory.i_dc, trajectory.t_s) / 3600.0,
                 "ac_energy_kwh": _step_integral(trajectory.p_ac, trajectory.t_s) / 3.6e6,
                 "dc_energy_kwh": _step_integral(trajectory.p_dc, trajectory.t_s) / 3.6e6,

@@ -190,13 +190,15 @@ class GridLookup:
         for idx, grid in enumerate(grids):
             members.setdefault((grid.soc_breakpoints, grid.temp_breakpoints), []).append((idx, grid.rows))
         self.groups = tuple(_GridGroup(s, t, (rows for _, rows in m)) for (s, t), m in members.items())
-        # concatenated group values back into the order of ``grids``
+        # concatenated group values back into the order of ``grids``; None
+        # when they are in that order already
         position = [idx for m in members.values() for idx, _ in m]
-        self._pick = itemgetter(*sorted(range(len(position)), key=position.__getitem__))
+        order = sorted(range(len(position)), key=position.__getitem__)
+        self._pick = None if order == list(range(len(order))) else itemgetter(*order)
 
     def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
-        if math.isnan(soc) or math.isnan(temp):
+        if soc != soc or temp != temp:  # NaN
             raise ValueError(f"{self.label}: NaN lookup coordinates")
         groups = self.groups
         if len(groups) == 1:
@@ -204,7 +206,8 @@ class GridLookup:
         values: tuple[float, ...] = ()
         for group in groups:
             values += group.values(soc, temp)
-        return self._pick(values)
+        pick = self._pick
+        return values if pick is None else pick(values)
 
 
 @dataclass(eq=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 # coolant: water/glycol mixture
 RHO_COOLANT = 1080.0  # kg/m^3
@@ -41,7 +42,7 @@ _ALPHAS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThermalParams:
     c_pack: float = PACK_HEAT_CAPACITY  # J/K
     alpha_x: float = _ALPHAS[ThermalMode.EV_OPERATION][0]  # W/K
@@ -61,8 +62,9 @@ class ThermalParams:
         ax, ay, az = _ALPHAS[mode]
         return cls(c_pack=c_pack, alpha_x=ax, alpha_y=ay, alpha_z=az)
 
-    @property
+    @cached_property
     def alpha_sum(self) -> float:
+        """Total convective conductance (W/K), summed once per instance."""
         return self.alpha_x + self.alpha_y + self.alpha_z
 
 

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evplant.aging import AgingState
 from evplant.bms import BmsLimits, GateReason, gate_current, usable_capacity
 from evplant.engine import run_scenario
 from evplant.scenario import ProfileRecord, ScenarioConfig, ScenarioProfile, SegmentKind
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +69,29 @@ class TestGate:
         assert not gate_current(-10.0, 0.5, 3.6, -5.0, limits).heating_required
         assert not gate_current(10.0, 0.5, 3.6, 5.0, limits).heating_required
 
-    def test_gate_never_flips_sign(self, limits):
-        rng = random.Random(17)
-        for _ in range(500):
-            requested = rng.uniform(-200.0, 200.0)
-            result = gate_current(
-                requested,
-                rng.random(),
-                rng.uniform(2.9, 4.3),
-                rng.uniform(-35.0, 65.0),
-                limits,
-            )
-            assert result.allowed_current * requested >= 0.0
-            assert abs(result.allowed_current) <= abs(requested)
+    @given(
+        requested=FINITE,
+        soc=FINITE,
+        v_cell=FINITE,
+        t_pack=FINITE,
+        limits=st.builds(
+            lambda socs, v_min, v_max, t_min, t_max, i_max: BmsLimits(
+                *sorted(socs), v_min, v_max, t_min, t_max, i_max
+            ),
+            st.tuples(FINITE, FINITE),
+            FINITE,
+            FINITE,
+            FINITE,
+            FINITE,
+            # BmsLimits accepts a negative max_current_a, which would flip the sign
+            st.floats(0.0, 1e300),
+        ),
+    )
+    def test_gate_never_flips_sign(self, requested, soc, v_cell, t_pack, limits):
+        allowed = gate_current(requested, soc, v_cell, t_pack, limits).allowed_current
+        assert allowed == 0.0 or (allowed > 0.0) == (requested > 0.0)
+        assert abs(allowed) <= abs(requested)
+        assert abs(allowed) <= limits.max_current_a
 
     def test_zero_request_passes(self, limits):
         assert gate_current(0.0, 0.5, 3.7, 25.0, limits).allowed_current == 0.0

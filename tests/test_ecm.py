@@ -9,6 +9,7 @@ import pytest
 
 from evplant.aging import AgingState
 from evplant.ecm import (
+    POINT_ORDER,
     EcmState,
     operating_point,
     rest_voltage,
@@ -144,6 +145,22 @@ class TestRestVoltage:
 
 
 class TestPrediction:
+    def test_operating_point_follows_the_documented_order(self, pset):
+        aged = AgingState(c_norm=0.8, r_norm=1.5)
+        point = operating_point(pset, aged, 0.5, 25.0, 2.0)
+        ocv, r_ser, r1, c1, r2, c2 = pset.lookup(0.5, 25.0)
+        r1, r2 = r1 * 1.5, r2 * 1.5
+        assert dict(zip(POINT_ORDER, point, strict=True)) == {
+            "ocv": ocv,
+            "r_ser": r_ser * 1.5,
+            "r1": r1,
+            "r2": r2,
+            "k1": math.exp(-2.0 / (r1 * c1)),
+            "k2": math.exp(-2.0 / (r2 * c2)),
+            "dt": 2.0,
+            "capacity_ah": pset.nominal_capacity_ah * 0.8,
+        }
+
     def test_prediction_matches_step(self, pset, fresh):
         state = EcmState(soc=0.7, u1=0.005, u2=0.02)
         for current in (0.0, 12.0, 29.0):
