@@ -1,7 +1,7 @@
 """Battery-management limits: usable SOC window, voltage/temperature envelope.
 
 The limits are the model's single definition of the permissible operating
-window; the engine's ``temp_envelope`` flag reads ``t_min_c``/``t_max_c``.
+window; the engine's CV target and ``temp_envelope`` flag are read from them.
 
 The gate never flips the sign of a requested current; it either passes it,
 clamps its magnitude to the current limit, or forces it to zero with a
@@ -17,13 +17,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from .aging import AgingState
-from .params import CellParameterSet
+from .params import NOMINAL_CAPACITY_AH, V_CELL_MAX, V_CELL_MIN, CellParameterSet
 
 # usable SOC window enforced by the vehicle's BMS
 SOC_MIN = 0.032
 SOC_MAX = 0.953
 
-DEFAULT_MAX_CURRENT_A = 104.0  # 2C of the 52 Ah cell
+DEFAULT_MAX_CURRENT_A = 2.0 * NOMINAL_CAPACITY_AH  # 2C of the cell
 
 
 class GateReason(Enum):
@@ -40,8 +40,8 @@ class GateReason(Enum):
 class BmsLimits:
     soc_min: float = SOC_MIN
     soc_max: float = SOC_MAX
-    v_cell_min: float = 3.0  # V
-    v_cell_max: float = 4.2  # V
+    v_cell_min: float = V_CELL_MIN
+    v_cell_max: float = V_CELL_MAX
     t_min_c: float = -25.0
     t_max_c: float = 55.0
     max_current_a: float = DEFAULT_MAX_CURRENT_A
@@ -51,15 +51,18 @@ class BmsLimits:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        # equality is tolerated as a degenerate (zero-capacity) window
-        if self.soc_min > self.soc_max:
-            raise ValueError("soc_min must not exceed soc_max")
+        # equality is tolerated as a degenerate (zero-width) window
+        windows = (("soc_min", "soc_max"), ("v_cell_min", "v_cell_max"), ("t_min_c", "t_max_c"))
+        for low, high in windows:
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{low} must not exceed {high}")
+        if self.max_current_a < 0:
+            raise ValueError(f"max_current_a must not be negative, got {self.max_current_a!r}")
 
 
 class GateResult(NamedTuple):
     allowed_current: float  # A, same sign as the request
     reason: GateReason
-    heating_required: bool  # charging requested while the pack is below 0 degC
 
 
 def gate_current(
@@ -70,27 +73,25 @@ def gate_current(
     limits: BmsLimits,
 ) -> GateResult:
     """Clamp a requested current (positive = charging) to the BMS envelope."""
-    heating = requested_current > 0 and t_pack < 0.0
-
     if t_pack < limits.t_min_c or t_pack > limits.t_max_c:
-        return GateResult(0.0, GateReason.TEMPERATURE_FAULT, heating)
+        return GateResult(0.0, GateReason.TEMPERATURE_FAULT)
 
     if requested_current > 0:
         if soc >= limits.soc_max:
-            return GateResult(0.0, GateReason.SOC_HIGH, heating)
+            return GateResult(0.0, GateReason.SOC_HIGH)
         if v_cell >= limits.v_cell_max:
-            return GateResult(0.0, GateReason.VOLTAGE_HIGH, heating)
+            return GateResult(0.0, GateReason.VOLTAGE_HIGH)
     elif requested_current < 0:
         if soc <= limits.soc_min:
-            return GateResult(0.0, GateReason.SOC_LOW, heating)
+            return GateResult(0.0, GateReason.SOC_LOW)
         if v_cell <= limits.v_cell_min:
-            return GateResult(0.0, GateReason.VOLTAGE_LOW, heating)
+            return GateResult(0.0, GateReason.VOLTAGE_LOW)
 
     if abs(requested_current) > limits.max_current_a:
         clamped = limits.max_current_a if requested_current > 0 else -limits.max_current_a
-        return GateResult(clamped, GateReason.CURRENT_LIMITED, heating)
+        return GateResult(clamped, GateReason.CURRENT_LIMITED)
 
-    return GateResult(requested_current, GateReason.OK, heating)
+    return GateResult(requested_current, GateReason.OK)
 
 
 def usable_capacity(limits: BmsLimits, params: CellParameterSet, aging: AgingState) -> float:

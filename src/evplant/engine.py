@@ -9,7 +9,7 @@ series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. Runs are purely
 deterministic: identical inputs give bit-identical trajectories.
 
-The CV limiter targets the cell voltage ceiling minus a 0.1 mV margin so the
+The CV limiter targets the BMS cell voltage limit minus a 0.1 mV margin so the
 pinned voltage sits strictly inside the BMS trip level and tapering is smooth.
 """
 
@@ -199,7 +199,7 @@ def run_scenario(
     v_cell = rest_voltage(ecm_state, params, t_pack)
     n_series = params.n_series
     v_pack = n_series * v_cell
-    v_max_pack = n_series * (params.v_max - CV_MARGIN_V_PER_CELL)
+    v_max_pack = n_series * (limits.v_cell_max - CV_MARGIN_V_PER_CELL)
     ev_operation = config.thermal_mode is ThermalMode.EV_OPERATION
 
     ctrl = ChargeControlState()
@@ -311,8 +311,6 @@ def run_scenario(
             flags += "|" + gate.reason.value
         if soc_clipped:
             flags += "|soc_clip"
-        if gate is not None and gate.heating_required:
-            flags += "|heating"
         if not limits.t_min_c <= t_pack <= limits.t_max_c:
             flags += "|temp_envelope"
 

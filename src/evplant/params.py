@@ -20,6 +20,7 @@ import numpy as np
 
 # Pack constants of the modeled vehicle (Smart e.d. 3rd gen., 93s1p traction battery)
 NOMINAL_CAPACITY_AH = 52.0  # 0.5C discharge rating
+# cell voltage window: the OCV table's valid range and the default BMS limits
 V_CELL_MIN = 3.0  # V
 V_CELL_MAX = 4.2  # V
 N_SERIES = 93
@@ -265,8 +266,6 @@ class CellParameterSet:
     c1: ParamGrid  # F
     c2: ParamGrid  # F
     nominal_capacity_ah: float = NOMINAL_CAPACITY_AH
-    v_min: float = V_CELL_MIN
-    v_max: float = V_CELL_MAX
     n_series: int = N_SERIES
 
     _lookup: GridLookup = field(init=False, repr=False)
@@ -392,12 +391,12 @@ def validate_parameter_set(pset: CellParameterSet) -> ValidationReport:
                     f"ocv: column {temp:g}C decreases by more than 1 mV between "
                     f"soc={ocv.soc_breakpoints[i - 1]:.2f} and {ocv.soc_breakpoints[i]:.2f}"
                 )
-    out_of_window = (ocv.values < pset.v_min) | (ocv.values > pset.v_max)
+    out_of_window = (ocv.values < V_CELL_MIN) | (ocv.values > V_CELL_MAX)
     if np.any(out_of_window):
         idx = np.argwhere(out_of_window)
         for i, j in idx:
             report.errors.append(
-                f"ocv: value {ocv.values[i, j]:g} V outside [{pset.v_min}, {pset.v_max}] at "
+                f"ocv: value {ocv.values[i, j]:g} V outside [{V_CELL_MIN}, {V_CELL_MAX}] at "
                 f"(soc={ocv.soc_breakpoints[i]:.2f}, temp={ocv.temp_breakpoints[j]:g}C)"
             )
 

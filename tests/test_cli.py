@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from evplant.cli import main, resolve_strategy
-from evplant.engine import strategy_max_power
+from evplant.engine import strategy_max_power, strategy_off
 from evplant.params import default_data_dir
 
 PROFILE = """t_s,kind,value_w,ambient_c,charger_mode
@@ -140,6 +140,7 @@ def test_strategy_resolution():
     assert resolve_strategy(None) is None
     assert resolve_strategy("profile") is None
     assert resolve_strategy("max_power") is strategy_max_power
+    assert resolve_strategy("off") is strategy_off
     assert resolve_strategy("constant:5000")(None) == 5000.0
     assert resolve_strategy("evplant.engine:strategy_max_power") is strategy_max_power
     with pytest.raises(ValueError):

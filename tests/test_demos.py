@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import evplant
+from evplant.bms import GateReason
+from evplant.scenario import SegmentKind
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -41,3 +43,14 @@ def test_readme_quickstart_runs(tmp_path):
 
 def test_every_public_name_resolves():
     assert [name for name in evplant.__all__ if not hasattr(evplant, name)] == []
+
+
+def test_every_trajectory_flag_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    kinds = {f"`{kind.value}`" for kind in SegmentKind}
+    extras = {f"`|{reason.value}`" for reason in GateReason if reason is not GateReason.OK}
+    extras |= {"`|soc_clip`", "`|temp_envelope`"}
+    assert [kind for kind in kinds if kind not in section] == []
+    # the documented extras are exactly those the engine can emit
+    assert set(re.findall(r"`\|\w+`", section)) == extras

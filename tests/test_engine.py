@@ -16,6 +16,7 @@ import evplant.engine
 from evplant.bms import BmsLimits
 from evplant.charger import ChargerMode
 from evplant.engine import (
+    CV_MARGIN_V_PER_CELL,
     FLOAT_COLUMNS,
     TRAJECTORY_HEADER,
     StrategyObservation,
@@ -191,6 +192,17 @@ class TestRunScenario:
         assert traj.v_cell.max() <= 4.2 + 1e-3
         in_cv = traj.v_cell > 4.19
         assert in_cv.any()
+
+    @pytest.mark.parametrize("v_cell_max", [4.1, 4.0])
+    def test_cv_targets_a_lowered_voltage_limit(self, v_cell_max):
+        limits = BmsLimits(v_cell_max=v_cell_max, soc_max=0.99)
+        config = ScenarioConfig(initial_soc=0.80, initial_temp_c=20.0, bms=limits)
+        traj = run_scenario(config, charge_profile(duration=3600.0))
+        assert traj.n_rows == 3600
+        assert traj.v_cell.max() <= v_cell_max - CV_MARGIN_V_PER_CELL + 1e-9
+        assert not any("voltage_high" in f for f in traj.flags)
+        on = traj.i_dc > 0
+        assert np.count_nonzero(on[:-1] & ~on[1:]) <= 1  # tapers, no on/off chatter
 
     def test_heater_floor_while_plugged_below_zero(self):
         config = ScenarioConfig(initial_soc=0.3, initial_temp_c=-5.0)

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evplant.bms import BmsLimits
 from evplant.params import (
     LOOKUP_ORDER,
     PARAM_NAMES,
+    V_CELL_MAX,
+    V_CELL_MIN,
     CellParameterSet,
     ParamGrid,
     ParameterDataError,
@@ -48,9 +51,10 @@ class TestLoading:
 
     def test_ratings(self, pset):
         assert pset.nominal_capacity_ah == 52.0
-        assert pset.v_min == 3.0
-        assert pset.v_max == 4.2
         assert pset.n_series == 93
+        limits = BmsLimits()
+        assert (limits.v_cell_min, limits.v_cell_max) == (V_CELL_MIN, V_CELL_MAX) == (3.0, 4.2)
+        assert limits.max_current_a == 104.0
 
     @pytest.mark.parametrize("name", list(SPOT_VALUES))
     def test_spot_values(self, pset, name):
@@ -195,6 +199,16 @@ class TestValidation:
         )
         report = validate_parameter_set(bad)
         assert any("decreases" in e for e in report.errors)
+
+    def test_ocv_outside_the_cell_window_is_flagged(self, pset):
+        values = pset.ocv.values.copy()
+        values[-1, 0] = 4.3
+        bad_ocv = ParamGrid("ocv", pset.ocv.soc_breakpoints, pset.ocv.temp_breakpoints, values)
+        bad = CellParameterSet(
+            ocv=bad_ocv, r_ser=pset.r_ser, r1=pset.r1, r2=pset.r2, c1=pset.c1, c2=pset.c2
+        )
+        report = validate_parameter_set(bad)
+        assert report.errors == ["ocv: value 4.3 V outside [3.0, 4.2] at (soc=1.05, temp=-5C)"]
 
     def test_time_constant_ordering_holds_everywhere(self, pset):
         for soc in pset.r1.soc_breakpoints:

@@ -7,7 +7,9 @@ from dataclasses import fields
 
 import pytest
 
+from evplant.aging import CALENDAR_FILES, CYCLE_FILES
 from evplant.charger import ChargerMode
+from evplant.engine import run_scenario
 from evplant.scenario import (
     PROFILE_HEADER,
     ProfileRecord,
@@ -136,6 +138,51 @@ max_current_a = 80
         path.write_text("data_dir = tables\n")
         config = load_config(path)
         assert config.data_dir == (tmp_path / "tables").resolve()
+
+    def test_aging_data_dir_resolves_against_config_dir(self, tmp_path, data_dir):
+        # the calendar tables there are doubled: an idle day fades twice as much
+        (tmp_path / "aging").mkdir()
+        for name in CALENDAR_FILES:
+            head, *body = (data_dir / f"{name}.csv").read_text().split()
+            lines = [head]
+            for row in body:
+                soc, *rates = row.split(",")
+                lines.append(",".join([soc, *(repr(2.0 * float(r)) for r in rates)]))
+            (tmp_path / "aging" / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        for name in CYCLE_FILES:
+            (tmp_path / "aging" / f"{name}.csv").write_text((data_dir / f"{name}.csv").read_text())
+        timing = "dt_s = 60\ncontrol_interval_s = 60\naging_interval_s = 60\n"
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"aging_data_dir = aging\n{timing}")
+        config = load_config(path)
+        assert config.aging_data_dir == (tmp_path / "aging").resolve()
+
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.IDLE, 0.0, 25.0),
+                ProfileRecord(86400.0, SegmentKind.IDLE, 0.0, 25.0),
+            ]
+        )
+        base = tmp_path / "base.cfg"
+        base.write_text(timing)
+        fade, doubled_fade = (
+            1.0 - run_scenario(load_config(cfg), profile).c_norm[-1] for cfg in (base, path)
+        )
+        assert fade > 0.0
+        assert doubled_fade == pytest.approx(2.0 * fade, rel=1e-9)
+
+    def test_missing_config_file_is_named(self, tmp_path):
+        path = tmp_path / "nope.cfg"
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"missing config file: {path}"
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("dt_s = 1\n\ninitial_soc 0.5\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path} line 3: expected 'key = value'"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if "float" in f.type])
