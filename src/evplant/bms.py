@@ -11,13 +11,12 @@ unpublished BMS limit (the cell's cycle-test rating) and is configurable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .aging import AgingState
-from .params import NOMINAL_CAPACITY_AH, V_CELL_MAX, V_CELL_MIN, CellParameterSet
+from .params import NOMINAL_CAPACITY_AH, V_CELL_MAX, V_CELL_MIN, CellParameterSet, check_finite
 
 # usable SOC window enforced by the vehicle's BMS
 SOC_MIN = 0.032
@@ -47,10 +46,7 @@ class BmsLimits:
     max_current_a: float = DEFAULT_MAX_CURRENT_A
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        check_finite(self)
         # equality is tolerated as a degenerate (zero-width) window
         windows = (("soc_min", "soc_max"), ("v_cell_min", "v_cell_max"), ("t_min_c", "t_max_c"))
         for low, high in windows:

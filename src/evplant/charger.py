@@ -42,10 +42,12 @@ class PiecewiseLinear:
     def __init__(self, points: Sequence[tuple[float, float]]):
         if len(points) < 2:
             raise ValueError("need at least two anchor points")
+        self.points = tuple((float(x), float(y)) for x, y in points)
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in self.points):
+            raise ValueError("non-finite anchor point")
         xs = [p[0] for p in points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("anchor abscissae must be strictly increasing")
-        self.points = tuple((float(x), float(y)) for x, y in points)
         self._xs = tuple(xs)
 
     def __call__(self, x: float) -> float:
@@ -72,7 +74,10 @@ def load_curve(path: str | Path) -> PiecewiseLinear:
             points.append((float(x), float(y)))
         except ValueError as exc:
             raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
-    return PiecewiseLinear(points)
+    try:
+        return PiecewiseLinear(points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ requested DC power to current against the latest pack voltage and gate it.
 Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. Runs are purely
-deterministic: identical inputs give bit-identical trajectories.
+deterministic: identical inputs give bit-identical trajectories. A failing
+step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
+for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
 
 The CV limiter targets the BMS cell voltage limit minus a 0.1 mV margin so the
 pinned voltage sits strictly inside the BMS trip level and tapering is smooth.
@@ -231,62 +233,52 @@ def run_scenario(
         p_ac = 0.0
         try:
             point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
-        except ValueError as exc:
-            raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
-
-        if plugged:
-            if not was_plugged:
-                ctrl = ChargeControlState()
-                p_ac_prev = 0.0
-            if k % control_every == 0 or not was_plugged:
-                obs = StrategyObservation(
-                    t_s=t,
-                    soc=ecm_state.soc,
-                    t_pack_c=t_pack,
-                    plugged=True,
-                    ac_power_w=p_ac_prev,
-                    setpoints_w=ch_setpoints,
+            if plugged:
+                if not was_plugged:
+                    ctrl = ChargeControlState()
+                    p_ac_prev = 0.0
+                if k % control_every == 0 or not was_plugged:
+                    obs = StrategyObservation(
+                        t_s=t,
+                        soc=ecm_state.soc,
+                        t_pack_c=t_pack,
+                        plugged=True,
+                        ac_power_w=p_ac_prev,
+                        setpoints_w=ch_setpoints,
+                    )
+                    try:
+                        target = quantize_setpoint(float(strategy(obs)), ch_cfg)
+                    except Exception as exc:
+                        raise RuntimeError(
+                            f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+                        ) from exc
+                    if target != ctrl.p_target:
+                        ctrl = command_setpoint(ctrl, target, p_ac_prev)
+                p_ac_set = ramp_power(ctrl, ctrl.t_since_command, ch_cfg)
+                p_dc_avail = ac_to_dc(p_ac_set, ch_cfg)
+                a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
+                i_cmd = cc_cv_limit(
+                    p_dc_avail,
+                    v_pack,
+                    v_max_pack,
+                    n_series * a_cell,
+                    n_series * b_cell,
                 )
-                try:
-                    requested = float(strategy(obs))
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
-                    ) from exc
-                if not math.isfinite(requested) or requested < 0:
-                    raise ValueError(f"strategy returned invalid power {requested!r} at t={t}")
-                target = quantize_setpoint(requested, ch_cfg)
-                if target != ctrl.p_target:
-                    ctrl = command_setpoint(ctrl, target, p_ac_prev)
-            p_ac_set = ramp_power(ctrl, ctrl.t_since_command, ch_cfg)
-            p_dc_avail = ac_to_dc(p_ac_set, ch_cfg)
-            a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
-            i_cmd = cc_cv_limit(
-                p_dc_avail,
-                v_pack,
-                v_max_pack,
-                n_series * a_cell,
-                n_series * b_cell,
-            )
-            gate = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
-            i_dc = gate.allowed_current
-            ctrl.t_since_command += dt
-        elif driving:
-            i_req = rec.value_w / v_pack
-            gate = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
-            i_dc = gate.allowed_current
+                gate = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
+                i_dc = gate.allowed_current
+                ctrl.t_since_command += dt
+            elif driving:
+                i_req = rec.value_w / v_pack
+                gate = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
+                i_dc = gate.allowed_current
 
-        try:
             ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
-        except ValueError as exc:
-            raise RuntimeError(f"electrical step failed at step {k} (t={t} s): {exc}") from exc
-        v_pack = n_series * v_cell
-        p_dc = i_dc * v_pack
-        if plugged and p_dc > 0:
-            p_ac = dc_to_ac(p_dc, ch_cfg)
+            v_pack = n_series * v_cell
+            p_dc = i_dc * v_pack
+            if plugged and p_dc > 0:
+                p_ac = dc_to_ac(p_dc, ch_cfg)
 
-        cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
-        try:
+            cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
             t_pack = step_thermal(
                 t_pack,
                 heat * n_series,
@@ -296,14 +288,16 @@ def run_scenario(
                 cooling_active=cooling,
                 charging=plugged,
             )
-        except ValueError as exc:
-            raise RuntimeError(f"thermal step failed at step {k} (t={t} s): {exc}") from exc
 
-        if (k + 1) % aging_every == 0:
-            calendar_step(
-                aging, ecm_state.soc, t_pack, aging_every * dt / SECONDS_PER_DAY, cal_coeffs
-            )
-            cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+            if (k + 1) % aging_every == 0:
+                calendar_step(
+                    aging, ecm_state.soc, t_pack, aging_every * dt / SECONDS_PER_DAY, cal_coeffs
+                )
+                cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+        except (ValueError, ArithmeticError) as exc:
+            raise RuntimeError(
+                f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+            ) from exc
 
         # the segment kind, then "|reason" for each rare extra flag
         flags = kind_value

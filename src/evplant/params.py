@@ -10,8 +10,9 @@ looked up through a :class:`GridLookup`, which caches the last grid cell.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -37,6 +38,14 @@ _OCV_MONOTONE_TOL_V = 1e-3
 
 class ParameterDataError(ValueError):
     """A parameter data file is missing or malformed."""
+
+
+def check_finite(record) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite real-number field of a dataclass."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def default_data_dir() -> Path:
@@ -231,6 +240,8 @@ class ParamGrid:
     def __post_init__(self) -> None:
         if len(self.soc_breakpoints) < 2 or len(self.temp_breakpoints) < 2:
             raise ParameterDataError(f"{self.name}: need at least 2x2 breakpoints")
+        if not all(map(math.isfinite, (*self.soc_breakpoints, *self.temp_breakpoints))):
+            raise ParameterDataError(f"{self.name}: non-finite breakpoint")
         if any(b <= a for a, b in zip(self.soc_breakpoints, self.soc_breakpoints[1:])):
             raise ParameterDataError(f"{self.name}: SOC breakpoints not strictly increasing")
         if any(b <= a for a, b in zip(self.temp_breakpoints, self.temp_breakpoints[1:])):

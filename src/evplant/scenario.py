@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bms import BmsLimits
 from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, ChargerMode
-from .params import default_data_dir, read_csv_rows
+from .params import check_finite, default_data_dir, read_csv_rows
 from .thermal import PACK_HEAT_CAPACITY, ThermalMode
 
 MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejected
@@ -39,6 +39,14 @@ class ProfileRecord:
     ambient_c: float
     charger_mode: ChargerMode | None = None
 
+    def __post_init__(self) -> None:
+        check_finite(self)
+        if self.kind is SegmentKind.DRIVE and abs(self.value_w) > MOTOR_POWER_LIMIT_W:
+            raise ValueError(
+                f"drive power {self.value_w} W at t={self.t_s} exceeds the "
+                f"{MOTOR_POWER_LIMIT_W:.0f} W motor rating"
+            )
+
 
 @dataclass
 class ScenarioProfile:
@@ -48,12 +56,6 @@ class ScenarioProfile:
         ts = [r.t_s for r in self.records]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("profile timestamps must be strictly increasing")
-        for r in self.records:
-            if r.kind is SegmentKind.DRIVE and abs(r.value_w) > MOTOR_POWER_LIMIT_W:
-                raise ValueError(
-                    f"drive power {r.value_w} W at t={r.t_s} exceeds the "
-                    f"{MOTOR_POWER_LIMIT_W:.0f} W motor rating"
-                )
 
     @property
     def duration_s(self) -> float:
@@ -102,10 +104,7 @@ class ScenarioConfig:
     efficiency_curve: Path | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        check_finite(self)
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
         if self.control_interval_s < self.dt_s or self.aging_interval_s < self.dt_s:

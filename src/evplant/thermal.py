@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
+from .params import check_finite
+
 # coolant: water/glycol mixture
 RHO_COOLANT = 1080.0  # kg/m^3
 C_COOLANT = 3320.0  # J/(kg K)
@@ -50,11 +52,9 @@ class ThermalParams:
     alpha_z: float = _ALPHAS[ThermalMode.EV_OPERATION][2]
 
     def __post_init__(self) -> None:
+        check_finite(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if value <= 0:
+            if getattr(self, f.name) <= 0:
                 raise ValueError(f"thermal parameter {f.name} must be positive")
 
     @classmethod

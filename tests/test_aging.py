@@ -182,6 +182,14 @@ class TestCoefficientInvariants:
                 alpha_r=make_grid("calendar_alpha_r", (0.0, 1.0), (0.0, 60.0), [[0, 0], [0, 0]]),
             )
 
+    def test_negative_cycle_rate_rejected(self):
+        ok = [[1e-5, 1e-5], [2e-5, 2e-5]]
+        with pytest.raises(ValueError, match="^cycle_beta_r: cycle rates must be >= 0$"):
+            CycleCoeffGrid(
+                beta_c=make_grid("cycle_beta_c", (0.1, 0.9), (0.25, 0.75), ok),
+                beta_r=make_grid("cycle_beta_r", (0.1, 0.9), (0.25, 0.75), [[0, -1e-5], [0, 0]]),
+            )
+
     def test_non_increasing_temperature_trend_rejected(self):
         flat = [[1e-5, 1e-5], [1e-5, 1e-5]]
         with pytest.raises(ValueError, match="increase with temperature"):

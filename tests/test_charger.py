@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from evplant.charger import (
     cc_cv_limit,
     command_setpoint,
     dc_to_ac,
+    load_curve,
     quantize_setpoint,
     ramp_power,
 )
@@ -140,6 +142,18 @@ class TestEfficiency:
             p_dc = ac_to_dc(p_ac, three_phase)
             assert dc_to_ac(p_dc, three_phase) == pytest.approx(p_ac, rel=1e-9, abs=1e-9)
 
+    def test_flat_segment_is_inverted(self):
+        # eta is 0.9 from 2000 W to 3000 W
+        curve = PiecewiseLinear([(1000.0, 0.8), (2000.0, 0.9), (3000.0, 0.9), (4000.0, 0.95)])
+        flat = ChargerConfig(efficiency=curve)
+        for p_ac in (2200.0, 2500.0, 2900.0):
+            assert dc_to_ac(ac_to_dc(p_ac, flat), flat) == pytest.approx(p_ac, rel=1e-12)
+
+    @pytest.mark.parametrize("convert", [ac_to_dc, dc_to_ac])
+    def test_negative_power_rejected(self, three_phase, convert):
+        with pytest.raises(ValueError, match="power must be >= 0, got -1.0"):
+            convert(-1.0, three_phase)
+
     def test_bad_efficiency_curve_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             ChargerConfig(efficiency=PiecewiseLinear([(1000.0, 0.9), (2000.0, 0.8)]))
@@ -176,6 +190,31 @@ class TestConfigValidation:
             ChargerConfig(ramp=PiecewiseLinear([(0.0, 0.0), (52.0, 0.9)]))
         with pytest.raises(ValueError, match="ramp curve"):
             ChargerConfig(ramp=PiecewiseLinear([(0.0, 0.1), (52.0, 1.0)]))
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(0.0, 0.0)], "need at least two anchor points"),
+            ([(0.0, 0.0), (0.0, 1.0)], "anchor abscissae must be strictly increasing"),
+            ([(0.0, 0.0), (math.nan, 0.5), (52.0, 1.0)], "non-finite anchor point"),
+            ([(0.0, 0.0), (26.0, math.inf), (52.0, 1.0)], "non-finite anchor point"),
+        ],
+    )
+    def test_bad_anchor_points_rejected(self, tmp_path, points, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PiecewiseLinear(points)
+        path = tmp_path / "curve.csv"
+        path.write_text("t_s,fraction\n" + "".join(f"{x},{y}\n" for x, y in points))
+        with pytest.raises(ValueError) as info:
+            load_curve(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_curve_width_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("t_s,fraction,extra\n0,0,0\n52,1,0\n")
+        with pytest.raises(ValueError) as info:
+            load_curve(path)
+        assert str(info.value) == f"{path} row 1: expected 2 cells, got 3"
 
     def test_dead_time_bounds(self):
         with pytest.raises(ValueError, match="dead time"):

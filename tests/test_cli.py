@@ -6,7 +6,7 @@ import pytest
 
 from evplant.cli import main, resolve_strategy
 from evplant.engine import strategy_max_power, strategy_off
-from evplant.params import default_data_dir
+from evplant.params import PARAM_NAMES, default_data_dir
 
 PROFILE = """t_s,kind,value_w,ambient_c,charger_mode
 0,plugged,11040,20,
@@ -35,6 +35,16 @@ def test_validate_params_missing_dir(tmp_path, capsys):
     rc = main(["validate-params", "--data", str(tmp_path)])
     assert rc == 2
     assert "ocv" in capsys.readouterr().err
+
+
+def test_validate_params_names_a_non_finite_breakpoint(tmp_path, capsys):
+    for name in PARAM_NAMES:
+        (tmp_path / f"{name}.csv").write_text((default_data_dir() / f"{name}.csv").read_text())
+    lines = (tmp_path / "r1.csv").read_text().splitlines()
+    lines[3] = "nan" + lines[3][lines[3].index(",") :]
+    (tmp_path / "r1.csv").write_text("\n".join(lines) + "\n")
+    assert main(["validate-params", "--data", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: r1: non-finite breakpoint\n"
 
 
 def test_simulate_writes_report(scenario_files, tmp_path, capsys):
@@ -179,8 +189,29 @@ def test_step_failure_is_reported(tmp_path, capsys):
     profile.write_text(PROFILE.replace("600,idle", "8000,idle"))
     assert _simulate(config, profile, tmp_path / "o") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: thermal step failed at step 0")
+    assert err.startswith(
+        "error: plant step failed at step 0 (t=0.0 s): ValueError: "
+        "dt=4000.0 s exceeds the explicit-Euler stability bound"
+    )
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, row, message",
+    [
+        # an infinite last time would overflow the step count
+        (PROFILE.replace("600,idle", "inf,idle"), 3, "t_s must be a finite number, got inf"),
+        # a NaN request would charge at 0 W without a word
+        (PROFILE.replace("11040", "nan"), 2, "value_w must be a finite number, got nan"),
+        # a NaN time in the middle would be skipped
+        (PROFILE.replace("600,idle", "nan,idle,0,20,\n600,idle"), 3, "t_s must be a finite number, got nan"),
+    ],
+)
+def test_non_finite_profile_cell_is_reported(scenario_files, tmp_path, capsys, text, row, message):
+    config, profile = scenario_files
+    profile.write_text(text)
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {profile} row {row}: {message}\n"
 
 
 def test_non_finite_dt_is_reported(scenario_files, tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -273,7 +275,11 @@ class TestRunScenario:
 
     def test_invalid_strategy_output_raises(self):
         config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
-        with pytest.raises(ValueError, match="strategy"):
+        message = (
+            "strategy failed at step 0 (t=0.0 s): "
+            "ValueError: requested power must be finite and >= 0, got -5.0"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             run_scenario(config, charge_profile(duration=60.0), lambda obs: -5.0)
 
     def test_aging_updates_at_cadence(self):
@@ -346,6 +352,57 @@ class TestRunScenario:
         assert error_half < error_1
 
 
+@st.composite
+def profile_rows(draw):
+    """2-4 records' (t_s, kind, value_w, ambient_c); in three draws of four
+    the times are sorted, and in half of them one number is NaN or infinite."""
+    n = draw(st.integers(2, 4))
+    times = draw(st.lists(st.floats(0.0, 120.0), min_size=n, max_size=n, unique=True))
+    if draw(st.integers(0, 3)):
+        times.sort()
+    kinds, powers = st.sampled_from(SegmentKind), st.floats(-60_000.0, 60_000.0)
+    rows = [[t, draw(kinds), draw(powers), draw(st.floats(-40.0, 60.0))] for t in times]
+    if draw(st.booleans()):
+        row, column = draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 2, 3]))
+        rows[row][column] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return rows
+
+
+class TestFailureContract:
+    """Bad input fails with a ``ValueError`` when the profile is built; a run
+    fails only with a ``RuntimeError`` that names its step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=profile_rows(), initial_soc=st.floats(0.0, 1.0))
+    def test_bad_input_fails_with_a_message(self, rows, initial_soc):
+        try:
+            profile = ScenarioProfile([ProfileRecord(*row) for row in rows])
+        except ValueError:
+            return
+        try:
+            run_scenario(ScenarioConfig(initial_soc=initial_soc), profile)
+        except RuntimeError as exc:
+            assert re.match(r"(plant step|strategy) failed at step \d+ \(t=", str(exc))
+
+    @pytest.mark.parametrize("table", ["r1", "ocv"])
+    def test_zero_table_fails_at_the_first_step(self, data_dir, tmp_path, table):
+        # a zero r1 divides in the RC decay, a zero ocv in the drive current
+        for path in data_dir.glob("*.csv"):
+            shutil.copy(path, tmp_path)
+        head, *body = (tmp_path / f"{table}.csv").read_text().split()
+        zeroed = [row.split(",")[0] + ",0" * row.count(",") for row in body]
+        (tmp_path / f"{table}.csv").write_text("\n".join([head, *zeroed]) + "\n")
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.DRIVE, -10000.0, 20.0),
+                ProfileRecord(60.0, SegmentKind.IDLE, 0.0, 20.0),
+            ]
+        )
+        message = r"^plant step failed at step 0 \(t=0\.0 s\): ZeroDivisionError: "
+        with pytest.raises(RuntimeError, match=message):
+            run_scenario(ScenarioConfig(data_dir=tmp_path), profile)
+
+
 # (config, profile) per pinned scenario and the digest of its trajectory
 PINNED = {
     # drive with the cooling loop running, then idle, CC-CV charge and idle
@@ -399,6 +456,9 @@ class TestMetrics:
         late = dataclasses.replace(traj, t_s=traj.t_s + 1e6)
         with pytest.raises(ValueError, match="overlap"):
             compute_metrics(traj, late)
+        for sim, ref in ((Trajectory.empty(), traj), (traj, Trajectory.empty())):
+            with pytest.raises(ValueError, match="^cannot compute metrics on an empty trajectory$"):
+                compute_metrics(sim, ref)
 
     def test_integrals(self):
         t = np.arange(1.0, 101.0)

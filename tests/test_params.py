@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import shutil
 
 import numpy as np
@@ -88,6 +89,22 @@ class TestLoading:
     def test_non_monotone_breakpoints_rejected(self):
         with pytest.raises(ParameterDataError, match="strictly increasing"):
             ParamGrid("x", (0.0, 0.5, 0.5), (0.0, 10.0), np.ones((3, 2)))
+
+    @pytest.mark.parametrize(
+        "socs, temps, values, message",
+        [
+            ((0.0, 1.0), (10.0, 0.0), np.ones((2, 2)), "temperature breakpoints not strictly increasing"),
+            ((0.0,), (0.0, 10.0), np.ones((1, 2)), "need at least 2x2 breakpoints"),
+            ((0.0, 1.0), (0.0, 10.0), np.ones((2, 3)), "value matrix shape (2, 3) does not match"),
+            ((0.0, 1.0), (0.0, 10.0), [[1.0, math.nan], [1.0, 1.0]], "non-finite value in table"),
+            ((0.0, math.nan, 1.0), (0.0, 10.0), np.ones((3, 2)), "non-finite breakpoint"),
+            ((0.0, 1.0), (0.0, math.inf), np.ones((2, 2)), "non-finite breakpoint"),
+            ((-math.inf, 1.0), (0.0, 10.0), np.ones((2, 2)), "non-finite breakpoint"),
+        ],
+    )
+    def test_malformed_grid_rejected(self, socs, temps, values, message):
+        with pytest.raises(ParameterDataError, match=f"^x: {re.escape(message)}"):
+            ParamGrid("x", socs, temps, values)
 
 
 class TestInterpolation:

@@ -59,9 +59,27 @@ class TestProfile:
         with pytest.raises(ValueError, match="strictly increasing"):
             ScenarioProfile(records)
 
-    def test_drive_power_bounded_by_motor_rating(self):
+    def test_drive_power_bounded_by_motor_rating(self, tmp_path):
         with pytest.raises(ValueError, match="motor rating"):
             ScenarioProfile([ProfileRecord(0.0, SegmentKind.DRIVE, -60000.0, 20.0)])
+        path = tmp_path / "p.csv"
+        path.write_text(GOOD_PROFILE.replace("-12000", "-60000"))
+        with pytest.raises(ValueError) as info:
+            ScenarioProfile.from_csv(path)
+        assert str(info.value) == (
+            f"{path} row 2: drive power -60000.0 W at t=0.0 exceeds the 55000 W motor rating"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["t_s", "value_w", "ambient_c"])
+    def test_non_finite_cell_names_the_row(self, tmp_path, name, value):
+        cells = {"t_s": "600", "value_w": "11040", "ambient_c": "20", name: value}
+        row = f"{cells['t_s']},plugged,{cells['value_w']},{cells['ambient_c']},three_phase"
+        path = tmp_path / "p.csv"
+        path.write_text(GOOD_PROFILE.replace("600,plugged,11040,20,three_phase", row))
+        with pytest.raises(ValueError) as info:
+            ScenarioProfile.from_csv(path)
+        assert str(info.value) == f"{path} row 3: {name} must be a finite number, got {float(value)!r}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing profile"):
