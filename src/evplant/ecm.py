@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isfinite
 
 from .aging import AgingState
 from .params import CellParameterSet
@@ -30,17 +29,6 @@ class EcmState:
     u2: float = 0.0
 
 
-def _check_finite(label: str, *values: float) -> None:
-    """Raise the labelled error for the first non-finite value.
-
-    Per-step callers test an inline ``isfinite`` chain first and call this
-    only on failure, which saves a varargs call per check.
-    """
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite {label}: {v!r}")
-
-
 # order of the values in the tuple returned by operating_point: the aged cell
 # parameters at the start of one step, with its RC decay factors, in V, Ohm,
 # exp(-dt / (r1 c1)), exp(-dt / (r2 c2)), s and Ah (the aged, effective capacity)
@@ -53,12 +41,10 @@ def operating_point(
     """Look up and age the parameters once for a step of ``dt`` seconds from ``soc``.
 
     Returns a plain tuple in :data:`POINT_ORDER`; it feeds both
-    :func:`voltage_prediction_coeffs` and :func:`step_ecm`.
+    :func:`voltage_prediction_coeffs` and :func:`step_ecm`. Expects finite
+    ``soc`` and ``temp`` and ``dt > 0``; a NaN ``soc`` or ``temp`` makes the
+    lookup raise.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (isfinite(soc) and isfinite(temp) and isfinite(dt)):
-        _check_finite("step input", soc, temp, dt)
     ocv, r_ser, r1, c1, r2, c2 = params.lookup(soc, temp)
     r_norm = aging.r_norm
     r_ser, r1, r2 = r_ser * r_norm, r1 * r_norm, r2 * r_norm
@@ -77,10 +63,10 @@ def step_ecm(
     state, the end-of-step terminal voltage (V), the irreversible heat (W,
     >= 0) and whether SOC was clipped: SOC leaving [0, 1] saturates, and
     keeping it inside the window is the charge controller's job, not the
-    plant's.
+    plant's. Expects a finite state and current; a non-finite input or
+    parameter shows in the returned SOC or voltage, which the engine checks
+    once per step.
     """
-    if not (isfinite(state.soc) and isfinite(state.u1) and isfinite(state.u2) and isfinite(current)):
-        _check_finite("step input", state.soc, state.u1, state.u2, current)
     ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah = point
 
     u1 = state.u1 * k1 + r1 * current * (1.0 - k1)
@@ -93,8 +79,6 @@ def step_ecm(
 
     v_cell = ocv + current * r_ser + u1 + u2
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
-    if not (isfinite(u1) and isfinite(u2) and isfinite(soc) and isfinite(v_cell) and isfinite(heat)):
-        _check_finite("step output", u1, u2, soc, v_cell, heat)
     return EcmState(soc, u1, u2), v_cell, heat, clipped
 
 

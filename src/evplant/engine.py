@@ -10,6 +10,9 @@ temperature, and accrue aging at its own cadence. Runs are purely
 deterministic: identical inputs give bit-identical trajectories. A failing
 step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
 for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
+The plant layers trust their inputs, which are checked where they enter the
+program; the step checks once that its SOC, cell voltage and pack temperature
+are finite.
 
 The CV limiter targets the BMS cell voltage limit minus a 0.1 mV margin so the
 pinned voltage sits strictly inside the BMS trip level and tapering is smooth.
@@ -21,6 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
+from math import isfinite
 from pathlib import Path
 from typing import Callable
 
@@ -288,6 +292,12 @@ def run_scenario(
                 cooling_active=cooling,
                 charging=plugged,
             )
+            # the one finiteness check of the step: a non-finite parameter,
+            # current, RC voltage or heat shows in one of these three
+            if not (isfinite(ecm_state.soc) and isfinite(v_cell) and isfinite(t_pack)):
+                raise ValueError(
+                    f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
+                )
 
             if (k + 1) % aging_every == 0:
                 calendar_step(

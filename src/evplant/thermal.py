@@ -10,7 +10,6 @@ temperatures are the BMS limits (:class:`evplant.bms.BmsLimits`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -104,12 +103,9 @@ def step_thermal(
 
     ``q_gen`` is the heat generated inside the pack (W). Liquid cooling is
     applied only when ``cooling_active``; while ``charging``, the heater floor
-    keeps the new temperature at or above 0 degC.
+    keeps the new temperature at or above 0 degC. Expects finite inputs and
+    ``dt > 0``.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (math.isfinite(q_gen) and math.isfinite(t_ambient) and math.isfinite(t_pack)):
-        raise ValueError("non-finite thermal step input")
     dt_limit = stable_dt_limit(t_pack, params, cooling_active)
     if dt > dt_limit:
         raise ValueError(f"dt={dt} s exceeds the explicit-Euler stability bound {dt_limit:.1f} s")
@@ -120,6 +116,4 @@ def step_thermal(
     t_new = t_pack + dt * (q_gen - q_out) / params.c_pack
     if charging and t_new < HEATER_FLOOR_C:
         t_new = HEATER_FLOOR_C
-    if not math.isfinite(t_new):
-        raise ValueError("non-finite pack temperature")
     return t_new

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from evplant.cli import main, resolve_strategy
@@ -182,17 +184,21 @@ def _simulate(config, profile, out, *extra):
 
 
 def test_step_failure_is_reported(tmp_path, capsys):
-    config = tmp_path / "coarse.cfg"
-    # a step beyond the thermal model's explicit-Euler stability bound
-    config.write_text("dt_s = 4000\ncontrol_interval_s = 4000\naging_interval_s = 4000\n")
+    # a zero r1 table loads, then divides by zero in the first step's RC decay
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in default_data_dir().glob("*.csv"):
+        shutil.copy(path, data)
+    head, *body = (data / "r1.csv").read_text().split()
+    zeroed = [row.split(",")[0] + ",0" * row.count(",") for row in body]
+    (data / "r1.csv").write_text("\n".join([head, *zeroed]) + "\n")
+    config = tmp_path / "zero_r1.cfg"
+    config.write_text("data_dir = data\n")
     profile = tmp_path / "profile.csv"
-    profile.write_text(PROFILE.replace("600,idle", "8000,idle"))
+    profile.write_text(PROFILE)
     assert _simulate(config, profile, tmp_path / "o") == 2
     err = capsys.readouterr().err
-    assert err.startswith(
-        "error: plant step failed at step 0 (t=0.0 s): ValueError: "
-        "dt=4000.0 s exceeds the explicit-Euler stability bound"
-    )
+    assert err.startswith("error: plant step failed at step 0 (t=0.0 s): ZeroDivisionError: ")
     assert "Traceback" not in err
 
 

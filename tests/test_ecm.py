@@ -101,12 +101,10 @@ class TestStep:
         assert low.soc == 0.0
 
     def test_non_finite_input_is_hard_error(self, pset, fresh):
-        with pytest.raises(ValueError):
-            step(EcmState(soc=0.5), pset, fresh, float("inf"), 25.0, 1.0)
+        # the parameter lookup rejects a NaN coordinate; any other non-finite
+        # input is caught by the engine's one check per step (test_engine)
         with pytest.raises(ValueError):
             step(EcmState(soc=float("nan")), pset, fresh, 0.0, 25.0, 1.0)
-        with pytest.raises(ValueError):
-            step(EcmState(soc=0.5), pset, fresh, 0.0, 25.0, -1.0)
 
     def test_heat_power_nonnegative(self, pset, fresh):
         rng = random.Random(7)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import evplant.engine
 from evplant.bms import BmsLimits
 from evplant.charger import ChargerMode
+from evplant.ecm import POINT_ORDER
 from evplant.engine import (
     CV_MARGIN_V_PER_CELL,
     FLOAT_COLUMNS,
@@ -368,6 +369,20 @@ def profile_rows(draw):
     return rows
 
 
+# (value, step of mixed_profile) per injection: each point entry at rest, where
+# an infinite dt gives a NaN SOC (under current it saturates the SOC, which
+# only the finite dt_s of ScenarioConfig rules out); the gated current while
+# driving and while plugged; the heat while driving, since the heater floor
+# clamps a -inf while charging, and the sum of squares step_ecm returns as
+# heat is -inf only with a non-finite v_cell. No check reads capacity_ah.
+INJECTIONS = [
+    *((name, 700) for name in POINT_ORDER if name != "capacity_ah"),
+    ("current", 300),
+    ("current", 1500),
+    ("heat", 300),
+]
+
+
 class TestFailureContract:
     """Bad input fails with a ``ValueError`` when the profile is built; a run
     fails only with a ``RuntimeError`` that names its step."""
@@ -401,6 +416,38 @@ class TestFailureContract:
         message = r"^plant step failed at step 0 \(t=0\.0 s\): ZeroDivisionError: "
         with pytest.raises(RuntimeError, match=message):
             run_scenario(ScenarioConfig(data_dir=tmp_path), profile)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("target, k", INJECTIONS)
+    def test_a_non_finite_plant_value_fails_its_step(self, monkeypatch, target, k, bad):
+        # the plant layers do not check their values; the engine's one check
+        # per step must still name the step a bad value enters
+        original = {name: getattr(evplant.engine, name) for name in ("operating_point", "gate_current", "step_ecm")}
+        steps = []
+
+        def hit(name):
+            return target == name and len(steps) == k + 1
+
+        def operating_point(*args):
+            steps.append(None)
+            point = original["operating_point"](*args)
+            return tuple(bad if hit(name) else value for name, value in zip(POINT_ORDER, point))
+
+        def gate_current(*args):
+            gate = original["gate_current"](*args)
+            return gate._replace(allowed_current=bad) if hit("current") else gate
+
+        def step_ecm(*args):
+            state, v_cell, heat, clipped = original["step_ecm"](*args)
+            return state, v_cell, bad if hit("heat") else heat, clipped
+
+        monkeypatch.setattr(evplant.engine, "operating_point", operating_point)
+        monkeypatch.setattr(evplant.engine, "gate_current", gate_current)
+        monkeypatch.setattr(evplant.engine, "step_ecm", step_ecm)
+        message = rf"^plant step failed at step {k} \(t={k}\.0 s\): ValueError: non-finite plant state: soc="
+        with pytest.raises(RuntimeError, match=message):
+            run_scenario(ScenarioConfig(initial_soc=0.4, initial_temp_c=22.0), mixed_profile())
+
 
 
 # (config, profile) per pinned scenario and the digest of its trajectory

@@ -106,12 +106,6 @@ class TestStep:
         convection_only = step_thermal(45.0, 0.0, 20.0, 60.0, ev_params, cooling_active=False)
         assert cooled < convection_only
 
-    def test_non_finite_rejected(self, ev_params):
-        with pytest.raises(ValueError):
-            step_thermal(float("nan"), 0.0, 20.0, 1.0, ev_params)
-        with pytest.raises(ValueError):
-            step_thermal(20.0, float("inf"), 20.0, 1.0, ev_params)
-
 
 def test_mode_coefficients_differ():
     ev = ThermalParams.for_mode(ThermalMode.EV_OPERATION)
