@@ -4,12 +4,15 @@ Heat leaves by surface convection and, when the loop is running, by liquid
 cooling whose coolant flow rate rises linearly with pack temperature and whose
 coolant temperature equals ambient. While charging, the pack heater keeps the
 temperature from dropping below 0 degC. The state is the pack temperature
-alone: :func:`step_thermal` maps one value (degC) to the next. The permissible
-temperatures are the BMS limits (:class:`evplant.bms.BmsLimits`).
+alone: :func:`step_thermal` maps one value (degC) to the next by the exact
+solution of the linear node over the step, the same convention as the cell's
+RC update, so every step size is stable. The permissible temperatures are the
+BMS limits (:class:`evplant.bms.BmsLimits`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -82,14 +85,6 @@ def cooling_power(t_pack: float, t_ambient: float, params: ThermalParams) -> flo
     return (t_pack - t_ambient) * RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
 
 
-def stable_dt_limit(t_pack: float, params: ThermalParams, cooling_active: bool) -> float:
-    """Largest explicit-Euler step that cannot overshoot the ambient fixed point."""
-    conductance = params.alpha_sum
-    if cooling_active:
-        conductance += RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
-    return params.c_pack / conductance
-
-
 def step_thermal(
     t_pack: float,
     q_gen: float,
@@ -99,21 +94,20 @@ def step_thermal(
     cooling_active: bool = False,
     charging: bool = False,
 ) -> float:
-    """Pack temperature (degC) one explicit-Euler step of ``dt`` seconds after ``t_pack``.
+    """Pack temperature (degC) ``dt`` seconds after ``t_pack``, by the exact solution of the node.
 
-    ``q_gen`` is the heat generated inside the pack (W). Liquid cooling is
-    applied only when ``cooling_active``; while ``charging``, the heater floor
-    keeps the new temperature at or above 0 degC. Expects finite inputs and
-    ``dt > 0``.
+    ``q_gen`` is the heat generated inside the pack (W). The conductance to
+    ambient, convection plus the cooling loop when ``cooling_active``, is
+    frozen at ``t_pack``; the pack then relaxes exponentially towards
+    ``t_ambient + q_gen / G``, which holds at any step size. While
+    ``charging``, the heater floor keeps the new temperature at or above
+    0 degC. Expects finite inputs and ``dt > 0``.
     """
-    dt_limit = stable_dt_limit(t_pack, params, cooling_active)
-    if dt > dt_limit:
-        raise ValueError(f"dt={dt} s exceeds the explicit-Euler stability bound {dt_limit:.1f} s")
-
-    q_out = convection_power(t_pack, t_ambient, params)
+    conductance = params.alpha_sum
     if cooling_active:
-        q_out += cooling_power(t_pack, t_ambient, params)
-    t_new = t_pack + dt * (q_gen - q_out) / params.c_pack
+        conductance += RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
+    approach = -math.expm1(-conductance * dt / params.c_pack)  # 1 - exp(-G dt / C)
+    t_new = t_pack + (t_ambient + q_gen / conductance - t_pack) * approach
     if charging and t_new < HEATER_FLOOR_C:
         t_new = HEATER_FLOOR_C
     return t_new

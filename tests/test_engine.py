@@ -456,19 +456,19 @@ PINNED = {
     "mixed": (
         ScenarioConfig(initial_soc=0.4, initial_temp_c=22.0),
         mixed_profile(),
-        "b03513ec4a9cb847b1fc107bd4c1b67ec614b6ab3310d6be85d885d229c95eee",
+        "47b439137f7a247772af1e0ee20d62520d9ea818477eb3d54a8babe58356b8f6",
     ),
     # plugged at -10 degC ambient from a -5 degC pack: the heater floor holds it at 0 degC
     "cold_plugged": (
         ScenarioConfig(initial_soc=0.3, initial_temp_c=-5.0),
         charge_profile(duration=1200.0, power=4140.0, ambient=-10.0),
-        "5788991cc6f530246f28a1b7e698463b14194b86b38118ab3aab717d7f9184c4",
+        "372e6efd6eeb87de3a115c0af4ef95107124e49ca1d2cf9e9bfef169191c5ce9",
     ),
     # dt = 60 s with aging and rainflow on every step, as in a lifetime study
     "aging_day": (
         ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.0, initial_soc=0.7),
         aging_day_profile(),
-        "ef079cbac1b724c1ea94d8b3a4eb706ecca4e76f647b8cdbe1febe70406c8374",
+        "4bdd4dc0d675d3459ec600d3ce3bf0f74f899b8667955e8a7f14880257bccc73",
     ),
 }
 
@@ -651,14 +651,27 @@ class TestReports:
         assert paths[0].read_text().count("\n") == 1  # header only
 
 
+def fixture_run() -> Trajectory:
+    config = ScenarioConfig(initial_soc=0.85, initial_temp_c=20.0)
+    return run_scenario(config, charge_profile(duration=1800.0), make_constant_strategy(11040.0))
+
+
 class TestRegressionFixture:
     def test_replay_matches_pinned_fixture(self):
         reference = read_trajectory(REGRESSION_DIR / "trajectory.csv")
-        config = ScenarioConfig(initial_soc=0.85, initial_temp_c=20.0)
-        traj = run_scenario(config, charge_profile(duration=1800.0), make_constant_strategy(11040.0))
-        metrics = compute_metrics(traj, reference)
+        metrics = compute_metrics(fixture_run(), reference)
         assert metrics.rmse_cell_voltage_mv == 0.0
         assert metrics.rmse_pack_temp_k == 0.0
+
+    def test_replay_stays_near_the_seed_fixture(self):
+        # the seed fixture was written with an explicit-Euler thermal step;
+        # the exact step moves the pack temperature, and through it the cell
+        # parameters, by less than these bounds
+        seed = read_trajectory(REGRESSION_DIR / "seed_trajectory.csv")
+        traj = fixture_run()
+        assert traj.flags == seed.flags
+        assert np.max(np.abs(traj.v_cell - seed.v_cell)) <= 0.1e-3
+        assert np.max(np.abs(traj.t_pack - seed.t_pack)) <= 0.01
 
     def test_documented_accuracy_band_brackets_a_constant_offset(self):
         # the fixture metadata records the accuracy class the plant model

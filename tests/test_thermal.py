@@ -13,7 +13,6 @@ from evplant.thermal import (
     convection_power,
     coolant_flow_rate,
     cooling_power,
-    stable_dt_limit,
     step_thermal,
 )
 
@@ -75,8 +74,8 @@ class TestStep:
 
     def test_heating_rate(self, ev_params):
         new = step_thermal(20.0, 500.0, 20.0, 60.0, ev_params)
-        assert new - 20.0 == pytest.approx(500.0 * 60.0 / 17120.0, rel=1e-12)
-        assert new - 20.0 == pytest.approx(1.752, abs=1e-3)
+        assert new - 20.0 == pytest.approx(500.0 / 5.579 * -math.expm1(-5.579 * 60.0 / 17120.0), rel=1e-12)
+        assert new - 20.0 == pytest.approx(1.735, abs=1e-3)
 
     def test_heater_floor_while_charging(self, ev_params):
         assert step_thermal(-5.0, 0.0, -10.0, 60.0, ev_params, charging=True) == 0.0
@@ -93,13 +92,17 @@ class TestStep:
             assert t_pack > 20.0 - 1e-12
             prev = t_pack
 
-    def test_stability_bound_enforced(self, ev_params):
-        bound = stable_dt_limit(30.0, ev_params, cooling_active=False)
-        assert bound == pytest.approx(17120.0 / 5.579, rel=1e-12)
-        dt = bound * 1.01
-        with pytest.raises(ValueError) as info:
-            step_thermal(30.0, 0.0, 20.0, dt, ev_params)
-        assert str(info.value) == f"dt={dt} s exceeds the explicit-Euler stability bound {bound:.1f} s"
+    def test_one_long_step_equals_many_short_ones(self, ev_params):
+        # uncooled, the node is linear with constant coefficients, so the exact
+        # update composes, as test_ecm's half steps do for the RC branches
+        one = step_thermal(30.0, 500.0, 20.0, 3600.0, ev_params)
+        many = 30.0
+        for _ in range(3600):
+            many = step_thermal(many, 500.0, 20.0, 1.0, ev_params)
+        assert abs(one - many) < 1e-9
+        # far beyond the old explicit-Euler bound of C / G = 3069 s, a step
+        # lands on the fixed point instead of overshooting it
+        assert step_thermal(30.0, 500.0, 20.0, 1e7, ev_params) == pytest.approx(20.0 + 500.0 / 5.579, abs=1e-9)
 
     def test_cooling_shortens_settling(self, ev_params):
         cooled = step_thermal(45.0, 0.0, 20.0, 60.0, ev_params, cooling_active=True)
