@@ -41,6 +41,10 @@ class ProfileRecord:
 
     def __post_init__(self) -> None:
         check_finite(self)
+        if not isinstance(self.kind, SegmentKind):
+            raise ValueError(f"kind must be a SegmentKind, got {self.kind!r}")
+        if self.charger_mode is not None and not isinstance(self.charger_mode, ChargerMode):
+            raise ValueError(f"charger_mode must be a ChargerMode or None, got {self.charger_mode!r}")
         if self.kind is SegmentKind.DRIVE and abs(self.value_w) > MOTOR_POWER_LIMIT_W:
             raise ValueError(
                 f"drive power {self.value_w} W at t={self.t_s} exceeds the "

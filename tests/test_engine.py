@@ -355,17 +355,22 @@ class TestRunScenario:
 
 @st.composite
 def profile_rows(draw):
-    """2-4 records' (t_s, kind, value_w, ambient_c); in three draws of four
-    the times are sorted, and in half of them one number is NaN or infinite."""
+    """2-4 records' (t_s, kind, value_w, ambient_c, charger_mode); in three
+    draws of four the times are sorted, in half of them one number is NaN or
+    infinite, and in one of eight a kind or charger mode is a plain string."""
     n = draw(st.integers(2, 4))
     times = draw(st.lists(st.floats(0.0, 120.0), min_size=n, max_size=n, unique=True))
     if draw(st.integers(0, 3)):
         times.sort()
     kinds, powers = st.sampled_from(SegmentKind), st.floats(-60_000.0, 60_000.0)
-    rows = [[t, draw(kinds), draw(powers), draw(st.floats(-40.0, 60.0))] for t in times]
+    modes = st.sampled_from([None, *ChargerMode])
+    rows = [[t, draw(kinds), draw(powers), draw(st.floats(-40.0, 60.0)), draw(modes)] for t in times]
     if draw(st.booleans()):
         row, column = draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 2, 3]))
         rows[row][column] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if not draw(st.integers(0, 7)):
+        row, column = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, 4]))
+        rows[row][column] = rows[row][column].value if rows[row][column] else "one_phase"
     return rows
 
 

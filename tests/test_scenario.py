@@ -81,6 +81,19 @@ class TestProfile:
             ScenarioProfile.from_csv(path)
         assert str(info.value) == f"{path} row 3: {name} must be a finite number, got {float(value)!r}"
 
+    @pytest.mark.parametrize(
+        "kind, mode, message",
+        [
+            ("drive", None, "kind must be a SegmentKind, got 'drive'"),
+            (SegmentKind.PLUGGED, "one_phase", "charger_mode must be a ChargerMode or None, got 'one_phase'"),
+        ],
+    )
+    def test_non_enum_field_is_rejected(self, kind, mode, message):
+        # a record built in code is not converted: a string would fail deep in
+        # the run, as an AttributeError or a KeyError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProfileRecord(0.0, kind, -10000.0, 20.0, mode)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing profile"):
             ScenarioProfile.from_csv(tmp_path / "nope.csv")
