@@ -7,6 +7,8 @@ looked up once per step, at the state at the start of the step (see
 :func:`operating_point`); aged resistance applies as a uniform multiplier on
 r_ser, r1 and r2, and SOC is counted against the aged (effective) capacity.
 Every value here is per cell; the engine scales voltage and heat to the pack.
+The step functions take their inputs as given: the engine checks once per
+step that the SOC and voltage they return are finite.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
-from math import isfinite
 from pathlib import Path
 from typing import Callable
 
@@ -294,7 +293,7 @@ def run_scenario(
             )
             # the one finiteness check of the step: a non-finite parameter,
             # current, RC voltage or heat shows in one of these three
-            if not (isfinite(ecm_state.soc) and isfinite(v_cell) and isfinite(t_pack)):
+            if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
                 raise ValueError(
                     f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
                 )

@@ -374,12 +374,11 @@ def profile_rows(draw):
     return rows
 
 
-# (value, step of mixed_profile) per injection: each point entry at rest, where
-# an infinite dt gives a NaN SOC (under current it saturates the SOC, which
-# only the finite dt_s of ScenarioConfig rules out); the gated current while
-# driving and while plugged; the heat while driving, since the heater floor
-# clamps a -inf while charging, and the sum of squares step_ecm returns as
-# heat is -inf only with a non-finite v_cell. No check reads capacity_ah.
+# (target, step of mixed_profile) per injection. The operating point is hit at
+# rest: under current an infinite dt saturates the SOC unseen, which the finite
+# ScenarioConfig.dt_s rules out, and no check reads capacity_ah. The heat is hit
+# while driving: while charging the heater floor would clamp a -inf, which
+# step_ecm's sum of squares returns only with a non-finite v_cell.
 INJECTIONS = [
     *((name, 700) for name in POINT_ORDER if name != "capacity_ah"),
     ("current", 300),
