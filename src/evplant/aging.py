@@ -9,7 +9,7 @@ calendar-only plus cycle-only runs sum exactly to a combined run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -80,12 +80,7 @@ class CycleCoeffGrid:
 def _load_fraction_grid(path: Path, name: str) -> ParamGrid:
     """Like the electrical loader, but the column axis is also percent."""
     grid = load_grid(path, name)
-    return ParamGrid(
-        name=grid.name,
-        soc_breakpoints=grid.soc_breakpoints,
-        temp_breakpoints=tuple(t / 100.0 for t in grid.temp_breakpoints),
-        values=grid.values,
-    )
+    return replace(grid, temp_breakpoints=tuple(t / 100.0 for t in grid.temp_breakpoints))
 
 
 def load_calendar_coeffs(directory: str | Path) -> CalendarCoeffGrid:

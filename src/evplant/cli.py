@@ -38,7 +38,11 @@ def resolve_strategy(spec: str | None) -> Strategy | None:
     if spec == "off":
         return strategy_off
     if spec.startswith("constant:"):
-        return make_constant_strategy(float(spec.split(":", 1)[1]))
+        try:
+            watts = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValueError(f"cannot load strategy '{spec}': {exc}") from None
+        return make_constant_strategy(watts)
     if ":" in spec:
         module_name, attr = spec.split(":", 1)
         try:
@@ -102,12 +106,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         config, profile, out, strategy = (c.strip() for c in cells)
         entries.append((str(base / config), str(base / profile), str(base / out), strategy or None))
 
+    # a process pool forks all its workers at the first submit, so never
+    # ask for more than there are entries
+    jobs = min(args.jobs, len(entries))
     any_failed = False
     with contextlib.ExitStack() as stack:
-        if args.jobs <= 1:
+        if jobs <= 1:
             errors = map(_run_entry, entries)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             errors = pool.map(_run_entry, entries)
         for (_, _, out_dir, _), error in zip(entries, errors):
             print(f"done {out_dir}" if error is None else f"failed {out_dir}: {error}")

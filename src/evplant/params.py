@@ -3,8 +3,9 @@
 One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
-Every CSV file of the package is read by :func:`read_csv_rows`. Tables are
-looked up through a :class:`GridLookup`, which caches the last grid cell.
+Every CSV file of the package is read by :func:`read_csv_rows`. The engine
+looks tables up through a :class:`GridLookup`, which caches the last grid
+cell; :meth:`ParamGrid.interpolate` is the cache-free reference it equals.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -110,8 +111,8 @@ class _GridGroup:
     temperature by far less than a cell, so nearly every lookup reuses it.
     A cell's box is half-open like the bisect (``lo <= x < hi``) and
     open-ended on the hull's outer sides, where the query is clamped onto
-    the hull as in :func:`_bilinear_cell`. The weights and the term order are
-    those of :func:`_bilinear_cell`, and the cache is read once and checked
+    the hull. The clamp, weights and term order are those of
+    :meth:`ParamGrid.interpolate`, and the cache is read once and checked
     against the query before use, so it never changes a result, bit for bit,
     and the group may be shared between threads and concurrent runs.
     """
@@ -122,17 +123,20 @@ class _GridGroup:
         self.s_axis = s_axis
         self.t_axis = t_axis
         self.rows = tuple(rows)
-        # (soc, temp, values, cell) of the last query; cell as built by _cell
-        self._cache: tuple[float, float, tuple[float, ...], tuple] | None = None
+        # (soc, temp, values, cell) of the last query; cell as built by _locate
+        self._cache = (math.nan, math.nan, (), self._locate(s_axis[0], t_axis[0]))
 
-    def _cell(self, i: int, j: int) -> tuple:
-        """Cell (i, j) as the flat tuple :meth:`values` unpacks (a plain tuple imports faster).
+    def _locate(self, soc: float, temp: float) -> tuple:
+        """The cell holding (soc, temp), as the flat tuple :meth:`values` unpacks.
 
-        Its fields: the box (s_in, s_out, t_in, t_out); the hull (s_min,
+        The unclamped query bisects into the same cell as the clamped one.
+        The fields: the box (s_in, s_out, t_in, t_out); the hull (s_min,
         s_max, t_min, t_max); the cell origin and width per axis (s_lo, ds,
         t_lo, dt); and ``corners``, (v00, v10, v01, v11) per member.
         """
         s_axis, t_axis, inf = self.s_axis, self.t_axis, math.inf
+        i = min(max(bisect_right(s_axis, soc) - 1, 0), len(s_axis) - 2)
+        j = min(max(bisect_right(t_axis, temp) - 1, 0), len(t_axis) - 2)
         return (
             -inf if i == 0 else s_axis[i],
             inf if i == len(s_axis) - 2 else s_axis[i + 1],
@@ -151,31 +155,25 @@ class _GridGroup:
 
     def values(self, soc: float, temp: float) -> tuple[float, ...]:
         """Each member's bilinear value at (soc, temp), which must not be NaN."""
-        cache = self._cache
-        cell = None
-        if cache is not None:
-            if cache[0] == soc and cache[1] == temp:
-                return cache[2]
-            s_in, s_out, t_in, t_out, s_min, s_max, t_min, t_max, s_lo, ds, t_lo, dt, corners = cache[3]
-            if s_in <= soc < s_out and t_in <= temp < t_out:
-                cell = cache[3]
-                s = soc
-                if s < s_min:
-                    s = s_min
-                elif s > s_max:
-                    s = s_max
-                t = temp
-                if t < t_min:
-                    t = t_min
-                elif t > t_max:
-                    t = t_max
-                fs = (s - s_lo) / ds
-                ft = (t - t_lo) / dt
-                w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-        if cell is None:
-            i, j, w00, w10, w01, w11 = _bilinear_cell(self.s_axis, self.t_axis, soc, temp)
-            cell = self._cell(i, j)
-            corners = cell[12]
+        last_soc, last_temp, values, cell = self._cache
+        if last_soc == soc and last_temp == temp:
+            return values
+        if not (cell[0] <= soc < cell[1] and cell[2] <= temp < cell[3]):
+            cell = self._locate(soc, temp)
+        _, _, _, _, s_min, s_max, t_min, t_max, s_lo, ds, t_lo, dt, corners = cell
+        s = soc
+        if s < s_min:
+            s = s_min
+        elif s > s_max:
+            s = s_max
+        t = temp
+        if t < t_min:
+            t = t_min
+        elif t > t_max:
+            t = t_max
+        fs = (s - s_lo) / ds
+        ft = (t - t_lo) / dt
+        w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
         values = tuple([w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11 for v00, v10, v01, v11 in corners])
         self._cache = (soc, temp, values, cell)
         return values
@@ -185,26 +183,20 @@ class GridLookup:
     """Bilinear lookup of several 2-D tables at one point, one value per table.
 
     ``grids`` are :class:`ParamGrid`-like tables (``soc_breakpoints``,
-    ``temp_breakpoints``, ``rows``); tables on the same breakpoint grid share
-    one :class:`_GridGroup`, so the clamp, bisect and weights are computed
-    once per grid. Each value equals the table's own
-    :meth:`ParamGrid.interpolate`, bit for bit. A NaN coordinate raises
-    ``ValueError`` naming ``label``.
+    ``temp_breakpoints``, ``rows``). Each run of consecutive tables on the
+    same breakpoint grid shares one :class:`_GridGroup`, so the clamp,
+    bisect and weights are computed once per run, and the groups' values,
+    concatenated, are in the order of ``grids``. Each value equals the
+    table's own :meth:`ParamGrid.interpolate`, bit for bit. A NaN coordinate
+    raises ``ValueError`` naming ``label``.
     """
 
-    __slots__ = ("label", "groups", "_pick")
+    __slots__ = ("label", "groups")
 
     def __init__(self, label: str, grids: Sequence) -> None:
         self.label = label
-        members: dict = {}
-        for idx, grid in enumerate(grids):
-            members.setdefault((grid.soc_breakpoints, grid.temp_breakpoints), []).append((idx, grid.rows))
-        self.groups = tuple(_GridGroup(s, t, (rows for _, rows in m)) for (s, t), m in members.items())
-        # concatenated group values back into the order of ``grids``; None
-        # when they are in that order already
-        position = [idx for m in members.values() for idx, _ in m]
-        order = sorted(range(len(position)), key=position.__getitem__)
-        self._pick = None if order == list(range(len(order))) else itemgetter(*order)
+        runs = groupby(grids, key=lambda grid: (grid.soc_breakpoints, grid.temp_breakpoints))
+        self.groups = tuple(_GridGroup(s, t, (grid.rows for grid in run)) for (s, t), run in runs)
 
     def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
@@ -216,8 +208,7 @@ class GridLookup:
         values: tuple[float, ...] = ()
         for group in groups:
             values += group.values(soc, temp)
-        pick = self._pick
-        return values if pick is None else pick(values)
+        return values
 
 
 @dataclass(eq=False)
@@ -226,8 +217,8 @@ class ParamGrid:
 
     SOC breakpoints are stored as fractions (table rows in percent are
     converted on load); temperatures in deg C; values in SI units. Lookups
-    read ``rows``, the same values as tuples of Python floats, through a
-    one-table :class:`GridLookup`. Immutable after construction.
+    read ``rows``, the same values as tuples of Python floats. Immutable
+    after construction.
     """
 
     name: str
@@ -235,7 +226,6 @@ class ParamGrid:
     temp_breakpoints: tuple[float, ...]
     values: np.ndarray  # shape (n_soc, n_temp)
     rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
-    _lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.soc_breakpoints) < 2 or len(self.temp_breakpoints) < 2:
@@ -255,15 +245,17 @@ class ParamGrid:
         if not np.all(np.isfinite(self.values)):
             raise ParameterDataError(f"{self.name}: non-finite value in table")
         self.rows = tuple(map(tuple, self.values.tolist()))
-        self._lookup = GridLookup(self.name, (self,))
 
     def interpolate(self, soc: float, temp: float) -> float:
-        """Bilinear lookup with constant extrapolation outside the grid hull."""
-        return self._lookup(soc, temp)[0]
+        """Bilinear lookup with constant extrapolation outside the grid hull.
 
-
-# order of the values returned by CellParameterSet.lookup
-LOOKUP_ORDER = ("ocv", "r_ser", "r1", "c1", "r2", "c2")
+        Cache-free: the reference every cached :class:`GridLookup` value equals.
+        """
+        if soc != soc or temp != temp:  # NaN
+            raise ValueError(f"{self.name}: NaN lookup coordinates")
+        i, j, w00, w10, w01, w11 = _bilinear_cell(self.soc_breakpoints, self.temp_breakpoints, soc, temp)
+        lo, hi = self.rows[i], self.rows[i + 1]
+        return w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
 
 
 @dataclass(eq=False)
@@ -282,13 +274,13 @@ class CellParameterSet:
     _lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._lookup = GridLookup("cell parameters", [self.grid(name) for name in LOOKUP_ORDER])
+        self._lookup = GridLookup("cell parameters", [self.grid(name) for name in PARAM_NAMES])
 
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)
 
     def lookup(self, soc: float, temp: float) -> tuple[float, float, float, float, float, float]:
-        """(ocv, r_ser, r1, c1, r2, c2) at one operating point, unaged."""
+        """The six unaged parameters at one operating point, in :data:`PARAM_NAMES` order."""
         return self._lookup(soc, temp)
 
 

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+import evplant.cli
 from evplant.cli import main, resolve_strategy
 from evplant.engine import strategy_max_power, strategy_off
 from evplant.params import PARAM_NAMES, default_data_dir
@@ -148,6 +149,35 @@ def test_batch_runs_every_entry_and_reports_failures(scenario_files, tmp_path, c
     ]
 
 
+@pytest.mark.parametrize("n_entries, sizes", [(2, [2]), (1, [])])
+def test_batch_pool_is_no_larger_than_the_manifest(scenario_files, tmp_path, capsys, monkeypatch, n_entries, sizes):
+    seen = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evplant.cli, "ProcessPoolExecutor", SerialPool)
+    config, profile = scenario_files
+    manifest = tmp_path / "manifest.csv"
+    rows = [f"{config.name},{profile.name},out_{k},\n" for k in range(n_entries)]
+    manifest.write_text("config,profile,out,strategy\n" + "".join(rows))
+    assert main(["batch", "--manifest", str(manifest), "--jobs", "64"]) == 0
+    assert seen == sizes
+    assert capsys.readouterr().out.count("done") == n_entries
+
+
 def test_strategy_resolution():
     assert resolve_strategy(None) is None
     assert resolve_strategy("profile") is None
@@ -226,6 +256,13 @@ def test_non_finite_dt_is_reported(scenario_files, tmp_path, capsys):
     assert capsys.readouterr().err == "error: dt_s must be a finite number, got nan\n"
 
 
+# a constant strategy whose watts are not a number names the spec
+NON_NUMBER_CONSTANTS = [
+    ("constant:abc", "cannot load strategy 'constant:abc': could not convert string to float: 'abc'"),
+    ("constant:", "cannot load strategy 'constant:': could not convert string to float: ''"),
+]
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -233,6 +270,7 @@ def test_non_finite_dt_is_reported(scenario_files, tmp_path, capsys):
         ("math:nosuch", "cannot load strategy 'math:nosuch'"),
         ("math:pi", "strategy 'math:pi' is not callable"),
         ("math:sqrt", "strategy failed at step 0 (t=0.0 s): TypeError"),
+        *NON_NUMBER_CONSTANTS,
     ],
 )
 def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, spec, message):
@@ -240,4 +278,13 @@ def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, spec, messag
     assert _simulate(config, profile, tmp_path / "o", "--strategy", spec) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec, message", NON_NUMBER_CONSTANTS)
+def test_non_number_constant_strategy_fails_its_batch_line(scenario_files, tmp_path, capsys, spec, message):
+    config, profile = scenario_files
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"config,profile,out,strategy\n{config.name},{profile.name},bad,{spec}\n")
+    assert main(["batch", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().out == f"failed {tmp_path / 'bad'}: {message}\n"

@@ -146,7 +146,7 @@ class TestPrediction:
     def test_operating_point_follows_the_documented_order(self, pset):
         aged = AgingState(c_norm=0.8, r_norm=1.5)
         point = operating_point(pset, aged, 0.5, 25.0, 2.0)
-        ocv, r_ser, r1, c1, r2, c2 = pset.lookup(0.5, 25.0)
+        ocv, r_ser, r1, r2, c1, c2 = pset.lookup(0.5, 25.0)
         r1, r2 = r1 * 1.5, r2 * 1.5
         assert dict(zip(POINT_ORDER, point, strict=True)) == {
             "ocv": ocv,

@@ -2,24 +2,25 @@
 
 A random walk with jumps of (soc, temp) runs through fused lookups, calendar
 rates and cycle rates (at depth soc and mean SOC temp / 100), and every
-result is compared with ``==`` to a cache-free bilinear evaluation. The
-points include exact breakpoints, points outside the grid hull, exact
-repeats and tables with 2-point axes.
+result is compared with ``==`` to the cache-free ``ParamGrid.interpolate``.
+The points include exact breakpoints, points outside the grid hull, exact
+repeats and tables with 2-point axes. A ``GridLookup`` over any order of
+tables on different grids returns their values in that order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from evplant.aging import CalendarCoeffGrid, CycleCoeffGrid, load_calendar_coeffs, load_cycle_coeffs
 from evplant.params import (
-    LOOKUP_ORDER,
+    PARAM_NAMES,
     CellParameterSet,
+    GridLookup,
     ParamGrid,
-    _bilinear_cell,
     default_data_dir,
     load_parameter_set,
 )
@@ -52,7 +53,7 @@ SMALL_CYC = CycleCoeffGrid(
     beta_r=_grid("cycle_beta_r", (0.0, 0.5, 1.0), (0.0, 1.0), 10, rising_axis=0),
 )
 
-ALL_GRIDS = [SHIPPED.grid(n) for n in LOOKUP_ORDER] + list(SMALL.values()) + [
+ALL_GRIDS = [SHIPPED.grid(n) for n in PARAM_NAMES] + list(SMALL.values()) + [
     SHIPPED_CAL.alpha_c,
     SHIPPED_CAL.alpha_r,
     SMALL_CAL.alpha_c,
@@ -67,19 +68,12 @@ SOCS = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(SOC_NODES))
 TEMPS = st.one_of(st.floats(-40.0, 70.0), st.sampled_from(TEMP_NODES))
 
 
-def fresh(grid: ParamGrid, soc: float, temp: float) -> float:
-    """Cache-free bilinear value of one grid."""
-    i, j, w00, w10, w01, w11 = _bilinear_cell(grid.soc_breakpoints, grid.temp_breakpoints, soc, temp)
-    lo, hi = grid.rows[i], grid.rows[i + 1]
-    return w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
-
-
 class CachedLookups(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         # new sets, so every run starts with empty caches
         self.psets = [
-            CellParameterSet(**{n: SHIPPED.grid(n) for n in LOOKUP_ORDER}),
+            CellParameterSet(**{n: SHIPPED.grid(n) for n in PARAM_NAMES}),
             CellParameterSet(**SMALL),
         ]
         self.cals = [
@@ -114,17 +108,17 @@ class CachedLookups(RuleBasedStateMachine):
         pass
 
     @invariant()
-    def equals_fresh_evaluation_in_the_bisected_cell(self):
+    def equals_interpolate_in_the_bisected_cell(self):
         soc, temp = self.soc, self.temp
         for pset in self.psets:
-            expected = tuple(fresh(pset.grid(n), soc, temp) for n in LOOKUP_ORDER)
+            expected = tuple(pset.grid(n).interpolate(soc, temp) for n in PARAM_NAMES)
             assert pset.lookup(soc, temp) == expected, (soc, temp)
         for cal in self.cals:
-            expected = (fresh(cal.alpha_c, soc, temp), fresh(cal.alpha_r, soc, temp))
+            expected = (cal.alpha_c.interpolate(soc, temp), cal.alpha_r.interpolate(soc, temp))
             assert cal.rates(soc, temp) == expected, (soc, temp)
         mean = temp / 100.0
         for cyc in self.cycles:
-            expected = (fresh(cyc.beta_c, soc, mean), fresh(cyc.beta_r, soc, mean))
+            expected = (cyc.beta_c.interpolate(soc, mean), cyc.beta_r.interpolate(soc, mean))
             assert cyc.rates(soc, mean) == expected, (soc, mean)
         # On a cell's upper edge both neighbours give the same value, so only
         # the cached cell shows whether the box is half-open like the bisect.
@@ -137,3 +131,22 @@ class CachedLookups(RuleBasedStateMachine):
 
 CachedLookups.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 TestCachedLookups = CachedLookups.TestCase
+
+
+MIXED_GRIDS = ALL_GRIDS + CYCLE_GRIDS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.permutations(MIXED_GRIDS),
+    n=st.integers(1, len(MIXED_GRIDS)),
+    points=st.lists(st.tuples(SOCS, TEMPS), min_size=1, max_size=8),
+)
+def test_lookup_keeps_the_order_of_its_tables(order, n, points):
+    grids = order[:n]
+    lookup = GridLookup("mixed tables", grids)
+    axes = [(g.s_axis, g.t_axis) for g in lookup.groups]
+    assert sum(len(g.rows) for g in lookup.groups) == len(grids)
+    assert all(a != b for a, b in zip(axes, axes[1:])), "runs of one grid share a group"
+    for soc, temp in points + points[:1]:
+        assert lookup(soc, temp) == tuple(g.interpolate(soc, temp) for g in grids), (soc, temp)

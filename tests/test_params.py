@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
 from evplant.bms import BmsLimits
 from evplant.params import (
-    LOOKUP_ORDER,
     PARAM_NAMES,
     V_CELL_MAX,
     V_CELL_MIN,
@@ -150,12 +150,12 @@ class TestInterpolation:
 
 def _axis_points(pset, axis: str, lo: float, hi: float):
     """Floats in [lo, hi] plus every breakpoint of the set's grids on ``axis``."""
-    nodes = sorted({b for name in LOOKUP_ORDER for b in getattr(pset.grid(name), axis)})
+    nodes = sorted({b for name in PARAM_NAMES for b in getattr(pset.grid(name), axis)})
     return st.one_of(st.floats(lo, hi), st.sampled_from(nodes))
 
 
 def _same_as_interpolate(pset, soc, temp):
-    expected = tuple(pset.grid(name).interpolate(soc, temp) for name in LOOKUP_ORDER)
+    expected = tuple(pset.grid(name).interpolate(soc, temp) for name in PARAM_NAMES)
     assert pset.lookup(soc, temp) == expected
 
 
@@ -175,6 +175,8 @@ class TestFusedLookup:
         pset = load_parameter_set(tmp_path)
         assert len(pset.r1.soc_breakpoints) == 11
         assert pset.r1.soc_breakpoints != pset.r2.soc_breakpoints
+        # one group per run of tables on one grid: ocv | r_ser | r1 | r2, c1, c2
+        assert [len(group.rows) for group in pset._lookup.groups] == [1, 1, 1, 3]
         for soc in (-0.1, 0.0, 0.05, 0.33, 0.5, 0.97, 1.0, 1.2):
             for temp in (-30.0, -15.0, 0.0, 22.5, 35.0, 60.0):
                 _same_as_interpolate(pset, soc, temp)
@@ -182,6 +184,11 @@ class TestFusedLookup:
     def test_nan_input_rejected(self, pset):
         with pytest.raises(ValueError, match="NaN"):
             pset.lookup(float("nan"), 25.0)
+
+    def test_shipped_tables_share_one_group_per_grid(self, pset, data_dir):
+        assert [len(group.rows) for group in pset._lookup.groups] == [1, 5]
+        for rates in (load_calendar_coeffs(data_dir), load_cycle_coeffs(data_dir)):
+            assert [len(group.rows) for group in rates._lookup.groups] == [2]
 
 
 class TestValidation:
