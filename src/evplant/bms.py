@@ -61,6 +61,16 @@ class GateResult(NamedTuple):
     reason: GateReason
 
 
+# Bound once: an enum member lookup and a NamedTuple build each cost more
+# than the gate's comparisons, and the trip results never change.
+GATE_OK = GateReason.OK
+_TEMPERATURE_FAULT = GateResult(0.0, GateReason.TEMPERATURE_FAULT)
+_SOC_HIGH = GateResult(0.0, GateReason.SOC_HIGH)
+_VOLTAGE_HIGH = GateResult(0.0, GateReason.VOLTAGE_HIGH)
+_SOC_LOW = GateResult(0.0, GateReason.SOC_LOW)
+_VOLTAGE_LOW = GateResult(0.0, GateReason.VOLTAGE_LOW)
+
+
 def gate_current(
     requested_current: float,
     soc: float,
@@ -70,24 +80,24 @@ def gate_current(
 ) -> GateResult:
     """Clamp a requested current (positive = charging) to the BMS envelope."""
     if t_pack < limits.t_min_c or t_pack > limits.t_max_c:
-        return GateResult(0.0, GateReason.TEMPERATURE_FAULT)
+        return _TEMPERATURE_FAULT
 
     if requested_current > 0:
         if soc >= limits.soc_max:
-            return GateResult(0.0, GateReason.SOC_HIGH)
+            return _SOC_HIGH
         if v_cell >= limits.v_cell_max:
-            return GateResult(0.0, GateReason.VOLTAGE_HIGH)
+            return _VOLTAGE_HIGH
     elif requested_current < 0:
         if soc <= limits.soc_min:
-            return GateResult(0.0, GateReason.SOC_LOW)
+            return _SOC_LOW
         if v_cell <= limits.v_cell_min:
-            return GateResult(0.0, GateReason.VOLTAGE_LOW)
+            return _VOLTAGE_LOW
 
     if abs(requested_current) > limits.max_current_a:
         clamped = limits.max_current_a if requested_current > 0 else -limits.max_current_a
         return GateResult(clamped, GateReason.CURRENT_LIMITED)
 
-    return GateResult(requested_current, GateReason.OK)
+    return GateResult(requested_current, GATE_OK)
 
 
 def usable_capacity(limits: BmsLimits, params: CellParameterSet, aging: AgingState) -> float:

@@ -10,7 +10,7 @@ of AC power, and voltage-limited (CV) current tapering.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -93,8 +93,14 @@ class ChargerConfig:
     dead_time_s: float = DEFAULT_DEAD_TIME_S
     # all commandable AC powers including 0 (charging off), ascending
     setpoints: tuple[float, ...] = field(init=False, repr=False)
+    # DC power x * eta at each efficiency anchor, and per segment between two
+    # anchors the (slope, b, y0) of eta = b + slope * x that dc_to_ac solves
+    dc_anchors: tuple[float, ...] = field(init=False, repr=False)
+    dc_segments: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.grid_voltage) and self.grid_voltage > 0.0):
+            raise ValueError(f"grid_voltage must be a positive finite number, got {self.grid_voltage!r}")
         etas = [y for _, y in self.efficiency.points]
         if any(not 0.0 < e <= 1.0 for e in etas):
             raise ValueError("efficiency anchors must lie in (0, 1]")
@@ -112,6 +118,13 @@ class ChargerConfig:
             amps = range(MIN_CURRENT_A, MAX_CURRENT_A + 1, CURRENT_STEP_A)
             powers = tuple(N_PHASES * self.grid_voltage * n for n in amps)
         object.__setattr__(self, "setpoints", (0.0,) + powers)
+        pts = self.efficiency.points
+        segments = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            slope = (y1 - y0) / (x1 - x0)
+            segments.append((slope, y0 - slope * x0, y0))
+        object.__setattr__(self, "dc_anchors", tuple(x * y for x, y in pts))
+        object.__setattr__(self, "dc_segments", tuple(segments))
 
 
 def achievable_setpoints(config: ChargerConfig) -> tuple[float, ...]:
@@ -132,12 +145,24 @@ class ChargeControlState:
     """Commanded set-point plus what is needed to replay the ramp.
 
     The ramp's direction follows from the pair: up when ``p_target`` exceeds
-    ``p_at_command``, otherwise hold-then-step (a no-op for an equal pair).
+    ``p_at_command``, down when it is below, none when they are equal.
+    ``t_settle`` is the time after the command from which :func:`ramp_power`
+    returns exactly ``p_target``: the ramp-up duration, the ramp-down delay,
+    or 0 for an equal pair.
     """
 
     p_target: float = 0.0  # W AC, quantized
     p_at_command: float = 0.0  # W AC when the command was issued
     t_since_command: float = RAMP_UP_DURATION_S
+    t_settle: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.p_target > self.p_at_command:
+            self.t_settle = RAMP_UP_DURATION_S
+        elif self.p_target < self.p_at_command:
+            self.t_settle = RAMP_DOWN_DELAY_S
+        else:
+            self.t_settle = 0.0
 
 
 def command_setpoint(
@@ -150,16 +175,18 @@ def command_setpoint(
 def ramp_power(state: ChargeControlState, t: float, config: ChargerConfig) -> float:
     """AC power ``t`` seconds after the last set-point command.
 
-    Upward changes follow the normalized mean ramp shape and land on the
-    target at exactly 52 s; downward changes hold the old power for 4 s and
-    then step to the target. A command starting from 0 W first sits through
-    the reaction dead time, with the remaining shape compressed so the target
-    is still reached at 52 s.
+    From ``state.t_settle`` on, the result is exactly ``state.p_target``, so
+    a caller may hold that value until the next command. Before it, upward
+    changes follow the normalized mean ramp shape and land on the target at
+    exactly 52 s; downward changes hold the old power for 4 s and then step
+    to the target. A command starting from 0 W first sits through the
+    reaction dead time, with the remaining shape compressed so the target is
+    still reached at 52 s.
     """
-    if state.p_target <= state.p_at_command:
-        return state.p_at_command if t < RAMP_DOWN_DELAY_S else state.p_target
-    if t >= RAMP_UP_DURATION_S:
+    if t >= state.t_settle:
         return state.p_target
+    if state.p_target < state.p_at_command:
+        return state.p_at_command
     t_eff = t
     if state.p_at_command == 0.0 and config.dead_time_s > 0.0:
         t_eff = (
@@ -183,28 +210,25 @@ def dc_to_ac(p_dc: float, config: ChargerConfig) -> float:
     """AC draw needed for a given DC power: the exact inverse of :func:`ac_to_dc`.
 
     p * eta(p) is strictly increasing (eta positive and non-decreasing), so the
-    inverse is unique; solved segment by segment on the efficiency curve.
+    inverse is unique. The efficiency segment is found by bisecting the anchor
+    DC powers; at an anchor's own DC power the lower segment is taken. On it,
+    eta = b + slope * p, and the quadratic p * eta(p) = p_dc is solved for p.
     """
     if p_dc < 0:
         raise ValueError(f"DC power must be >= 0, got {p_dc}")
     if p_dc == 0.0:
         return 0.0
-    pts = config.efficiency.points
+    anchors = config.dc_anchors
     # below the first anchor and above the last, eta is constant
-    if p_dc <= pts[0][0] * pts[0][1]:
-        return p_dc / pts[0][1]
-    if p_dc >= pts[-1][0] * pts[-1][1]:
-        return p_dc / pts[-1][1]
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        g0, g1 = x0 * y0, x1 * y1
-        if g0 <= p_dc <= g1:
-            slope = (y1 - y0) / (x1 - x0)
-            if slope == 0.0:
-                return p_dc / y0
-            # solve slope*p^2 + (y0 - slope*x0)*p - p_dc = 0 for p in [x0, x1]
-            b = y0 - slope * x0
-            return (-b + math.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
-    raise AssertionError("unreachable: dc power not bracketed")
+    if p_dc <= anchors[0]:
+        return p_dc / config.efficiency.points[0][1]
+    if p_dc >= anchors[-1]:
+        return p_dc / config.efficiency.points[-1][1]
+    slope, b, y0 = config.dc_segments[bisect_left(anchors, p_dc) - 1]
+    if slope == 0.0:
+        return p_dc / y0
+    # solve slope*p^2 + b*p - p_dc = 0 for p in the segment
+    return (-b + math.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
 
 
 def cc_cv_limit(

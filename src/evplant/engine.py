@@ -1,9 +1,13 @@
 """Fixed-timestep simulation engine coupling plant, charger, BMS, and strategy.
 
 Each step: resolve the active profile segment; when plugged in, poll the
-strategy at the control interval, quantize and ramp the AC set-point, convert
-to DC, apply the CV current limit and the BMS gate; when driving, convert the
-requested DC power to current against the latest pack voltage and gate it.
+strategy at the control interval and when a charging session starts (a
+plug-in, or a charger-mode change while plugged, which resets the set-point
+and ramp), quantize the AC set-point, convert the ramped power to DC while
+the ramp still moves and hold the settled set-point's DC power, converted
+once per command, after it, then apply the CV current limit and the BMS
+gate; when driving, convert the requested DC power to current against the
+latest pack voltage and gate it.
 Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. Runs are purely
@@ -38,7 +42,7 @@ from .aging import (
     load_calendar_coeffs,
     load_cycle_coeffs,
 )
-from .bms import GateReason, gate_current
+from .bms import GATE_OK, gate_current
 from .charger import (
     ChargeControlState,
     ChargerConfig,
@@ -209,10 +213,13 @@ def run_scenario(
 
     ctrl = ChargeControlState()
     p_ac_prev = 0.0
-    was_plugged = False
+    # DC power of the settled set-point, held until the next command
+    p_dc_settled = 0.0
     # segment state, resolved when the step time reaches the next record
     rec_idx = -1
     next_t = t0
+    plugged = False
+    mode = None
 
     rows: list[tuple] = []
     flags_col: list[str] = []
@@ -225,22 +232,28 @@ def run_scenario(
             next_t = records[rec_idx + 1].t_s if rec_idx + 1 < len(records) else math.inf
             rec = records[rec_idx]
             kind_value = rec.kind.value
+            rec_mode = rec.charger_mode or config.charger_mode
+            # a plug-in, or a charger-mode change while plugged, starts a new
+            # charging session; `plugged` and `mode` still hold the last step's
+            session_start = rec.kind is SegmentKind.PLUGGED and (not plugged or rec_mode is not mode)
             plugged = rec.kind is SegmentKind.PLUGGED
             driving = rec.kind is SegmentKind.DRIVE
             ambient = rec.ambient_c
-            mode = rec.charger_mode or config.charger_mode
+            mode = rec_mode
             ch_cfg = charger_cfgs[mode]
             ch_setpoints = setpoints[mode]
-        gate = None
+        reason = GATE_OK
         i_dc = 0.0
         p_ac = 0.0
         try:
             point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
             if plugged:
-                if not was_plugged:
-                    ctrl = ChargeControlState()
-                    p_ac_prev = 0.0
-                if k % control_every == 0 or not was_plugged:
+                if session_start or k % control_every == 0:
+                    if session_start:
+                        session_start = False
+                        ctrl = ChargeControlState()
+                        p_ac_prev = 0.0
+                        p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
                     obs = StrategyObservation(
                         t_s=t,
                         soc=ecm_state.soc,
@@ -257,8 +270,11 @@ def run_scenario(
                         ) from exc
                     if target != ctrl.p_target:
                         ctrl = command_setpoint(ctrl, target, p_ac_prev)
-                p_ac_set = ramp_power(ctrl, ctrl.t_since_command, ch_cfg)
-                p_dc_avail = ac_to_dc(p_ac_set, ch_cfg)
+                        p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
+                if ctrl.t_since_command < ctrl.t_settle:
+                    p_dc_avail = ac_to_dc(ramp_power(ctrl, ctrl.t_since_command, ch_cfg), ch_cfg)
+                else:
+                    p_dc_avail = p_dc_settled
                 a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
                 i_cmd = cc_cv_limit(
                     p_dc_avail,
@@ -267,13 +283,11 @@ def run_scenario(
                     n_series * a_cell,
                     n_series * b_cell,
                 )
-                gate = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
-                i_dc = gate.allowed_current
+                i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
                 ctrl.t_since_command += dt
             elif driving:
                 i_req = rec.value_w / v_pack
-                gate = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
-                i_dc = gate.allowed_current
+                i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
 
             ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
             v_pack = n_series * v_cell
@@ -310,8 +324,8 @@ def run_scenario(
 
         # the segment kind, then "|reason" for each rare extra flag
         flags = kind_value
-        if gate is not None and gate.reason is not GateReason.OK:
-            flags += "|" + gate.reason.value
+        if reason is not GATE_OK:
+            flags += "|" + reason.value
         if soc_clipped:
             flags += "|soc_clip"
         if not limits.t_min_c <= t_pack <= limits.t_max_c:
@@ -334,7 +348,6 @@ def run_scenario(
         )
         flags_col.append(flags)
         p_ac_prev = p_ac
-        was_plugged = plugged
 
     # book the unclosed residual half cycles into the final reported state
     flush_cycles(aging, cyc_coeffs)

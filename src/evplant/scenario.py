@@ -111,6 +111,8 @@ class ScenarioConfig:
         check_finite(self)
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
+        if self.grid_voltage_v <= 0:
+            raise ValueError(f"grid_voltage_v must be positive, got {self.grid_voltage_v!r}")
         if self.control_interval_s < self.dt_s or self.aging_interval_s < self.dt_s:
             raise ValueError("control and aging intervals must be >= dt_s")
         if not 0.0 <= self.initial_soc <= 1.0:

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evplant.charger import (
     RAMP_DOWN_DELAY_S,
@@ -23,6 +25,35 @@ from evplant.charger import (
     quantize_setpoint,
     ramp_power,
 )
+
+
+CONFIGS = {
+    "shipped": ChargerConfig(),
+    # eta is 0.9 from 2000 W to 3000 W
+    "flat": ChargerConfig(
+        efficiency=PiecewiseLinear([(1000.0, 0.8), (2000.0, 0.9), (3000.0, 0.9), (4000.0, 0.95)])
+    ),
+}
+
+
+def scanned_dc_to_ac(p_dc: float, config: ChargerConfig) -> float:
+    """The reference inverse: a scan of the efficiency segments in order."""
+    if p_dc == 0.0:
+        return 0.0
+    pts = config.efficiency.points
+    if p_dc <= pts[0][0] * pts[0][1]:
+        return p_dc / pts[0][1]
+    if p_dc >= pts[-1][0] * pts[-1][1]:
+        return p_dc / pts[-1][1]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        g0, g1 = x0 * y0, x1 * y1
+        if g0 <= p_dc <= g1:
+            slope = (y1 - y0) / (x1 - x0)
+            if slope == 0.0:
+                return p_dc / y0
+            b = y0 - slope * x0
+            return (-b + math.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
+    raise AssertionError("dc power not bracketed")
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +105,28 @@ class TestCommand:
         up = command_setpoint(state, 4140.0, 0.0)
         assert up.p_at_command == 0.0
         assert up.t_since_command == 0.0
+
+    @pytest.mark.parametrize(
+        "target, at_command, dead_time, settle",
+        [
+            (11040.0, 4140.0, 2.0, RAMP_UP_DURATION_S),  # up
+            (6900.0, 0.0, 2.0, RAMP_UP_DURATION_S),  # up from 0 W through the dead time
+            (6900.0, 0.0, 0.0, RAMP_UP_DURATION_S),  # up from 0 W, no dead time
+            (4140.0, 11040.0, 2.0, RAMP_DOWN_DELAY_S),  # down
+            (0.0, 2761.3, 2.0, RAMP_DOWN_DELAY_S),  # down to off
+            (4140.0, 4140.0, 2.0, 0.0),  # equal
+            (0.0, 0.0, 2.0, 0.0),  # equal, off
+        ],
+    )
+    def test_settle_time_is_the_first_time_at_the_target(self, target, at_command, dead_time, settle):
+        config = ChargerConfig(dead_time_s=dead_time)
+        state = command_setpoint(ChargeControlState(), target, at_command)
+        assert state.t_settle == settle
+        # the ramp is sampled every 1/64 s, and at its settle time exactly
+        grid = sorted({k / 64.0 for k in range(64 * 60 + 1)} | {settle})
+        first = next(t for t in grid if ramp_power(state, t, config) == target)
+        assert first == settle
+        assert all(ramp_power(state, t, config) == target for t in grid if t >= settle)
 
 
 class TestRamp:
@@ -143,11 +196,23 @@ class TestEfficiency:
             assert dc_to_ac(p_dc, three_phase) == pytest.approx(p_ac, rel=1e-9, abs=1e-9)
 
     def test_flat_segment_is_inverted(self):
-        # eta is 0.9 from 2000 W to 3000 W
-        curve = PiecewiseLinear([(1000.0, 0.8), (2000.0, 0.9), (3000.0, 0.9), (4000.0, 0.95)])
-        flat = ChargerConfig(efficiency=curve)
+        flat = CONFIGS["flat"]
         for p_ac in (2200.0, 2500.0, 2900.0):
             assert dc_to_ac(ac_to_dc(p_ac, flat), flat) == pytest.approx(p_ac, rel=1e-12)
+
+    @pytest.mark.parametrize("curve", sorted(CONFIGS))
+    def test_bisected_inverse_equals_the_segment_scan(self, curve):
+        config = CONFIGS[curve]
+        for product in config.dc_anchors:
+            for p_dc in (math.nextafter(product, 0.0), product, math.nextafter(product, math.inf)):
+                assert dc_to_ac(p_dc, config) == scanned_dc_to_ac(p_dc, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve=st.sampled_from(sorted(CONFIGS)), fraction=st.floats(0.0, 1.2, exclude_min=True))
+    def test_bisected_inverse_equals_the_segment_scan_anywhere(self, curve, fraction):
+        config = CONFIGS[curve]
+        p_dc = fraction * config.dc_anchors[-1]
+        assert dc_to_ac(p_dc, config) == scanned_dc_to_ac(p_dc, config)
 
     @pytest.mark.parametrize("convert", [ac_to_dc, dc_to_ac])
     def test_negative_power_rejected(self, three_phase, convert):
@@ -215,6 +280,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as info:
             load_curve(path)
         assert str(info.value) == f"{path} row 1: expected 2 cells, got 3"
+
+    @pytest.mark.parametrize("volts", [0.0, -230.0, math.nan, math.inf])
+    def test_grid_voltage_must_be_positive(self, volts):
+        with pytest.raises(ValueError, match="^grid_voltage must be a positive finite number, got "):
+            ChargerConfig(grid_voltage=volts)
 
     def test_dead_time_bounds(self):
         with pytest.raises(ValueError, match="dead time"):

@@ -10,6 +10,7 @@ import evplant.cli
 from evplant.cli import main, resolve_strategy
 from evplant.engine import strategy_max_power, strategy_off
 from evplant.params import PARAM_NAMES, default_data_dir
+from evplant.scenario import load_config
 
 PROFILE = """t_s,kind,value_w,ambient_c,charger_mode
 0,plugged,11040,20,
@@ -254,6 +255,18 @@ def test_non_finite_dt_is_reported(scenario_files, tmp_path, capsys):
     config, profile = scenario_files
     assert _simulate(config, profile, tmp_path / "o", "--dt", "nan") == 2
     assert capsys.readouterr().err == "error: dt_s must be a finite number, got nan\n"
+
+
+@pytest.mark.parametrize("volts", ["0", "-230"])
+def test_non_positive_grid_voltage_is_reported(scenario_files, tmp_path, capsys, volts):
+    # 0 V made every three-phase set-point 0 W; -230 V failed at step 4 without naming it
+    config, profile = scenario_files
+    config.write_text(config.read_text() + f"grid_voltage_v = {volts}\n")
+    with pytest.raises(ValueError, match=f"^grid_voltage_v must be positive, got {float(volts)!r}$"):
+        load_config(config)
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: grid_voltage_v must be positive, got {float(volts)!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 # a constant strategy whose watts are not a number names the spec

@@ -339,6 +339,70 @@ class TestRunScenario:
         assert calls["operating_point"] == calls["step_ecm"] == calls["step_thermal"] == 2400
         assert calls["gate_current"] == kinds.count("drive") + kinds.count("plugged") == 2100
 
+    def test_charger_path_runs_only_while_the_ramp_moves(self, monkeypatch):
+        # commands at 0 s (up from 0 W), 300 s (down), 600 s (off) and 900 s (up again)
+        targets = ((300.0, 11040.0), (600.0, 4140.0), (900.0, 0.0), (math.inf, 6900.0))
+
+        def stepped(obs: StrategyObservation) -> float:
+            return next(w for t_end, w in targets if obs.t_s < t_end)
+
+        traced = ("command_setpoint", "ramp_power", "ac_to_dc", "gate_current")
+        original = {name: getattr(evplant.engine, name) for name in traced}
+        states, ramp_ts, converted, gated = [], [], [], []
+
+        def command_setpoint(*args):
+            states.append(original["command_setpoint"](*args))
+            return states[-1]
+
+        def ramp_power(state, t, config):
+            assert t < state.t_settle
+            ramp_ts.append(t)
+            return original["ramp_power"](state, t, config)
+
+        def ac_to_dc(p_ac, config):
+            converted.append(p_ac)
+            return original["ac_to_dc"](p_ac, config)
+
+        def gate_current(*args):
+            gated.append(args)
+            return original["gate_current"](*args)
+
+        for fn in (command_setpoint, ramp_power, ac_to_dc, gate_current):
+            monkeypatch.setattr(evplant.engine, fn.__name__, fn)
+        config = ScenarioConfig(initial_soc=0.3, initial_temp_c=20.0)
+        traj = run_scenario(config, charge_profile(duration=1200.0), stepped)
+        assert traj.n_rows == 1200 and len(gated) == 1200
+        assert [s.t_settle for s in states] == [52.0, 4.0, 4.0, 52.0]
+        # dt = 1 s: each command's ramp moves for t_settle steps after it
+        moving = [*range(52), *range(4), *range(4), *range(52)]
+        assert ramp_ts == [float(t) for t in moving]
+        # one conversion at plug-in, one per command and one per moving step
+        assert len(converted) == 1 + len(states) + len(ramp_ts)
+        assert traj.p_ac[1150] == pytest.approx(6900.0, rel=1e-3)
+
+    def test_charger_mode_change_while_plugged_starts_a_new_session(self):
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.PLUGGED, 11040.0, 20.0, ChargerMode.THREE_PHASE),
+                ProfileRecord(100.0, SegmentKind.PLUGGED, 2900.0, 20.0, ChargerMode.ONE_PHASE),
+                ProfileRecord(300.0, SegmentKind.IDLE, 0.0, 20.0, None),
+            ]
+        )
+        seen = []
+        default = evplant.engine.make_profile_strategy(profile)
+
+        def spy(obs: StrategyObservation) -> float:
+            seen.append((obs.t_s, obs.ac_power_w, obs.setpoints_w[-1]))
+            return default(obs)
+
+        config = ScenarioConfig(initial_soc=0.4, initial_temp_c=20.0, control_interval_s=60.0)
+        traj = run_scenario(config, profile, spy)
+        assert traj.p_ac[99] == pytest.approx(11040.0, rel=1e-3)
+        # the one-phase session polls at once, from 0 W, and ramps up again
+        assert (100.0, 0.0, 2900.0) in seen
+        assert np.all(traj.p_ac[100:300] <= 2900.0 * 1.001)
+        assert traj.p_ac[100] == 0.0 and traj.p_ac[299] == pytest.approx(2900.0, rel=1e-3)
+
     @pytest.mark.parametrize("initial_soc", [0.85, 0.5])
     def test_cell_voltage_converges_as_dt_shrinks(self, initial_soc):
         v_end = {}
