@@ -39,7 +39,8 @@ class CalendarCoeffGrid:
 
     alpha_c: ParamGrid
     alpha_r: ParamGrid
-    _lookup: GridLookup = field(init=False, repr=False)
+    # rates(soc, temp): (alpha_c, alpha_r) at one storage point
+    rates: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for grid in (self.alpha_c, self.alpha_r):
@@ -49,11 +50,7 @@ class CalendarCoeffGrid:
         diffs = np.diff(self.alpha_c.values, axis=1)
         if np.any(diffs <= 0):
             raise ValueError("calendar_alpha_c: rate must increase with temperature")
-        self._lookup = GridLookup("calendar rates", (self.alpha_c, self.alpha_r))
-
-    def rates(self, soc: float, temp: float) -> tuple[float, float]:
-        """(alpha_c, alpha_r) at one storage point; equal to each grid's ``interpolate``."""
-        return self._lookup(soc, temp)
+        self.rates = GridLookup("calendar rates", (self.alpha_c, self.alpha_r))
 
 
 @dataclass(eq=False)
@@ -62,7 +59,8 @@ class CycleCoeffGrid:
 
     beta_c: ParamGrid
     beta_r: ParamGrid
-    _lookup: GridLookup = field(init=False, repr=False)
+    # rates(depth, mean_soc): (beta_c, beta_r) of one half cycle
+    rates: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for grid in (self.beta_c, self.beta_r):
@@ -70,11 +68,7 @@ class CycleCoeffGrid:
                 raise ValueError(f"{grid.name}: cycle rates must be >= 0")
         if np.any(np.diff(self.beta_c.values, axis=0) < 0):
             raise ValueError("cycle_beta_c: rate must not decrease with cycle depth")
-        self._lookup = GridLookup("cycle rates", (self.beta_c, self.beta_r))
-
-    def rates(self, depth: float, mean_soc: float) -> tuple[float, float]:
-        """(beta_c, beta_r) of one half cycle; equal to each grid's ``interpolate``."""
-        return self._lookup(depth, mean_soc)
+        self.rates = GridLookup("cycle rates", (self.beta_c, self.beta_r))
 
 
 def _load_fraction_grid(path: Path, name: str) -> ParamGrid:

@@ -62,8 +62,10 @@ class GateResult(NamedTuple):
 
 
 # Bound once: an enum member lookup and a NamedTuple build each cost more
-# than the gate's comparisons, and the trip results never change.
+# than the gate's comparisons, and the trip results never change. The pass
+# result is built from a tuple, without the NamedTuple's Python-level __new__.
 GATE_OK = GateReason.OK
+_new_tuple = tuple.__new__
 _TEMPERATURE_FAULT = GateResult(0.0, GateReason.TEMPERATURE_FAULT)
 _SOC_HIGH = GateResult(0.0, GateReason.SOC_HIGH)
 _VOLTAGE_HIGH = GateResult(0.0, GateReason.VOLTAGE_HIGH)
@@ -97,7 +99,7 @@ def gate_current(
         clamped = limits.max_current_a if requested_current > 0 else -limits.max_current_a
         return GateResult(clamped, GateReason.CURRENT_LIMITED)
 
-    return GateResult(requested_current, GATE_OK)
+    return _new_tuple(GateResult, (requested_current, GATE_OK))
 
 
 def usable_capacity(limits: BmsLimits, params: CellParameterSet, aging: AgingState) -> float:

@@ -100,6 +100,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     base = Path(args.manifest).parent
     entries = []
     for _, cells in read_csv_rows(args.manifest, "manifest", "config,profile,out,strategy"):

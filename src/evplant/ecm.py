@@ -14,7 +14,7 @@ step that the SOC and voltage they return are finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aging import AgingState
 from .params import CellParameterSet
@@ -22,13 +22,16 @@ from .params import CellParameterSet
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass
-class EcmState:
+class EcmState(NamedTuple):
     """Cell electrical state: SOC plus the two RC overpotentials (V)."""
 
     soc: float
     u1: float = 0.0
     u2: float = 0.0
+
+
+# builds an EcmState from a tuple without the NamedTuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 
 # order of the values in the tuple returned by operating_point: the aged cell
@@ -81,7 +84,7 @@ def step_ecm(
 
     v_cell = ocv + current * r_ser + u1 + u2
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
-    return EcmState(soc, u1, u2), v_cell, heat, clipped
+    return _new_tuple(EcmState, (soc, u1, u2)), v_cell, heat, clipped
 
 
 def rest_voltage(state: EcmState, params: CellParameterSet, temp: float) -> float:

@@ -176,8 +176,10 @@ def run_scenario(
     n_steps = int(math.floor(profile.duration_s / dt + 1e-9))
     if n_steps <= 0:
         return Trajectory.empty()
-    control_every = max(1, int(round(config.control_interval_s / dt)))
-    aging_every = max(1, int(round(config.aging_interval_s / dt)))
+    # ScenarioConfig holds both intervals to whole multiples of dt
+    control_every = round(config.control_interval_s / dt)
+    aging_every = round(config.aging_interval_s / dt)
+    aging_dt_days = aging_every * dt / SECONDS_PER_DAY
 
     params = load_parameter_set(config.data_dir)
     aging_dir = config.aging_data_dir if config.aging_data_dir is not None else config.data_dir
@@ -198,6 +200,7 @@ def run_scenario(
     }
     setpoints = {mode: achievable_setpoints(cfg) for mode, cfg in charger_cfgs.items()}
     limits = config.bms
+    t_min_c, t_max_c = limits.t_min_c, limits.t_max_c
     if strategy is None:
         strategy = make_profile_strategy(profile)
 
@@ -296,15 +299,7 @@ def run_scenario(
                 p_ac = dc_to_ac(p_dc, ch_cfg)
 
             cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
-            t_pack = step_thermal(
-                t_pack,
-                heat * n_series,
-                ambient,
-                dt,
-                th_params,
-                cooling_active=cooling,
-                charging=plugged,
-            )
+            t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
             # the one finiteness check of the step: a non-finite parameter,
             # current, RC voltage or heat shows in one of these three
             if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
@@ -313,9 +308,7 @@ def run_scenario(
                 )
 
             if (k + 1) % aging_every == 0:
-                calendar_step(
-                    aging, ecm_state.soc, t_pack, aging_every * dt / SECONDS_PER_DAY, cal_coeffs
-                )
+                calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
                 cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
@@ -328,7 +321,7 @@ def run_scenario(
             flags += "|" + reason.value
         if soc_clipped:
             flags += "|soc_clip"
-        if not limits.t_min_c <= t_pack <= limits.t_max_c:
+        if not t_min_c <= t_pack <= t_max_c:
             flags += "|temp_envelope"
 
         rows.append(

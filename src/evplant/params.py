@@ -4,8 +4,10 @@ One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
 Every CSV file of the package is read by :func:`read_csv_rows`. The engine
-looks tables up through a :class:`GridLookup`, which caches the last grid
-cell; :meth:`ParamGrid.interpolate` is the cache-free reference it equals.
+looks tables up through a :class:`GridLookup` (``CellParameterSet.lookup``
+and the aging grids' ``rates`` are such objects), which memoises, per grid,
+the last clamped point, its values and its grid cell;
+:meth:`ParamGrid.interpolate` is the cache-free reference it equals.
 """
 
 from __future__ import annotations
@@ -104,79 +106,50 @@ def _bilinear_cell(
 class _GridGroup:
     """Tables sharing one (SOC, temperature) breakpoint grid, looked up together.
 
-    ``rows`` holds one value matrix per member table. :meth:`values` caches
-    the last query, its values and the cell it fell in, as one tuple: an
-    exact repeat returns the stored values, and a query inside the same cell
-    reuses the cell's corner values and skips the bisect. Steps move SOC and
-    temperature by far less than a cell, so nearly every lookup reuses it.
-    A cell's box is half-open like the bisect (``lo <= x < hi``) and
-    open-ended on the hull's outer sides, where the query is clamped onto
-    the hull. The clamp, weights and term order are those of
-    :meth:`ParamGrid.interpolate`, and the cache is read once and checked
-    against the query before use, so it never changes a result, bit for bit,
-    and the group may be shared between threads and concurrent runs.
+    ``rows`` holds one value matrix per member table, ``hull`` the grid's
+    (s_min, s_max, t_min, t_max). ``memo`` holds the last clamped point, its
+    values and the cell it fell in, as one tuple that :class:`GridLookup`
+    reads once and checks against the clamped query before use: the values
+    and the cell depend on the clamped point alone, so a repeat of it returns
+    the stored values, and a point inside the same cell reuses the cell's
+    corner values and skips the bisect. A cell's box is half-open like the
+    bisect (``lo <= x < hi``) and open-ended on the hull's outer sides, which
+    the clamped point may touch. The group may be shared between threads and
+    concurrent runs.
     """
 
-    __slots__ = ("s_axis", "t_axis", "rows", "_cache")
+    __slots__ = ("s_axis", "t_axis", "rows", "hull", "memo")
 
     def __init__(self, s_axis: tuple[float, ...], t_axis: tuple[float, ...], rows) -> None:
         self.s_axis = s_axis
         self.t_axis = t_axis
         self.rows = tuple(rows)
-        # (soc, temp, values, cell) of the last query; cell as built by _locate
-        self._cache = (math.nan, math.nan, (), self._locate(s_axis[0], t_axis[0]))
+        self.hull = (s_axis[0], s_axis[-1], t_axis[0], t_axis[-1])
+        # (s, t, values, cell) of the last clamped point; cell as built by _locate
+        self.memo = (math.nan, math.nan, (), self._locate(s_axis[0], t_axis[0]))
 
-    def _locate(self, soc: float, temp: float) -> tuple:
-        """The cell holding (soc, temp), as the flat tuple :meth:`values` unpacks.
+    def _locate(self, s: float, t: float) -> tuple:
+        """The cell holding the clamped point (s, t), as the flat tuple the lookup unpacks.
 
-        The unclamped query bisects into the same cell as the clamped one.
-        The fields: the box (s_in, s_out, t_in, t_out); the hull (s_min,
-        s_max, t_min, t_max); the cell origin and width per axis (s_lo, ds,
-        t_lo, dt); and ``corners``, (v00, v10, v01, v11) per member.
+        It bisects into the cell :func:`_bilinear_cell` picks. The fields:
+        the box (s_in, s_out, t_in, t_out); the cell origin and width per
+        axis (s_lo, ds, t_lo, dt); and ``corners``, (v00, v10, v01, v11) per
+        member.
         """
         s_axis, t_axis, inf = self.s_axis, self.t_axis, math.inf
-        i = min(max(bisect_right(s_axis, soc) - 1, 0), len(s_axis) - 2)
-        j = min(max(bisect_right(t_axis, temp) - 1, 0), len(t_axis) - 2)
+        i = min(max(bisect_right(s_axis, s) - 1, 0), len(s_axis) - 2)
+        j = min(max(bisect_right(t_axis, t) - 1, 0), len(t_axis) - 2)
         return (
             -inf if i == 0 else s_axis[i],
             inf if i == len(s_axis) - 2 else s_axis[i + 1],
             -inf if j == 0 else t_axis[j],
             inf if j == len(t_axis) - 2 else t_axis[j + 1],
-            s_axis[0],
-            s_axis[-1],
-            t_axis[0],
-            t_axis[-1],
             s_axis[i],
             s_axis[i + 1] - s_axis[i],
             t_axis[j],
             t_axis[j + 1] - t_axis[j],
             tuple((r[i][j], r[i + 1][j], r[i][j + 1], r[i + 1][j + 1]) for r in self.rows),
         )
-
-    def values(self, soc: float, temp: float) -> tuple[float, ...]:
-        """Each member's bilinear value at (soc, temp), which must not be NaN."""
-        last_soc, last_temp, values, cell = self._cache
-        if last_soc == soc and last_temp == temp:
-            return values
-        if not (cell[0] <= soc < cell[1] and cell[2] <= temp < cell[3]):
-            cell = self._locate(soc, temp)
-        _, _, _, _, s_min, s_max, t_min, t_max, s_lo, ds, t_lo, dt, corners = cell
-        s = soc
-        if s < s_min:
-            s = s_min
-        elif s > s_max:
-            s = s_max
-        t = temp
-        if t < t_min:
-            t = t_min
-        elif t > t_max:
-            t = t_max
-        fs = (s - s_lo) / ds
-        ft = (t - t_lo) / dt
-        w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-        values = tuple([w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11 for v00, v10, v01, v11 in corners])
-        self._cache = (soc, temp, values, cell)
-        return values
 
 
 class GridLookup:
@@ -187,8 +160,9 @@ class GridLookup:
     same breakpoint grid shares one :class:`_GridGroup`, so the clamp,
     bisect and weights are computed once per run, and the groups' values,
     concatenated, are in the order of ``grids``. Each value equals the
-    table's own :meth:`ParamGrid.interpolate`, bit for bit. A NaN coordinate
-    raises ``ValueError`` naming ``label``.
+    table's own :meth:`ParamGrid.interpolate`, bit for bit: the clamp,
+    weights and term order are the same. A NaN coordinate raises
+    ``ValueError`` naming ``label``.
     """
 
     __slots__ = ("label", "groups")
@@ -202,13 +176,27 @@ class GridLookup:
         """Every table's value at (soc, temp), in the order of ``grids``."""
         if soc != soc or temp != temp:  # NaN
             raise ValueError(f"{self.label}: NaN lookup coordinates")
-        groups = self.groups
-        if len(groups) == 1:
-            return groups[0].values(soc, temp)
-        values: tuple[float, ...] = ()
-        for group in groups:
-            values += group.values(soc, temp)
-        return values
+        result: tuple[float, ...] = ()
+        for group in self.groups:
+            s_min, s_max, t_min, t_max = group.hull
+            s = s_min if soc < s_min else s_max if soc > s_max else soc
+            t = t_min if temp < t_min else t_max if temp > t_max else temp
+            last_s, last_t, values, cell = group.memo
+            if last_s != s or last_t != t:
+                if not (cell[0] <= s < cell[1] and cell[2] <= t < cell[3]):
+                    cell = group._locate(s, t)
+                _, _, _, _, s_lo, ds, t_lo, dt, corners = cell
+                fs = (s - s_lo) / ds
+                ft = (t - t_lo) / dt
+                w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
+                # a loop in this frame, not a comprehension with a frame of its own
+                members = []
+                for v00, v10, v01, v11 in corners:
+                    members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
+                values = tuple(members)
+                group.memo = (s, t, values, cell)
+            result += values
+        return result
 
 
 @dataclass(eq=False)
@@ -271,17 +259,14 @@ class CellParameterSet:
     nominal_capacity_ah: float = NOMINAL_CAPACITY_AH
     n_series: int = N_SERIES
 
-    _lookup: GridLookup = field(init=False, repr=False)
+    # lookup(soc, temp): the six unaged parameters at one point, in PARAM_NAMES order
+    lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._lookup = GridLookup("cell parameters", [self.grid(name) for name in PARAM_NAMES])
+        self.lookup = GridLookup("cell parameters", [self.grid(name) for name in PARAM_NAMES])
 
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)
-
-    def lookup(self, soc: float, temp: float) -> tuple[float, float, float, float, float, float]:
-        """The six unaged parameters at one operating point, in :data:`PARAM_NAMES` order."""
-        return self._lookup(soc, temp)
 
 
 def load_grid(path: Path, name: str) -> ParamGrid:

@@ -9,7 +9,7 @@ closes out whatever remains at the end of a series.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class HalfCycle(NamedTuple):
@@ -27,23 +27,26 @@ class RainflowCounter:
         self._last: float | None = None
         self._direction = 0  # +1 rising, -1 falling, 0 undecided
 
-    def feed(self, x: float) -> list[HalfCycle]:
-        """Ingest one sample; return any half cycles closed by it."""
+    def feed(self, x: float) -> Sequence[HalfCycle]:
+        """Ingest one sample; return any half cycles closed by it.
+
+        Most samples close none and get the shared empty tuple.
+        """
         if self._last is None:
             self._last = x
             self._stack.append(x)  # series start counts as a reversal
-            return []
+            return ()
         if x == self._last:
-            return []
+            return ()
 
         direction = 1 if x > self._last else -1
         if self._direction == 0:
             self._direction = direction
             self._last = x
-            return []
+            return ()
         if direction == self._direction:
             self._last = x
-            return []
+            return ()
 
         # direction flipped: the previous sample was a reversal point
         self._stack.append(self._last)

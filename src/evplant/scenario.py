@@ -24,6 +24,9 @@ MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejecte
 
 PROFILE_HEADER = "t_s,kind,value_w,ambient_c,charger_mode"
 
+# relative slack on an interval's count of steps: 2.1 s / 0.7 s is 3.0000000000000004
+_WHOLE_STEPS_REL_TOL = 1e-9
+
 
 class SegmentKind(Enum):
     DRIVE = "drive"
@@ -115,6 +118,14 @@ class ScenarioConfig:
             raise ValueError(f"grid_voltage_v must be positive, got {self.grid_voltage_v!r}")
         if self.control_interval_s < self.dt_s or self.aging_interval_s < self.dt_s:
             raise ValueError("control and aging intervals must be >= dt_s")
+        # the engine polls and ages every whole number of steps
+        for name in ("control_interval_s", "aging_interval_s"):
+            interval = getattr(self, name)
+            steps = interval / self.dt_s
+            if abs(steps - round(steps)) > _WHOLE_STEPS_REL_TOL * steps:
+                raise ValueError(
+                    f"{name} must be a whole multiple of dt_s ({float(self.dt_s)!r}), got {float(interval)!r}"
+                )
         if not 0.0 <= self.initial_soc <= 1.0:
             raise ValueError("initial_soc must be in [0, 1]")
 

@@ -126,6 +126,10 @@ def test_batch_sequential_and_parallel(scenario_files, tmp_path, capsys):
     rc = main(["batch", "--manifest", str(manifest), "--jobs", "2"])
     assert rc == 0
     assert capsys.readouterr().out.count("done") >= 2
+    # fewer than one job used to run the manifest serially without a word
+    for jobs in ("0", "-3"):
+        assert main(["batch", "--manifest", str(manifest), "--jobs", jobs]) == 2
+        assert capsys.readouterr() == ("", f"error: --jobs must be at least 1, got {jobs}\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -251,10 +255,19 @@ def test_non_finite_profile_cell_is_reported(scenario_files, tmp_path, capsys, t
     assert capsys.readouterr().err == f"error: {profile} row {row}: {message}\n"
 
 
-def test_non_finite_dt_is_reported(scenario_files, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "dt, message",
+    [
+        pytest.param("nan", "dt_s must be a finite number, got nan", id="nan"),
+        # 10 s / 0.3 s is no whole number of steps; the strategy was polled every 9.9 s
+        pytest.param("0.3", "control_interval_s must be a whole multiple of dt_s (0.3), got 10.0", id="0.3"),
+    ],
+)
+def test_bad_dt_is_reported(scenario_files, tmp_path, capsys, dt, message):
     config, profile = scenario_files
-    assert _simulate(config, profile, tmp_path / "o", "--dt", "nan") == 2
-    assert capsys.readouterr().err == "error: dt_s must be a finite number, got nan\n"
+    assert _simulate(config, profile, tmp_path / "o", "--dt", dt) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("volts", ["0", "-230"])

@@ -7,6 +7,7 @@ import hashlib
 import math
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from evplant.engine import (
     strategy_max_power,
     strategy_off,
 )
-from evplant.params import PARAM_NAMES, CellParameterSet, ParamGrid
+from evplant.params import PARAM_NAMES, GridLookup, ParamGrid
 from evplant.scenario import (
     ProfileRecord,
     ScenarioConfig,
@@ -297,18 +298,19 @@ class TestRunScenario:
 
     def test_plugged_step_looks_up_parameters_once(self, monkeypatch):
         grids, points = [], []
-        interpolate, lookup = ParamGrid.interpolate, CellParameterSet.lookup
+        interpolate, lookup = ParamGrid.interpolate, GridLookup.__call__
 
         def counting_interpolate(grid, soc, temp):
             grids.append(grid.name)
             return interpolate(grid, soc, temp)
 
-        def counting_lookup(pset, soc, temp):
-            points.append((soc, temp))
-            return lookup(pset, soc, temp)
+        def counting_lookup(grid_lookup, soc, temp):
+            if grid_lookup.label == "cell parameters":
+                points.append((soc, temp))
+            return lookup(grid_lookup, soc, temp)
 
         monkeypatch.setattr(ParamGrid, "interpolate", counting_interpolate)
-        monkeypatch.setattr(CellParameterSet, "lookup", counting_lookup)
+        monkeypatch.setattr(GridLookup, "__call__", counting_lookup)
         config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
         traj = run_scenario(config, charge_profile(duration=300.0))
         assert traj.n_rows == 300 and traj.p_ac.max() > 0
@@ -338,6 +340,29 @@ class TestRunScenario:
         assert traj.n_rows == 2400
         assert calls["operating_point"] == calls["step_ecm"] == calls["step_thermal"] == 2400
         assert calls["gate_current"] == kinds.count("drive") + kinds.count("plugged") == 2100
+
+    def test_step_stays_within_its_python_call_budget(self):
+        # Python-level calls per step of a day of drives, charging and idle,
+        # with aging and rainflow on every step: one frame per layer makes
+        # 10.3 on CPython 3.11. Run set-up is not counted: counting starts
+        # at the first operating point.
+        config = ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.0, initial_soc=0.7)
+        first_step = evplant.engine.operating_point.__code__
+        counted = [0, False]
+
+        def count(frame, event, arg):
+            if event == "call":
+                counted[1] = counted[1] or frame.f_code is first_step
+                counted[0] += counted[1]
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            traj = run_scenario(config, aging_day_profile())
+        finally:
+            sys.setprofile(previous)
+        assert traj.n_rows == 1440
+        assert counted[0] / traj.n_rows <= 11.0
 
     def test_charger_path_runs_only_while_the_ramp_moves(self, monkeypatch):
         # commands at 0 s (up from 0 W), 300 s (down), 600 s (off) and 900 s (up again)

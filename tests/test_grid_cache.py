@@ -1,19 +1,23 @@
-"""The cached cell of a grid group never changes a lookup result.
+"""The memo and the cached cell of a grid group never change a lookup result.
 
 A random walk with jumps of (soc, temp) runs through fused lookups, calendar
 rates and cycle rates (at depth soc and mean SOC temp / 100), and every
-result is compared with ``==`` to the cache-free ``ParamGrid.interpolate``.
-The points include exact breakpoints, points outside the grid hull, exact
-repeats and tables with 2-point axes. A ``GridLookup`` over any order of
-tables on different grids returns their values in that order.
+result is compared bit for bit to the cache-free ``ParamGrid.interpolate``.
+The points include exact breakpoints, exact repeats, tables with 2-point
+axes, moves out of the grid hull on each side, and moves beyond every hull
+that change the query but not its clamped point, which the memo is keyed
+on. A ``GridLookup`` over any order of tables on different grids returns
+their values in that order.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from evplant.aging import CalendarCoeffGrid, CycleCoeffGrid, load_calendar_coeffs, load_cycle_coeffs
 from evplant.params import (
@@ -66,6 +70,17 @@ TEMP_NODES = sorted(
 )
 SOCS = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(SOC_NODES))
 TEMPS = st.one_of(st.floats(-40.0, 70.0), st.sampled_from(TEMP_NODES))
+# how far a move beyond every grid's hull lands from the outermost breakpoint
+BEYOND = st.floats(0.0, 50.0, exclude_min=True)
+
+
+def _bits(values) -> bytes:
+    """The float64 bit patterns of ``values``, so ``-0.0`` and ``0.0`` differ."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _clamp(x: float, lo: float, hi: float) -> float:
+    return min(max(x, lo), hi)
 
 
 class CachedLookups(RuleBasedStateMachine):
@@ -107,25 +122,51 @@ class CachedLookups(RuleBasedStateMachine):
     def repeat(self):
         pass
 
+    @rule(below=st.booleans(), beyond=BEYOND)
+    def leave_hull_on_soc(self, below, beyond):
+        self.soc = SOC_NODES[0] - beyond if below else SOC_NODES[-1] + beyond
+
+    @rule(below=st.booleans(), beyond=BEYOND)
+    def leave_hull_on_temp(self, below, beyond):
+        self.temp = TEMP_NODES[0] - beyond if below else TEMP_NODES[-1] + beyond
+
+    # Beyond every hull on an axis, a new raw coordinate on the same side
+    # clamps to the same point: the memo must hit, and still be right.
+    @precondition(lambda self: not SOC_NODES[0] <= self.soc <= SOC_NODES[-1])
+    @rule(beyond=BEYOND)
+    def slide_soc_beyond_the_hull(self, beyond):
+        self.soc = SOC_NODES[0] - beyond if self.soc < SOC_NODES[0] else SOC_NODES[-1] + beyond
+
+    @precondition(lambda self: not TEMP_NODES[0] <= self.temp <= TEMP_NODES[-1])
+    @rule(beyond=BEYOND)
+    def slide_temp_beyond_the_hull(self, beyond):
+        self.temp = TEMP_NODES[0] - beyond if self.temp < TEMP_NODES[0] else TEMP_NODES[-1] + beyond
+
     @invariant()
     def equals_interpolate_in_the_bisected_cell(self):
         soc, temp = self.soc, self.temp
         for pset in self.psets:
             expected = tuple(pset.grid(n).interpolate(soc, temp) for n in PARAM_NAMES)
-            assert pset.lookup(soc, temp) == expected, (soc, temp)
+            assert _bits(pset.lookup(soc, temp)) == _bits(expected), (soc, temp)
         for cal in self.cals:
             expected = (cal.alpha_c.interpolate(soc, temp), cal.alpha_r.interpolate(soc, temp))
-            assert cal.rates(soc, temp) == expected, (soc, temp)
+            assert _bits(cal.rates(soc, temp)) == _bits(expected), (soc, temp)
         mean = temp / 100.0
         for cyc in self.cycles:
             expected = (cyc.beta_c.interpolate(soc, mean), cyc.beta_r.interpolate(soc, mean))
-            assert cyc.rates(soc, mean) == expected, (soc, mean)
-        # On a cell's upper edge both neighbours give the same value, so only
-        # the cached cell shows whether the box is half-open like the bisect.
-        queried = [(owner, temp) for owner in self.psets + self.cals] + [(cyc, mean) for cyc in self.cycles]
-        for owner, t in queried:
-            for group in owner._lookup.groups:
-                s_in, s_out, t_in, t_out = group._cache[3][:4]
+            assert _bits(cyc.rates(soc, mean)) == _bits(expected), (soc, mean)
+        # The memo holds the clamped point. On a cell's upper edge both
+        # neighbours give the same value, so only the cached cell shows
+        # whether the box is half-open like the bisect.
+        queried = [(owner.lookup, temp) for owner in self.psets]
+        queried += [(owner.rates, temp) for owner in self.cals]
+        queried += [(owner.rates, mean) for owner in self.cycles]
+        for lookup, t in queried:
+            for group in lookup.groups:
+                s_min, s_max, t_min, t_max = group.hull
+                memo_s, memo_t, _, cell = group.memo
+                assert (memo_s, memo_t) == (_clamp(soc, s_min, s_max), _clamp(t, t_min, t_max)), (soc, t)
+                s_in, s_out, t_in, t_out = cell[:4]
                 assert s_in <= soc < s_out and t_in <= t < t_out, (soc, t)
 
 
@@ -149,4 +190,4 @@ def test_lookup_keeps_the_order_of_its_tables(order, n, points):
     assert sum(len(g.rows) for g in lookup.groups) == len(grids)
     assert all(a != b for a, b in zip(axes, axes[1:])), "runs of one grid share a group"
     for soc, temp in points + points[:1]:
-        assert lookup(soc, temp) == tuple(g.interpolate(soc, temp) for g in grids), (soc, temp)
+        assert _bits(lookup(soc, temp)) == _bits([g.interpolate(soc, temp) for g in grids]), (soc, temp)

@@ -176,7 +176,7 @@ class TestFusedLookup:
         assert len(pset.r1.soc_breakpoints) == 11
         assert pset.r1.soc_breakpoints != pset.r2.soc_breakpoints
         # one group per run of tables on one grid: ocv | r_ser | r1 | r2, c1, c2
-        assert [len(group.rows) for group in pset._lookup.groups] == [1, 1, 1, 3]
+        assert [len(group.rows) for group in pset.lookup.groups] == [1, 1, 1, 3]
         for soc in (-0.1, 0.0, 0.05, 0.33, 0.5, 0.97, 1.0, 1.2):
             for temp in (-30.0, -15.0, 0.0, 22.5, 35.0, 60.0):
                 _same_as_interpolate(pset, soc, temp)
@@ -186,9 +186,9 @@ class TestFusedLookup:
             pset.lookup(float("nan"), 25.0)
 
     def test_shipped_tables_share_one_group_per_grid(self, pset, data_dir):
-        assert [len(group.rows) for group in pset._lookup.groups] == [1, 5]
-        for rates in (load_calendar_coeffs(data_dir), load_cycle_coeffs(data_dir)):
-            assert [len(group.rows) for group in rates._lookup.groups] == [2]
+        assert [len(group.rows) for group in pset.lookup.groups] == [1, 5]
+        for coeffs in (load_calendar_coeffs(data_dir), load_cycle_coeffs(data_dir)):
+            assert [len(group.rows) for group in coeffs.rates.groups] == [2]
 
 
 class TestValidation:

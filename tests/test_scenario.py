@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -220,6 +221,27 @@ max_current_a = 80
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
             ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            ({"control_interval_s": 15.0}, "control_interval_s must be a whole multiple of dt_s (10.0), got 15.0"),
+            ({"aging_interval_s": 25.0}, "aging_interval_s must be a whole multiple of dt_s (10.0), got 25.0"),
+        ],
+    )
+    def test_interval_must_be_whole_steps(self, interval, message):
+        # the engine used to round: a 15 s control interval at dt 10 s polled every 20 s
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(dt_s=10.0, **{"control_interval_s": 60.0, "aging_interval_s": 60.0, **interval})
+
+    @pytest.mark.parametrize(
+        "dt, control, aging",
+        [(0.25, 10.0, 60.0), (0.5, 10.0, 60.0), (1.0, 10.0, 60.0), (60.0, 60.0, 60.0), (0.7, 2.1, 4.2)],
+    )
+    def test_intervals_that_are_whole_steps_load(self, dt, control, aging):
+        # 2.1 / 0.7 is 3.0000000000000004 in binary; the relative slack admits it
+        config = ScenarioConfig(dt_s=dt, control_interval_s=control, aging_interval_s=aging)
+        assert (config.control_interval_s, config.aging_interval_s) == (control, aging)
 
     def test_validation(self):
         with pytest.raises(ValueError):
