@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .params import default_data_dir, read_csv_rows
+from .params import default_data_dir, float_cells, read_csv_rows
 
 # ramp dynamics after a new set-point command
 RAMP_UP_DURATION_S = 52.0  # upward target reached after at most this
@@ -68,12 +68,7 @@ def load_curve(path: str | Path) -> PiecewiseLinear:
     n, head = next(rows)
     if len(head) != 2:
         raise ValueError(f"{path} row {n}: expected 2 cells, got {len(head)}")
-    points = []
-    for n, (x, y) in rows:
-        try:
-            points.append((float(x), float(y)))
-        except ValueError as exc:
-            raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
+    points = [float_cells(path, n, cells) for n, cells in rows]
     try:
         return PiecewiseLinear(points)
     except ValueError as exc:

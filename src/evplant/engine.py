@@ -10,7 +10,9 @@ gate; when driving, convert the requested DC power to current against the
 latest pack voltage and gate it.
 Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
-temperature, and accrue aging at its own cadence. Runs are purely
+temperature, and accrue aging at its own cadence. A run covers and ages its
+whole profile: a tail shorter than one step is one last, shorter step, and
+the time since the last aging point is booked at the end. Runs are purely
 deterministic: identical inputs give bit-identical trajectories. A failing
 step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
 for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
@@ -57,7 +59,7 @@ from .charger import (
     ramp_power,
 )
 from .ecm import EcmState, operating_point, rest_voltage, step_ecm, voltage_prediction_coeffs
-from .params import default_data_dir, load_parameter_set, read_csv_rows
+from .params import default_data_dir, float_cells, load_parameter_set, read_csv_rows
 from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind
 from .thermal import ThermalMode, ThermalParams, step_thermal
 
@@ -173,13 +175,19 @@ def run_scenario(
     """Simulate one scenario; see the module docstring for the step order."""
     records = profile.records
     dt = config.dt_s
-    n_steps = int(math.floor(profile.duration_s / dt + 1e-9))
+    steps = profile.duration_s / dt
+    n_whole = int(math.floor(steps + 1e-9))
+    # a tail shorter than one step is simulated as one last, shorter step
+    tail_dt = profile.duration_s - n_whole * dt if steps - n_whole > 1e-9 else 0.0
+    n_steps = n_whole + (tail_dt > 0.0)
     if n_steps <= 0:
         return Trajectory.empty()
     # ScenarioConfig holds both intervals to whole multiples of dt
     control_every = round(config.control_interval_s / dt)
     aging_every = round(config.aging_interval_s / dt)
     aging_dt_days = aging_every * dt / SECONDS_PER_DAY
+    # time from the last aging point to the end of the run, booked after the loop
+    rest_days = ((n_whole % aging_every) * dt + tail_dt) / SECONDS_PER_DAY
 
     params = load_parameter_set(config.data_dir)
     aging_dir = config.aging_data_dir if config.aging_data_dir is not None else config.data_dir
@@ -229,6 +237,10 @@ def run_scenario(
 
     for k in range(n_steps):
         t = t0 + k * dt
+        if k == n_whole:
+            # the tail step: shorter, and no aging point; rest_days books its time
+            dt = tail_dt
+            aging_every = n_steps + 1
         if t >= next_t:
             while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
                 rec_idx += 1
@@ -342,9 +354,15 @@ def run_scenario(
         flags_col.append(flags)
         p_ac_prev = p_ac
 
-    # book the unclosed residual half cycles into the final reported state
+    # book the time since the last aging point and the unclosed residual
+    # half cycles into the final reported state
+    if rest_days:
+        calendar_step(aging, ecm_state.soc, t_pack, rest_days, cal_coeffs)
+        cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
     trajectory = Trajectory.from_rows(rows, flags_col)
+    if tail_dt:
+        trajectory.t_s[-1] = records[-1].t_s
     trajectory.c_norm[-1] = aging.c_norm
     trajectory.r_norm[-1] = aging.r_norm
     trajectory.eqfc[-1] = aging.eqfc
@@ -479,12 +497,8 @@ def read_trajectory(path: str | Path) -> Trajectory:
         else:
             columns = (np.ascontiguousarray(table[name]) for name in FLOAT_COLUMNS)
             return Trajectory(*columns, flags=table["flags"].tolist())
-    rows = []
-    flags = []
+    rows, flags = [], []
     for n, cells in read_csv_rows(path, "trajectory", TRAJECTORY_HEADER):
-        try:
-            rows.append(tuple(map(float, cells[:-1])))
-        except ValueError as exc:
-            raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
+        rows.append(float_cells(path, n, cells[:-1]))
         flags.append(cells[-1])
     return Trajectory.from_rows(rows, flags)

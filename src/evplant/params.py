@@ -3,11 +3,11 @@
 One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
-Every CSV file of the package is read by :func:`read_csv_rows`. The engine
-looks tables up through a :class:`GridLookup` (``CellParameterSet.lookup``
-and the aging grids' ``rates`` are such objects), which memoises, per grid,
-the last clamped point, its values and its grid cell;
-:meth:`ParamGrid.interpolate` is the cache-free reference it equals.
+Every CSV file is read by :func:`read_csv_rows`, and every number of a
+table, curve or trajectory parsed by :func:`float_cells`. The engine looks
+tables up through :class:`GridLookup` objects (``CellParameterSet.lookup``,
+the aging ``rates``), which memoise, per grid, the last clamped point, its
+values and cell; :meth:`ParamGrid.interpolate` is their cache-free reference.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -88,6 +88,16 @@ def read_csv_rows(
         yield n, cells
     if not width:
         raise error(f"{path}: empty file")
+
+
+def float_cells(
+    path: str | Path, n: int, cells: Sequence[str], error: type[ValueError] = ValueError
+) -> list[float]:
+    """Row ``n``'s text cells as floats; a non-number raises ``error`` naming the path and row."""
+    try:
+        return [float(cell) for cell in cells]
+    except ValueError as exc:
+        raise error(f"{path} row {n}: non-numeric cell ({exc})") from None
 
 
 def _bilinear_cell(
@@ -272,16 +282,9 @@ class CellParameterSet:
 def load_grid(path: Path, name: str) -> ParamGrid:
     """One table file: column breakpoints in the header row, SOC in percent in the first column."""
     rows = read_csv_rows(path, "parameter", None, ParameterDataError)
-
-    def numbers(n: int, cells: list[str]) -> list[float]:
-        try:
-            return [float(tok) for tok in cells]
-        except ValueError as exc:
-            raise ParameterDataError(f"{path} row {n}: non-numeric cell ({exc})") from None
-
     n, head = next(rows)
-    temps = tuple(numbers(n, head[1:]))
-    body = [numbers(n, cells) for n, cells in rows]
+    temps = tuple(float_cells(path, n, head[1:], ParameterDataError))
+    body = [float_cells(path, n, cells, ParameterDataError) for n, cells in rows]
     socs = tuple(row[0] / 100.0 for row in body)  # percent -> fraction
     return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
 
@@ -317,28 +320,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _scan_outliers(grid: ParamGrid, report: ValidationReport) -> None:
-    v = grid.values
-    n_s, n_t = v.shape
-    for i in range(n_s):
-        for j in range(n_t):
-            neigh = []
-            if i > 0:
-                neigh.append(v[i - 1, j])
-            if i < n_s - 1:
-                neigh.append(v[i + 1, j])
-            if j > 0:
-                neigh.append(v[i, j - 1])
-            if j < n_t - 1:
-                neigh.append(v[i, j + 1])
-            median = float(np.median(neigh))
-            if median > 0 and v[i, j] / median < _OUTLIER_RATIO:
-                report.notes.append(
-                    f"{grid.name}: value {v[i, j]:g} at (soc={grid.soc_breakpoints[i]:.2f}, "
-                    f"temp={grid.temp_breakpoints[j]:g}C) is far below its neighbors (median {median:g})"
-                )
-
-
 def validate_parameter_set(pset: CellParameterSet) -> ValidationReport:
     """Scan a loaded set for physical consistency.
 
@@ -349,46 +330,43 @@ def validate_parameter_set(pset: CellParameterSet) -> ValidationReport:
     """
     report = ValidationReport()
 
+    def at(grid: ParamGrid, i: int, j: int) -> str:
+        return f"(soc={grid.soc_breakpoints[i]:.2f}, temp={grid.temp_breakpoints[j]:g}C)"
+
     for name in ("r_ser", "r1", "r2", "c1", "c2"):
         grid = pset.grid(name)
-        for i, soc in enumerate(grid.soc_breakpoints):
-            for j, temp in enumerate(grid.temp_breakpoints):
-                if grid.values[i, j] <= 0:
-                    report.errors.append(
-                        f"{name}: non-positive value {grid.values[i, j]:g} at "
-                        f"(soc={soc:.2f}, temp={temp:g}C)"
-                    )
+        v = grid.values
+        report.errors += [
+            f"{name}: non-positive value {v[i, j]:g} at {at(grid, i, j)}" for i, j in np.argwhere(v <= 0)
+        ]
+        # median of each node's two to four grid neighbours; NaN pads the missing ones
+        p = np.pad(v, 1, constant_values=np.nan)
+        median = np.nanmedian([p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]], axis=0)
+        ratio = np.divide(v, median, out=np.full_like(v, np.inf), where=median > 0)
+        report.notes += [
+            f"{grid.name}: value {v[i, j]:g} at {at(grid, i, j)} "
+            f"is far below its neighbors (median {median[i, j]:g})"
+            for i, j in np.argwhere(ratio < _OUTLIER_RATIO)
+        ]
 
     # time-constant ordering, scanned on the r1 grid's nodes
-    for soc in pset.r1.soc_breakpoints:
-        for temp in pset.r1.temp_breakpoints:
-            tau1 = pset.r1.interpolate(soc, temp) * pset.c1.interpolate(soc, temp)
-            tau2 = pset.r2.interpolate(soc, temp) * pset.c2.interpolate(soc, temp)
-            if tau1 >= tau2:
-                report.errors.append(
-                    f"time-constant ordering violated at (soc={soc:.2f}, temp={temp:g}C): "
-                    f"tau1={tau1:g} s >= tau2={tau2:g} s"
-                )
-
-    ocv = pset.ocv
-    for j, temp in enumerate(ocv.temp_breakpoints):
-        col = ocv.values[:, j]
-        for i in range(1, len(col)):
-            if col[i] < col[i - 1] - _OCV_MONOTONE_TOL_V:
-                report.errors.append(
-                    f"ocv: column {temp:g}C decreases by more than 1 mV between "
-                    f"soc={ocv.soc_breakpoints[i - 1]:.2f} and {ocv.soc_breakpoints[i]:.2f}"
-                )
-    out_of_window = (ocv.values < V_CELL_MIN) | (ocv.values > V_CELL_MAX)
-    if np.any(out_of_window):
-        idx = np.argwhere(out_of_window)
-        for i, j in idx:
+    for soc, temp in product(pset.r1.soc_breakpoints, pset.r1.temp_breakpoints):
+        tau1 = pset.r1.interpolate(soc, temp) * pset.c1.interpolate(soc, temp)
+        tau2 = pset.r2.interpolate(soc, temp) * pset.c2.interpolate(soc, temp)
+        if tau1 >= tau2:
             report.errors.append(
-                f"ocv: value {ocv.values[i, j]:g} V outside [{V_CELL_MIN}, {V_CELL_MAX}] at "
-                f"(soc={ocv.soc_breakpoints[i]:.2f}, temp={ocv.temp_breakpoints[j]:g}C)"
+                f"time-constant ordering violated at (soc={soc:.2f}, temp={temp:g}C): "
+                f"tau1={tau1:g} s >= tau2={tau2:g} s"
             )
 
-    for name in ("r_ser", "r1", "r2", "c1", "c2"):
-        _scan_outliers(pset.grid(name), report)
-
+    ocv = pset.ocv
+    # monotonicity as (column, row) pairs, so its findings come column by column
+    report.errors += [
+        f"ocv: column {ocv.temp_breakpoints[j]:g}C decreases by more than 1 mV between "
+        f"soc={ocv.soc_breakpoints[i]:.2f} and {ocv.soc_breakpoints[i + 1]:.2f}"
+        for j, i in np.argwhere((ocv.values[1:] < ocv.values[:-1] - _OCV_MONOTONE_TOL_V).T)
+    ] + [
+        f"ocv: value {ocv.values[i, j]:g} V outside [{V_CELL_MIN}, {V_CELL_MAX}] at {at(ocv, i, j)}"
+        for i, j in np.argwhere((ocv.values < V_CELL_MIN) | (ocv.values > V_CELL_MAX))
+    ]
     return report

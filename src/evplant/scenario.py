@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 
 from .bms import BmsLimits
-from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, ChargerMode
+from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, RAMP_UP_DURATION_S, ChargerMode
 from .params import check_finite, default_data_dir, read_csv_rows
 from .thermal import PACK_HEAT_CAPACITY, ThermalMode
 
@@ -114,8 +114,13 @@ class ScenarioConfig:
         check_finite(self)
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
-        if self.grid_voltage_v <= 0:
-            raise ValueError(f"grid_voltage_v must be positive, got {self.grid_voltage_v!r}")
+        for name in ("grid_voltage_v", "c_pack_j_per_k"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0.0 <= self.dead_time_s < RAMP_UP_DURATION_S:
+            raise ValueError(
+                f"dead_time_s must lie in [0, {RAMP_UP_DURATION_S:g}) s, got {self.dead_time_s!r}"
+            )
         if self.control_interval_s < self.dt_s or self.aging_interval_s < self.dt_s:
             raise ValueError("control and aging intervals must be >= dt_s")
         # the engine polls and ages every whole number of steps
@@ -142,7 +147,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     Relative paths are resolved against the config file's directory. Unknown
     keys are rejected so typos do not silently fall back to defaults, and
-    numbers must be finite; errors name the file, the line and the key.
+    numbers must be finite; errors name the file (and the line and key of a bad line).
     """
     path = Path(path)
     if not path.is_file():
@@ -187,6 +192,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         except ValueError as exc:
             raise ValueError(f"{path} line {idx}: {exc}") from None
 
-    if bms_over:
-        kwargs["bms"] = BmsLimits(**bms_over)
-    return ScenarioConfig(**kwargs)
+    try:
+        if bms_over:
+            kwargs["bms"] = BmsLimits(**bms_over)
+        return ScenarioConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

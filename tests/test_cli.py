@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 
 import pytest
@@ -275,10 +276,31 @@ def test_non_positive_grid_voltage_is_reported(scenario_files, tmp_path, capsys,
     # 0 V made every three-phase set-point 0 W; -230 V failed at step 4 without naming it
     config, profile = scenario_files
     config.write_text(config.read_text() + f"grid_voltage_v = {volts}\n")
-    with pytest.raises(ValueError, match=f"^grid_voltage_v must be positive, got {float(volts)!r}$"):
+    message = f"{config}: grid_voltage_v must be positive, got {float(volts)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(config)
     assert _simulate(config, profile, tmp_path / "o") == 2
-    assert capsys.readouterr().err == f"error: grid_voltage_v must be positive, got {float(volts)!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # the first two failed only when the run started, naming neither key nor file
+        ("c_pack_j_per_k = 0", "c_pack_j_per_k must be positive, got 0.0"),
+        ("dead_time_s = 60", "dead_time_s must lie in [0, 52) s, got 60.0"),
+        ("initial_soc = 2", "initial_soc must be in [0, 1]"),
+        ("soc_min = 0.96", "soc_min must not exceed soc_max"),
+    ],
+)
+def test_bad_config_number_names_the_file(scenario_files, tmp_path, capsys, lines, message):
+    config, profile = scenario_files
+    config.write_text(config.read_text() + lines + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {message}')}$"):
+        load_config(config)
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -290,6 +290,51 @@ class TestRunScenario:
         distinct = np.unique(traj.c_norm).size
         assert distinct == 600 // 60 + 1  # one fresh value plus one per minute
 
+    @pytest.mark.parametrize("duration, dt", [(60.0, 1.0), (90.0, 1.0), (119.0, 1.0), (120.0, 1.0), (100.0, 60.0)])
+    def test_storage_run_books_aging_to_its_end(self, cal_coeffs, duration, dt):
+        # at SOC 1.0 and 40 degC an idle pack holds still, so the booked fade is
+        # rate x time; the steps after the last 60 s aging point went unbooked
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.IDLE, 0.0, 40.0),
+                ProfileRecord(duration, SegmentKind.IDLE, 0.0, 40.0),
+            ]
+        )
+        config = ScenarioConfig(dt_s=dt, control_interval_s=60.0, initial_soc=1.0, initial_temp_c=40.0)
+        traj = run_scenario(config, profile)
+        alpha_c, alpha_r = cal_coeffs.rates(1.0, 40.0)
+        assert traj.t_s[-1] == duration
+        assert 1.0 - traj.c_norm[-1] == pytest.approx(alpha_c * duration / 86400.0, rel=1e-9)
+        assert traj.r_norm[-1] - 1.0 == pytest.approx(alpha_r * duration / 86400.0, rel=1e-9)
+
+    def test_last_partial_interval_reaches_the_cycle_counter(self):
+        # the SOC at the 60 s aging point and at the end of a 119 s drive make
+        # one half cycle; the counter used to see the first sample only
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.DRIVE, -10000.0, 20.0),
+                ProfileRecord(119.0, SegmentKind.IDLE, 0.0, 20.0),
+            ]
+        )
+        traj = run_scenario(ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0), profile)
+        assert traj.eqfc[-1] == pytest.approx(0.5 * (traj.soc[59] - traj.soc[-1]), rel=1e-12)
+        assert traj.eqfc[-1] > 0.0
+
+    def test_tail_shorter_than_one_step_is_simulated(self):
+        # 100 s at dt = 60 s: a 60 s step, then a 40 s one; the tail used to be dropped
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.DRIVE, -10000.0, 20.0),
+                ProfileRecord(100.0, SegmentKind.IDLE, 0.0, 20.0),
+            ]
+        )
+        config = ScenarioConfig(dt_s=60.0, control_interval_s=60.0, initial_soc=0.5, initial_temp_c=20.0)
+        traj = run_scenario(config, profile)
+        assert traj.t_s.tolist() == [60.0, 100.0]
+        # the tail moves the SOC by its current for 40 s
+        drops = 0.5 - traj.soc[0], traj.soc[0] - traj.soc[1]
+        assert drops[1] / drops[0] == pytest.approx(40.0 * traj.i_dc[1] / (60.0 * traj.i_dc[0]), rel=1e-6)
+
     def test_strategy_off_draws_nothing(self):
         config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
         traj = run_scenario(config, charge_profile(duration=120.0), strategy_off)
@@ -488,9 +533,14 @@ class TestFailureContract:
         except ValueError:
             return
         try:
-            run_scenario(ScenarioConfig(initial_soc=initial_soc), profile)
+            traj = run_scenario(ScenarioConfig(initial_soc=initial_soc), profile)
         except RuntimeError as exc:
             assert re.match(r"(plant step|strategy) failed at step \d+ \(t=", str(exc))
+        else:
+            # a run that completes covers its whole profile, to within the
+            # 1e-9 step slack of a profile that is whole steps
+            end = profile.records[-1].t_s
+            assert traj.t_s[-1] == pytest.approx(end, abs=1e-9) if traj.n_rows else profile.duration_s <= 1e-9
 
     @pytest.mark.parametrize("table", ["r1", "ocv"])
     def test_zero_table_fails_at_the_first_step(self, data_dir, tmp_path, table):

@@ -20,6 +20,7 @@ from evplant.params import (
     CellParameterSet,
     ParamGrid,
     ParameterDataError,
+    ValidationReport,
     load_parameter_set,
     validate_parameter_set,
 )
@@ -260,3 +261,115 @@ class TestValidation:
         tau2 = pset.r2.interpolate(0.5, 25.0) * pset.c2.interpolate(0.5, 25.0)
         assert tau1 == pytest.approx(0.01357, abs=1e-5)
         assert tau2 == pytest.approx(15.37, abs=5e-3)
+
+
+# The cell-by-cell scan that validate_parameter_set replaced, kept as the oracle.
+
+
+def _scan_outliers(grid: ParamGrid, report: ValidationReport) -> None:
+    v = grid.values
+    n_s, n_t = v.shape
+    for i in range(n_s):
+        for j in range(n_t):
+            neigh = []
+            if i > 0:
+                neigh.append(v[i - 1, j])
+            if i < n_s - 1:
+                neigh.append(v[i + 1, j])
+            if j > 0:
+                neigh.append(v[i, j - 1])
+            if j < n_t - 1:
+                neigh.append(v[i, j + 1])
+            median = float(np.median(neigh))
+            if median > 0 and v[i, j] / median < 0.1:
+                report.notes.append(
+                    f"{grid.name}: value {v[i, j]:g} at (soc={grid.soc_breakpoints[i]:.2f}, "
+                    f"temp={grid.temp_breakpoints[j]:g}C) is far below its neighbors (median {median:g})"
+                )
+
+
+def _validate_cell_by_cell(pset: CellParameterSet) -> ValidationReport:
+    report = ValidationReport()
+
+    for name in ("r_ser", "r1", "r2", "c1", "c2"):
+        grid = pset.grid(name)
+        for i, soc in enumerate(grid.soc_breakpoints):
+            for j, temp in enumerate(grid.temp_breakpoints):
+                if grid.values[i, j] <= 0:
+                    report.errors.append(
+                        f"{name}: non-positive value {grid.values[i, j]:g} at "
+                        f"(soc={soc:.2f}, temp={temp:g}C)"
+                    )
+
+    for soc in pset.r1.soc_breakpoints:
+        for temp in pset.r1.temp_breakpoints:
+            tau1 = pset.r1.interpolate(soc, temp) * pset.c1.interpolate(soc, temp)
+            tau2 = pset.r2.interpolate(soc, temp) * pset.c2.interpolate(soc, temp)
+            if tau1 >= tau2:
+                report.errors.append(
+                    f"time-constant ordering violated at (soc={soc:.2f}, temp={temp:g}C): "
+                    f"tau1={tau1:g} s >= tau2={tau2:g} s"
+                )
+
+    ocv = pset.ocv
+    for j, temp in enumerate(ocv.temp_breakpoints):
+        col = ocv.values[:, j]
+        for i in range(1, len(col)):
+            if col[i] < col[i - 1] - 1e-3:
+                report.errors.append(
+                    f"ocv: column {temp:g}C decreases by more than 1 mV between "
+                    f"soc={ocv.soc_breakpoints[i - 1]:.2f} and {ocv.soc_breakpoints[i]:.2f}"
+                )
+    out_of_window = (ocv.values < V_CELL_MIN) | (ocv.values > V_CELL_MAX)
+    if np.any(out_of_window):
+        idx = np.argwhere(out_of_window)
+        for i, j in idx:
+            report.errors.append(
+                f"ocv: value {ocv.values[i, j]:g} V outside [{V_CELL_MIN}, {V_CELL_MAX}] at "
+                f"(soc={ocv.soc_breakpoints[i]:.2f}, temp={ocv.temp_breakpoints[j]:g}C)"
+            )
+
+    for name in ("r_ser", "r1", "r2", "c1", "c2"):
+        _scan_outliers(pset.grid(name), report)
+
+    return report
+
+
+PERTURBATIONS = ("zero", "sign_flip", "dip_100x", "ocv_dip", "ocv_outside")
+
+
+def _perturbed(pset: CellParameterSet, seed: int) -> CellParameterSet:
+    """The set with one to four seeded perturbations, any cell edge or interior alike."""
+    rng = np.random.default_rng(seed)
+    values = {name: pset.grid(name).values.copy() for name in PARAM_NAMES}
+    for kind in rng.choice(PERTURBATIONS, size=rng.integers(1, 5)):
+        name = "ocv" if kind.startswith("ocv") else rng.choice(PARAM_NAMES[1:])
+        v = values[name]
+        i, j = rng.integers(v.shape[0]), rng.integers(v.shape[1])
+        if kind == "zero":
+            v[i, j] = 0.0
+        elif kind == "sign_flip":
+            v[i, j] = -v[i, j]
+        elif kind == "dip_100x":
+            v[i, j] /= 100.0
+        elif kind == "ocv_dip":
+            v[i, j] -= rng.uniform(0.0005, 0.05)
+        else:
+            v[i, j] = rng.choice([rng.uniform(2.5, 3.0), rng.uniform(4.2, 4.5)])
+    grids = {
+        name: ParamGrid(name, pset.grid(name).soc_breakpoints, pset.grid(name).temp_breakpoints, v)
+        for name, v in values.items()
+    }
+    return CellParameterSet(**grids)
+
+
+def test_validation_matches_the_cell_by_cell_scan(pset):
+    findings = {"errors": 0, "notes": 0}
+    for seed in range(-1, 200):
+        bad = pset if seed < 0 else _perturbed(pset, seed)
+        report, oracle = validate_parameter_set(bad), _validate_cell_by_cell(bad)
+        assert (report.errors, report.notes) == (oracle.errors, oracle.notes), seed
+        findings["errors"] += len(oracle.errors)
+        findings["notes"] += len(oracle.notes)
+    # every rule fired, so the comparison covered each of them
+    assert findings["errors"] > 200 and findings["notes"] > 200, findings

@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import fields
+from enum import Enum
+from pathlib import Path
 
 import pytest
 
 from evplant.aging import CALENDAR_FILES, CYCLE_FILES
+from evplant.bms import BmsLimits
 from evplant.charger import ChargerMode
 from evplant.engine import run_scenario
 from evplant.scenario import (
@@ -100,7 +103,53 @@ class TestProfile:
             ScenarioProfile.from_csv(tmp_path / "nope.csv")
 
 
+# a valid value, unlike the default, per config key: one key per field of
+# ScenarioConfig but bms, and one per field of BmsLimits
+CONFIG_VALUES = {
+    "data_dir": "tables",
+    "aging_data_dir": "aging",
+    "thermal_mode": "lab_pack_test",
+    "charger_mode": "one_phase",
+    "grid_voltage_v": "220",
+    "dt_s": "0.5",
+    "control_interval_s": "5",
+    "aging_interval_s": "30",
+    "initial_soc": "0.25",
+    "initial_temp_c": "18.5",
+    "dead_time_s": "1.5",
+    "c_pack_j_per_k": "20000",
+    "ramp_curve": "ramp.csv",
+    "efficiency_curve": "efficiency.csv",
+    "soc_min": "0.05",
+    "soc_max": "0.9",
+    "v_cell_min": "3.1",
+    "v_cell_max": "4.1",
+    "t_min_c": "-20",
+    "t_max_c": "50",
+    "max_current_a": "80",
+}
+BMS_KEYS = [f.name for f in fields(BmsLimits)]
+CONFIG_KEYS = [f.name for f in fields(ScenarioConfig) if f.name != "bms"] + BMS_KEYS
+
+
 class TestConfig:
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_every_field_has_a_key(self, tmp_path, key):
+        # a field added without a parser, or without a value here, fails
+        value = CONFIG_VALUES[key]
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"{key} = {value}\n")
+        config = load_config(path)
+        record, default = (config.bms, BmsLimits()) if key in BMS_KEYS else (config, ScenarioConfig())
+        loaded = getattr(record, key)
+        if isinstance(loaded, Path):
+            expected = (tmp_path / value).resolve()
+        elif isinstance(loaded, Enum):
+            expected = type(loaded)(value)
+        else:
+            expected = float(value)
+        assert loaded == expected != getattr(default, key)
+
     def test_defaults(self):
         config = ScenarioConfig()
         assert config.dt_s == 1.0
