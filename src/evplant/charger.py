@@ -30,6 +30,10 @@ MAX_CURRENT_A = 16
 CURRENT_STEP_A = 1
 ONE_PHASE_SETPOINTS_W = (1800.0, 2900.0)
 
+# packaged curve files in the default data directory
+EFFICIENCY_CURVE_FILE = "efficiency_curve.csv"
+RAMP_CURVE_FILE = "ramp_curve.csv"
+
 
 class ChargerMode(Enum):
     ONE_PHASE = "one_phase"
@@ -45,10 +49,9 @@ class PiecewiseLinear:
         self.points = tuple((float(x), float(y)) for x, y in points)
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in self.points):
             raise ValueError("non-finite anchor point")
-        xs = [p[0] for p in points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        self._xs = tuple(x for x, _ in self.points)
+        if any(b <= a for a, b in zip(self._xs, self._xs[1:])):
             raise ValueError("anchor abscissae must be strictly increasing")
-        self._xs = tuple(xs)
 
     def __call__(self, x: float) -> float:
         pts = self.points
@@ -75,15 +78,21 @@ def load_curve(path: str | Path) -> PiecewiseLinear:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def check_dead_time(dead_time_s: float) -> None:
+    """The reaction dead time must end before the ramp-up does."""
+    if not 0.0 <= dead_time_s < RAMP_UP_DURATION_S:
+        raise ValueError(f"dead_time_s must lie in [0, {RAMP_UP_DURATION_S:g}) s, got {dead_time_s!r}")
+
+
 @dataclass(frozen=True)
 class ChargerConfig:
     mode: ChargerMode = ChargerMode.THREE_PHASE
     grid_voltage: float = DEFAULT_GRID_VOLTAGE_V  # V per phase
     efficiency: PiecewiseLinear = field(
-        default_factory=lambda: load_curve(default_data_dir() / "efficiency_curve.csv")
+        default_factory=lambda: load_curve(default_data_dir() / EFFICIENCY_CURVE_FILE)
     )
     ramp: PiecewiseLinear = field(
-        default_factory=lambda: load_curve(default_data_dir() / "ramp_curve.csv")
+        default_factory=lambda: load_curve(default_data_dir() / RAMP_CURVE_FILE)
     )
     dead_time_s: float = DEFAULT_DEAD_TIME_S
     # all commandable AC powers including 0 (charging off), ascending
@@ -105,8 +114,7 @@ class ChargerConfig:
             raise ValueError(
                 f"ramp curve must start at 0 and reach 1 at {RAMP_UP_DURATION_S} s"
             )
-        if not 0.0 <= self.dead_time_s < RAMP_UP_DURATION_S:
-            raise ValueError("dead time must lie within the ramp-up duration")
+        check_dead_time(self.dead_time_s)
         if self.mode is ChargerMode.ONE_PHASE:
             powers = ONE_PHASE_SETPOINTS_W
         else:
@@ -160,9 +168,7 @@ class ChargeControlState:
             self.t_settle = 0.0
 
 
-def command_setpoint(
-    state: ChargeControlState, new_target_w: float, current_power_w: float
-) -> ChargeControlState:
+def command_setpoint(new_target_w: float, current_power_w: float) -> ChargeControlState:
     """Record a new (already quantized) set-point; the ramp restarts from now."""
     return ChargeControlState(p_target=new_target_w, p_at_command=current_power_w, t_since_command=0.0)
 

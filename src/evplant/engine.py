@@ -46,6 +46,8 @@ from .aging import (
 )
 from .bms import GATE_OK, gate_current
 from .charger import (
+    EFFICIENCY_CURVE_FILE,
+    RAMP_CURVE_FILE,
     ChargeControlState,
     ChargerConfig,
     ChargerMode,
@@ -194,8 +196,8 @@ def run_scenario(
     cal_coeffs = load_calendar_coeffs(aging_dir)
     cyc_coeffs = load_cycle_coeffs(aging_dir)
     th_params = ThermalParams.for_mode(config.thermal_mode, c_pack=config.c_pack_j_per_k)
-    ramp_curve = load_curve(config.ramp_curve or default_data_dir() / "ramp_curve.csv")
-    eff_curve = load_curve(config.efficiency_curve or default_data_dir() / "efficiency_curve.csv")
+    ramp_curve = load_curve(config.ramp_curve or default_data_dir() / RAMP_CURVE_FILE)
+    eff_curve = load_curve(config.efficiency_curve or default_data_dir() / EFFICIENCY_CURVE_FILE)
     charger_cfgs = {
         mode: ChargerConfig(
             mode=mode,
@@ -206,7 +208,6 @@ def run_scenario(
         )
         for mode in ChargerMode
     }
-    setpoints = {mode: achievable_setpoints(cfg) for mode, cfg in charger_cfgs.items()}
     limits = config.bms
     t_min_c, t_max_c = limits.t_min_c, limits.t_max_c
     if strategy is None:
@@ -256,7 +257,7 @@ def run_scenario(
             ambient = rec.ambient_c
             mode = rec_mode
             ch_cfg = charger_cfgs[mode]
-            ch_setpoints = setpoints[mode]
+            ch_setpoints = achievable_setpoints(ch_cfg)
         reason = GATE_OK
         i_dc = 0.0
         p_ac = 0.0
@@ -267,8 +268,7 @@ def run_scenario(
                     if session_start:
                         session_start = False
                         ctrl = ChargeControlState()
-                        p_ac_prev = 0.0
-                        p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
+                        p_ac_prev = p_dc_settled = 0.0
                     obs = StrategyObservation(
                         t_s=t,
                         soc=ecm_state.soc,
@@ -284,7 +284,7 @@ def run_scenario(
                             f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
                         ) from exc
                     if target != ctrl.p_target:
-                        ctrl = command_setpoint(ctrl, target, p_ac_prev)
+                        ctrl = command_setpoint(target, p_ac_prev)
                         p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
                 if ctrl.t_since_command < ctrl.t_settle:
                     p_dc_avail = ac_to_dc(ramp_power(ctrl, ctrl.t_since_command, ch_cfg), ch_cfg)

@@ -4,10 +4,11 @@ One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
 Every CSV file is read by :func:`read_csv_rows`, and every number of a
-table, curve or trajectory parsed by :func:`float_cells`. The engine looks
-tables up through :class:`GridLookup` objects (``CellParameterSet.lookup``,
-the aging ``rates``), which memoise, per grid, the last clamped point, its
-values and cell; :meth:`ParamGrid.interpolate` is their cache-free reference.
+profile, table, curve or trajectory parsed by :func:`float_cells`. The
+engine looks tables up through :class:`GridLookup` objects
+(``CellParameterSet.lookup``, the aging ``rates``), which memoise, per grid,
+the last clamped point, its values and cell; :meth:`ParamGrid.interpolate`
+is their cache-free reference.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ lasts until the next record's timestamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .bms import BmsLimits
-from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, RAMP_UP_DURATION_S, ChargerMode
-from .params import check_finite, default_data_dir, read_csv_rows
+from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, ChargerMode, check_dead_time
+from .params import check_finite, default_data_dir, float_cells, read_csv_rows
 from .thermal import PACK_HEAT_CAPACITY, ThermalMode
 
 MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejected
@@ -75,16 +76,11 @@ class ScenarioProfile:
         records = []
         for n, cells in read_csv_rows(path, "profile", PROFILE_HEADER):
             t_s, kind, value_w, ambient_c, mode = (c.strip() for c in cells)
+            # an empty value_w means 0 W
+            t, value, ambient = float_cells(path, n, (t_s, value_w or "0", ambient_c))
             try:
-                records.append(
-                    ProfileRecord(
-                        float(t_s),
-                        SegmentKind(kind.lower()),
-                        float(value_w) if value_w else 0.0,
-                        float(ambient_c),
-                        ChargerMode(mode.lower()) if mode else None,
-                    )
-                )
+                charger_mode = ChargerMode(mode.lower()) if mode else None
+                records.append(ProfileRecord(t, SegmentKind(kind.lower()), value, ambient, charger_mode))
             except ValueError as exc:
                 raise ValueError(f"{path} row {n}: {exc}") from None
         return cls(records)
@@ -117,10 +113,7 @@ class ScenarioConfig:
         for name in ("grid_voltage_v", "c_pack_j_per_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not 0.0 <= self.dead_time_s < RAMP_UP_DURATION_S:
-            raise ValueError(
-                f"dead_time_s must lie in [0, {RAMP_UP_DURATION_S:g}) s, got {self.dead_time_s!r}"
-            )
+        check_dead_time(self.dead_time_s)
         if self.control_interval_s < self.dt_s or self.aging_interval_s < self.dt_s:
             raise ValueError("control and aging intervals must be >= dt_s")
         # the engine polls and ages every whole number of steps
@@ -142,6 +135,25 @@ def _finite(key: str, value: str) -> float:
     return number
 
 
+def _parse_value(kind: type, key: str, value: str, base: Path):
+    """A config value of field type ``kind``: a path resolves against ``base``, an enum is lower-cased."""
+    if kind is Path:
+        return (base / value).resolve()
+    if issubclass(kind, Enum):
+        return kind(value.lower())
+    return _finite(key, value)
+
+
+# config key -> (its record, its field type, X for X | None): every field of
+# ScenarioConfig but bms, and every field of BmsLimits
+_CONFIG_KEYS = {
+    name: (record, next(t for t in get_args(hint) or (hint,) if t is not type(None)))
+    for record in (ScenarioConfig, BmsLimits)
+    for name, hint in get_type_hints(record).items()
+    if name != "bms"
+}
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse a ``key = value`` configuration file ('#' starts a comment).
 
@@ -154,8 +166,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ValueError(f"missing config file: {path}")
     base = path.parent
 
-    kwargs: dict = {}
-    bms_over: dict = {}
+    values: dict = {ScenarioConfig: {}, BmsLimits: {}}
     for idx, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,37 +175,17 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ValueError(f"{path} line {idx}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key == "data_dir":
-                kwargs["data_dir"] = (base / value).resolve()
-            elif key == "aging_data_dir":
-                kwargs["aging_data_dir"] = (base / value).resolve()
-            elif key in ("ramp_curve", "efficiency_curve"):
-                kwargs[key] = (base / value).resolve()
-            elif key == "thermal_mode":
-                kwargs["thermal_mode"] = ThermalMode(value.lower())
-            elif key == "charger_mode":
-                kwargs["charger_mode"] = ChargerMode(value.lower())
-            elif key in (
-                "initial_temp_c",
-                "grid_voltage_v",
-                "dt_s",
-                "control_interval_s",
-                "aging_interval_s",
-                "initial_soc",
-                "dead_time_s",
-                "c_pack_j_per_k",
-            ):
-                kwargs[key] = _finite(key, value)
-            elif key in {f.name for f in fields(BmsLimits)}:
-                bms_over[key] = _finite(key, value)
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown key '{key}'")
+            record, kind = _CONFIG_KEYS[key]
+            values[record][key] = _parse_value(kind, key, value, base)
         except ValueError as exc:
             raise ValueError(f"{path} line {idx}: {exc}") from None
 
     try:
-        if bms_over:
-            kwargs["bms"] = BmsLimits(**bms_over)
+        kwargs = values[ScenarioConfig]
+        if values[BmsLimits]:
+            kwargs["bms"] = BmsLimits(**values[BmsLimits])
         return ScenarioConfig(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

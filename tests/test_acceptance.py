@@ -23,7 +23,6 @@ from evplant.aging import (
 )
 from evplant.charger import (
     RAMP_UP_DURATION_S,
-    ChargeControlState,
     ChargerConfig,
     ChargerMode,
     achievable_setpoints,
@@ -197,7 +196,7 @@ def test_criterion_6_ramp_dynamics():
     for _ in range(100):
         start_w = rng.choice([0.0, rng.uniform(0.0, 10000.0)])
         target = start_w + rng.uniform(10.0, 11040.0 - start_w + 10.0)
-        up = command_setpoint(ChargeControlState(), target, start_w)
+        up = command_setpoint(target, start_w)
         assert ramp_power(up, RAMP_UP_DURATION_S, config) == target
         values = [ramp_power(up, t, config) for t in grid]
         diffs = np.diff(values)
@@ -206,7 +205,7 @@ def test_criterion_6_ramp_dynamics():
         max_slope = (target - start_w) * (0.8 / 10.0) * (52.0 / 50.0)
         assert np.all(np.abs(diffs) <= max_slope * 0.1 + 1e-9)
 
-        down = command_setpoint(ChargeControlState(), start_w, target)
+        down = command_setpoint(start_w, target)
         assert ramp_power(down, 4.0, config) == start_w
         assert ramp_power(down, 4.0 - 1e-9, config) == target
     _report(6, "100 random set-point changes: up lands at 52 s, down at 4 s")

@@ -142,3 +142,26 @@ class TestLimitValidation:
         assert any("soc_low" in f for f in traj.flags)
         assert not any("soc_clip" in f for f in traj.flags)
         assert traj.soc.min() > 0.03
+
+    @pytest.mark.parametrize(
+        "kind, value_w, soc, limits",
+        [
+            # a window reaching SOC 1 lets the last charging step overshoot it
+            pytest.param(SegmentKind.PLUGGED, 11040.0, 0.999, BmsLimits(soc_max=1.0), id="plugged"),
+            # a window reaching SOC 0 lets the last drive step undershoot it
+            pytest.param(
+                SegmentKind.DRIVE, -20000.0, 0.002, BmsLimits(soc_min=0.0, v_cell_min=2.5), id="drive"
+            ),
+        ],
+    )
+    def test_a_window_at_the_soc_bound_is_clipped_and_flagged_once(self, kind, value_w, soc, limits):
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(0.0, kind, value_w, 20.0, None),
+                ProfileRecord(600.0, SegmentKind.IDLE, 0.0, 20.0, None),
+            ]
+        )
+        traj = run_scenario(ScenarioConfig(initial_soc=soc, initial_temp_c=20.0, bms=limits), profile)
+        assert sum("soc_clip" in f for f in traj.flags) == 1
+        assert traj.flags.count(f"{kind.value}|soc_clip") == 1
+        assert 0.0 <= traj.soc.min() and traj.soc.max() <= 1.0

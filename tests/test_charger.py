@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from evplant.charger import (
     RAMP_DOWN_DELAY_S,
     RAMP_UP_DURATION_S,
-    ChargeControlState,
     ChargerConfig,
     ChargerMode,
     PiecewiseLinear,
@@ -25,6 +24,7 @@ from evplant.charger import (
     quantize_setpoint,
     ramp_power,
 )
+from evplant.scenario import ScenarioConfig
 
 
 CONFIGS = {
@@ -101,8 +101,7 @@ class TestQuantization:
 
 class TestCommand:
     def test_directions(self):
-        state = ChargeControlState()
-        up = command_setpoint(state, 4140.0, 0.0)
+        up = command_setpoint(4140.0, 0.0)
         assert up.p_at_command == 0.0
         assert up.t_since_command == 0.0
 
@@ -120,7 +119,7 @@ class TestCommand:
     )
     def test_settle_time_is_the_first_time_at_the_target(self, target, at_command, dead_time, settle):
         config = ChargerConfig(dead_time_s=dead_time)
-        state = command_setpoint(ChargeControlState(), target, at_command)
+        state = command_setpoint(target, at_command)
         assert state.t_settle == settle
         # the ramp is sampled every 1/64 s, and at its settle time exactly
         grid = sorted({k / 64.0 for k in range(64 * 60 + 1)} | {settle})
@@ -131,16 +130,16 @@ class TestCommand:
 
 class TestRamp:
     def test_up_reaches_target_at_52s(self, three_phase):
-        state = command_setpoint(ChargeControlState(), 11040.0, 4140.0)
+        state = command_setpoint(11040.0, 4140.0)
         assert ramp_power(state, RAMP_UP_DURATION_S, three_phase) == 11040.0
         assert ramp_power(state, 100.0, three_phase) == 11040.0
 
     def test_up_starts_from_previous_power(self, three_phase):
-        state = command_setpoint(ChargeControlState(), 11040.0, 4140.0)
+        state = command_setpoint(11040.0, 4140.0)
         assert ramp_power(state, 0.0, three_phase) == 4140.0
 
     def test_up_from_zero_has_dead_time_but_still_lands_at_52s(self, three_phase):
-        state = command_setpoint(ChargeControlState(), 6900.0, 0.0)
+        state = command_setpoint(6900.0, 0.0)
         assert ramp_power(state, 0.0, three_phase) == 0.0
         assert ramp_power(state, three_phase.dead_time_s * 0.99, three_phase) == 0.0
         assert ramp_power(state, RAMP_UP_DURATION_S, three_phase) == 6900.0
@@ -152,7 +151,7 @@ class TestRamp:
         for _ in range(50):
             start = rng.uniform(0.0, 9000.0)
             target = start + rng.uniform(100.0, 5000.0)
-            state = command_setpoint(ChargeControlState(), target, start)
+            state = command_setpoint(target, start)
             grid = [k * 0.25 for k in range(int(RAMP_UP_DURATION_S / 0.25) + 1)]
             values = [ramp_power(state, t, three_phase) for t in grid]
             assert values[0] == pytest.approx(start if start > 0 else 0.0)
@@ -164,13 +163,13 @@ class TestRamp:
             assert all(abs(d) <= max_slope * 0.25 + 1e-9 for d in diffs)
 
     def test_down_holds_then_steps(self, three_phase):
-        state = command_setpoint(ChargeControlState(), 4140.0, 11040.0)
+        state = command_setpoint(4140.0, 11040.0)
         assert ramp_power(state, 0.0, three_phase) == 11040.0
         assert ramp_power(state, RAMP_DOWN_DELAY_S - 1e-9, three_phase) == 11040.0
         assert ramp_power(state, RAMP_DOWN_DELAY_S, three_phase) == 4140.0
 
     def test_no_direction_returns_target(self, three_phase):
-        state = command_setpoint(ChargeControlState(), 4140.0, 4140.0)
+        state = command_setpoint(4140.0, 4140.0)
         assert ramp_power(state, 1.0, three_phase) == 4140.0
 
 
@@ -287,5 +286,21 @@ class TestConfigValidation:
             ChargerConfig(grid_voltage=volts)
 
     def test_dead_time_bounds(self):
-        with pytest.raises(ValueError, match="dead time"):
+        with pytest.raises(ValueError, match=r"^dead_time_s must lie in \[0, 52\) s, got 52\.0$"):
             ChargerConfig(dead_time_s=52.0)
+
+    @pytest.mark.parametrize("dead_time", [-1.0, 52.0, 60.0])
+    def test_dead_time_message_is_the_scenario_config_message(self, dead_time):
+        with pytest.raises(ValueError) as charger:
+            ChargerConfig(dead_time_s=dead_time)
+        with pytest.raises(ValueError) as scenario:
+            ScenarioConfig(dead_time_s=dead_time)
+        assert str(charger.value) == str(scenario.value) == f"dead_time_s must lie in [0, 52) s, got {dead_time!r}"
+
+    def test_string_abscissae_are_checked_as_numbers(self):
+        # "10" < "9" as text, 10 > 9 as numbers
+        with pytest.raises(ValueError, match="^anchor abscissae must be strictly increasing$"):
+            PiecewiseLinear([("10", 0), ("9", 1)])
+        curve = PiecewiseLinear([("9", "0"), ("10", "1")])
+        assert curve(9.5) == 0.5
+        assert curve.points == ((9.0, 0.0), (10.0, 1.0))

@@ -256,6 +256,15 @@ def test_non_finite_profile_cell_is_reported(scenario_files, tmp_path, capsys, t
     assert capsys.readouterr().err == f"error: {profile} row {row}: {message}\n"
 
 
+def test_non_numeric_profile_cell_is_reported(scenario_files, tmp_path, capsys):
+    config, profile = scenario_files
+    profile.write_text(PROFILE.replace("600,idle,0,20", "600,idle,0,warm"))
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    message = "non-numeric cell (could not convert string to float: 'warm')"
+    assert capsys.readouterr().err == f"error: {profile} row 3: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "dt, message",
     [

@@ -446,8 +446,8 @@ class TestRunScenario:
         # dt = 1 s: each command's ramp moves for t_settle steps after it
         moving = [*range(52), *range(4), *range(4), *range(52)]
         assert ramp_ts == [float(t) for t in moving]
-        # one conversion at plug-in, one per command and one per moving step
-        assert len(converted) == 1 + len(states) + len(ramp_ts)
+        # one conversion per command and one per moving step
+        assert len(converted) == len(states) + len(ramp_ts)
         assert traj.p_ac[1150] == pytest.approx(6900.0, rel=1e-3)
 
     def test_charger_mode_change_while_plugged_starts_a_new_session(self):

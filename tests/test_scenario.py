@@ -85,6 +85,21 @@ class TestProfile:
             ScenarioProfile.from_csv(path)
         assert str(info.value) == f"{path} row 3: {name} must be a finite number, got {float(value)!r}"
 
+    @pytest.mark.parametrize("name", ["t_s", "value_w", "ambient_c"])
+    def test_non_numeric_cell_names_the_row(self, tmp_path, name):
+        cells = {"t_s": "600", "value_w": "11040", "ambient_c": "20", name: "x"}
+        row = f"{cells['t_s']},plugged,{cells['value_w']},{cells['ambient_c']},three_phase"
+        path = tmp_path / "p.csv"
+        path.write_text(GOOD_PROFILE.replace("600,plugged,11040,20,three_phase", row))
+        with pytest.raises(ValueError) as info:
+            ScenarioProfile.from_csv(path)
+        assert str(info.value) == f"{path} row 3: non-numeric cell (could not convert string to float: 'x')"
+
+    def test_empty_value_is_zero_watts(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(GOOD_PROFILE.replace("4200,idle,0,20,", "4200,idle,,20,"))
+        assert ScenarioProfile.from_csv(path).records[2].value_w == 0.0
+
     @pytest.mark.parametrize(
         "kind, mode, message",
         [
