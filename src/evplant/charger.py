@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .params import default_data_dir, float_cells, read_csv_rows
 
@@ -143,34 +143,31 @@ def quantize_setpoint(requested_w: float, config: ChargerConfig) -> float:
     return setpoints[bisect_right(setpoints, requested_w) - 1]
 
 
-@dataclass
-class ChargeControlState:
-    """Commanded set-point plus what is needed to replay the ramp.
+class ChargeControlState(NamedTuple):
+    """A set-point command: the target and the power the ramp starts from.
 
     The ramp's direction follows from the pair: up when ``p_target`` exceeds
     ``p_at_command``, down when it is below, none when they are equal.
     ``t_settle`` is the time after the command from which :func:`ramp_power`
     returns exactly ``p_target``: the ramp-up duration, the ramp-down delay,
-    or 0 for an equal pair.
+    or 0 for an equal pair. :func:`command_setpoint` is the one place that
+    builds a non-default command; the default is a settled 0 W.
     """
 
     p_target: float = 0.0  # W AC, quantized
     p_at_command: float = 0.0  # W AC when the command was issued
-    t_since_command: float = RAMP_UP_DURATION_S
-    t_settle: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.p_target > self.p_at_command:
-            self.t_settle = RAMP_UP_DURATION_S
-        elif self.p_target < self.p_at_command:
-            self.t_settle = RAMP_DOWN_DELAY_S
-        else:
-            self.t_settle = 0.0
+    t_settle: float = 0.0
 
 
 def command_setpoint(new_target_w: float, current_power_w: float) -> ChargeControlState:
     """Record a new (already quantized) set-point; the ramp restarts from now."""
-    return ChargeControlState(p_target=new_target_w, p_at_command=current_power_w, t_since_command=0.0)
+    if new_target_w > current_power_w:
+        t_settle = RAMP_UP_DURATION_S
+    elif new_target_w < current_power_w:
+        t_settle = RAMP_DOWN_DELAY_S
+    else:
+        t_settle = 0.0
+    return ChargeControlState(new_target_w, current_power_w, t_settle)
 
 
 def ramp_power(state: ChargeControlState, t: float, config: ChargerConfig) -> float:

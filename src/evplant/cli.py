@@ -104,8 +104,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     base = Path(args.manifest).parent
     entries = []
-    for _, cells in read_csv_rows(args.manifest, "manifest", "config,profile,out,strategy"):
+    # each output directory belongs to one row; another row's run would overwrite it
+    row_of_out: dict[Path, int] = {}
+    for n, cells in read_csv_rows(args.manifest, "manifest", "config,profile,out,strategy"):
         config, profile, out, strategy = (c.strip() for c in cells)
+        first = row_of_out.setdefault((base / out).resolve(), n)
+        if first != n:
+            raise ValueError(f"{args.manifest} row {n}: out '{out}' is the output of row {first} too")
         entries.append((str(base / config), str(base / profile), str(base / out), strategy or None))
 
     # a process pool forks all its workers at the first submit, so never

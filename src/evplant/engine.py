@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ SECONDS_PER_DAY = 86400.0
 CV_MARGIN_V_PER_CELL = 1e-4
 
 
-@dataclass(frozen=True)
-class StrategyObservation:
+class StrategyObservation(NamedTuple):
     """What a charge strategy is allowed to see; never plant internals."""
 
     t_s: float
@@ -224,6 +223,7 @@ def run_scenario(
     ev_operation = config.thermal_mode is ThermalMode.EV_OPERATION
 
     ctrl = ChargeControlState()
+    t_cmd = 0.0  # time since the last command
     p_ac_prev = 0.0
     # DC power of the settled set-point, held until the next command
     p_dc_settled = 0.0
@@ -269,13 +269,9 @@ def run_scenario(
                         session_start = False
                         ctrl = ChargeControlState()
                         p_ac_prev = p_dc_settled = 0.0
-                    obs = StrategyObservation(
-                        t_s=t,
-                        soc=ecm_state.soc,
-                        t_pack_c=t_pack,
-                        plugged=True,
-                        ac_power_w=p_ac_prev,
-                        setpoints_w=ch_setpoints,
+                    # built from a tuple, without the NamedTuple's Python-level __new__
+                    obs = tuple.__new__(
+                        StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
                     )
                     try:
                         target = quantize_setpoint(float(strategy(obs)), ch_cfg)
@@ -285,9 +281,10 @@ def run_scenario(
                         ) from exc
                     if target != ctrl.p_target:
                         ctrl = command_setpoint(target, p_ac_prev)
+                        t_cmd = 0.0
                         p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
-                if ctrl.t_since_command < ctrl.t_settle:
-                    p_dc_avail = ac_to_dc(ramp_power(ctrl, ctrl.t_since_command, ch_cfg), ch_cfg)
+                if t_cmd < ctrl.t_settle:
+                    p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
                 else:
                     p_dc_avail = p_dc_settled
                 a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
@@ -299,7 +296,7 @@ def run_scenario(
                     n_series * b_cell,
                 )
                 i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
-                ctrl.t_since_command += dt
+                t_cmd += dt
             elif driving:
                 i_req = rec.value_w / v_pack
                 i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
@@ -375,9 +372,20 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
     The reference is zero-order-hold resampled onto the simulation timestamps;
     samples outside the reference's time span are dropped. Charge and energy
     are the step sums over the simulated trajectory, as in ``summary.txt``.
+    Both need times that increase from row to row; the error names the first
+    row, counted from 1, whose time does not exceed the one before it.
     """
     if sim.n_rows == 0 or reference.n_rows == 0:
         raise ValueError("cannot compute metrics on an empty trajectory")
+    for name, t in (("simulation", sim.t_s), ("reference", reference.t_s)):
+        # a NaN compares false, so it fails here too
+        late = np.flatnonzero(~(t[1:] > t[:-1]))
+        if late.size:
+            k = late[0] + 1
+            raise ValueError(
+                f"{name} trajectory: t_s must increase, but row {k + 1} has "
+                f"t_s = {float(t[k])!r} after {float(t[k - 1])!r}"
+            )
     mask = (sim.t_s >= reference.t_s[0]) & (sim.t_s <= reference.t_s[-1])
     if not np.any(mask):
         raise ValueError("no overlapping samples between simulation and reference")

@@ -158,8 +158,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Parse a ``key = value`` configuration file ('#' starts a comment).
 
     Relative paths are resolved against the config file's directory. Unknown
-    keys are rejected so typos do not silently fall back to defaults, and
-    numbers must be finite; errors name the file (and the line and key of a bad line).
+    keys are rejected so typos do not silently fall back to defaults, a key
+    may be set once, and numbers must be finite; errors name the file (and
+    the line and key of a bad line).
     """
     path = Path(path)
     if not path.is_file():
@@ -167,6 +168,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     base = path.parent
 
     values: dict = {ScenarioConfig: {}, BmsLimits: {}}
+    first_line: dict[str, int] = {}
     for idx, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +179,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         try:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown key '{key}'")
+            if key in first_line:
+                raise ValueError(f"duplicate key '{key}' (first set on line {first_line[key]})")
+            first_line[key] = idx
             record, kind = _CONFIG_KEYS[key]
             values[record][key] = _parse_value(kind, key, value, base)
         except ValueError as exc:

@@ -103,7 +103,8 @@ class TestCommand:
     def test_directions(self):
         up = command_setpoint(4140.0, 0.0)
         assert up.p_at_command == 0.0
-        assert up.t_since_command == 0.0
+        assert up == (4140.0, 0.0, RAMP_UP_DURATION_S)
+        assert command_setpoint(0.0, 4140.0) == (0.0, 4140.0, RAMP_DOWN_DELAY_S)
 
     @pytest.mark.parametrize(
         "target, at_command, dead_time, settle",
@@ -212,6 +213,10 @@ class TestEfficiency:
         config = CONFIGS[curve]
         p_dc = fraction * config.dc_anchors[-1]
         assert dc_to_ac(p_dc, config) == scanned_dc_to_ac(p_dc, config)
+
+    @pytest.mark.parametrize("mode", ["one_phase", "three_phase"])
+    def test_zero_dc_power_needs_no_ac(self, mode, request):
+        assert dc_to_ac(0.0, request.getfixturevalue(mode)) == 0.0
 
     @pytest.mark.parametrize("convert", [ac_to_dc, dc_to_ac])
     def test_negative_power_rejected(self, three_phase, convert):

@@ -112,6 +112,20 @@ def test_metrics_command(scenario_files, tmp_path, capsys):
     assert "rmse_cell_voltage_mv = 0.0" in out
 
 
+def test_metrics_rejects_times_out_of_order(scenario_files, tmp_path, capsys):
+    config, profile = scenario_files
+    main(["simulate", "--config", str(config), "--profile", str(profile), "--out", str(tmp_path / "a")])
+    sim = tmp_path / "a" / "trajectory.csv"
+    lines = sim.read_text().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    ref = tmp_path / "ref.csv"
+    ref.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", "--sim", str(sim), "--ref", str(ref)]) == 2
+    message = "reference trajectory: t_s must increase, but row 3 has t_s = 2.0 after 3.0"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_batch_sequential_and_parallel(scenario_files, tmp_path, capsys):
     config, profile = scenario_files
     manifest = tmp_path / "manifest.csv"
@@ -153,6 +167,21 @@ def test_batch_runs_every_entry_and_reports_failures(scenario_files, tmp_path, c
         f"failed {tmp_path / 'bad'}: unknown strategy 'bogus'",
         f"done {tmp_path / 'good_two'}",
     ]
+
+
+def test_batch_rejects_a_repeated_out_before_any_run(scenario_files, tmp_path, capsys):
+    # the second run used to overwrite the first one's report, and two workers wrote the same files
+    config, profile = scenario_files
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "config,profile,out,strategy\n"
+        f"{config.name},{profile.name},out,\n"
+        f"{config.name},{profile.name},other,\n"
+        f"{config.name},{profile.name},./out,max_power\n"
+    )
+    assert main(["batch", "--manifest", str(manifest), "--jobs", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {manifest} row 4: out './out' is the output of row 2 too\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
 
 
 @pytest.mark.parametrize("n_entries, sizes", [(2, [2]), (1, [])])
@@ -305,11 +334,28 @@ def test_non_positive_grid_voltage_is_reported(scenario_files, tmp_path, capsys,
 )
 def test_bad_config_number_names_the_file(scenario_files, tmp_path, capsys, lines, message):
     config, profile = scenario_files
-    config.write_text(config.read_text() + lines + "\n")
+    # the bad line takes the place of a fixture line that sets the same key
+    key = lines.split("=")[0].strip()
+    kept = [line for line in config.read_text().splitlines() if line.split("=")[0].strip() != key]
+    config.write_text("\n".join(kept + [lines]) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {message}')}$"):
         load_config(config)
     assert _simulate(config, profile, tmp_path / "o") == 2
     assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lines", [("dt_s = 1", "dt_s = 2"), ("soc_min = 0.1", "# lower", "soc_min = 0.2")])
+def test_repeated_config_key_is_rejected(scenario_files, tmp_path, capsys, lines):
+    # the last value used to win without a word: dt_s = 1 then dt_s = 2 ran at 2 s
+    config, profile = scenario_files
+    config.write_text(config.read_text() + "\n".join(lines) + "\n")
+    key = lines[0].split("=")[0].strip()
+    message = f"{config} line {2 + len(lines)}: duplicate key '{key}' (first set on line 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(config)
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "o").exists()
 
 
