@@ -76,7 +76,8 @@ def trajectory_file(draw):
 @st.composite
 def manifest_file(draw):
     name = st.text("abcxyz_.", min_size=1, max_size=6)
-    rows = draw(st.lists(st.lists(name, min_size=4, max_size=4), min_size=1, max_size=4))
+    # a valid manifest gives each row its own output directory
+    rows = draw(st.lists(st.lists(name, min_size=4, max_size=4), min_size=1, max_size=4, unique_by=lambda cells: cells[2]))
     return MANIFEST_HEADER, rows, ()
 
 
