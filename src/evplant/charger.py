@@ -103,6 +103,8 @@ class ChargerConfig:
     dc_segments: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ChargerMode):
+            raise ValueError(f"mode must be a ChargerMode, got {self.mode!r}")
         if not (math.isfinite(self.grid_voltage) and self.grid_voltage > 0.0):
             raise ValueError(f"grid_voltage must be a positive finite number, got {self.grid_voltage!r}")
         etas = [y for _, y in self.efficiency.points]

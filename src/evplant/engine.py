@@ -377,15 +377,8 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
     """
     if sim.n_rows == 0 or reference.n_rows == 0:
         raise ValueError("cannot compute metrics on an empty trajectory")
-    for name, t in (("simulation", sim.t_s), ("reference", reference.t_s)):
-        # a NaN compares false, so it fails here too
-        late = np.flatnonzero(~(t[1:] > t[:-1]))
-        if late.size:
-            k = late[0] + 1
-            raise ValueError(
-                f"{name} trajectory: t_s must increase, but row {k + 1} has "
-                f"t_s = {float(t[k])!r} after {float(t[k - 1])!r}"
-            )
+    _check_increasing(sim.t_s, "simulation trajectory")
+    _check_increasing(reference.t_s, "reference trajectory")
     mask = (sim.t_s >= reference.t_s[0]) & (sim.t_s <= reference.t_s[-1])
     if not np.any(mask):
         raise ValueError("no overlapping samples between simulation and reference")
@@ -402,6 +395,17 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
         energy_kwh=_step_integral(sim.i_dc * sim.v_pack, sim.t_s) / 3.6e6,
         duration_min=(float(sim.t_s[-1]) - float(sim.t_s[0])) / 60.0,
     )
+
+
+def _check_increasing(t: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row, counted from 1, whose time is not after the one before."""
+    # a NaN compares false, so it fails here too
+    late = np.flatnonzero(~(t[1:] > t[:-1]))
+    if late.size:
+        k = late[0] + 1
+        raise ValueError(
+            f"{what}: t_s must increase, but row {k + 1} has t_s = {float(t[k])!r} after {float(t[k - 1])!r}"
+        )
 
 
 def _step_integral(values: np.ndarray, t: np.ndarray) -> float:
@@ -446,7 +450,12 @@ def emit_report(
     metrics: ValidationMetrics | None,
     out_dir: str | Path,
 ) -> list[Path]:
-    """Write ``trajectory.csv`` and ``summary.txt`` into ``out_dir``."""
+    """Write ``trajectory.csv`` and ``summary.txt`` into ``out_dir``.
+
+    The summary's charge and energy are step sums, so the times must increase
+    from row to row; otherwise nothing is written.
+    """
+    _check_increasing(trajectory.t_s, "trajectory")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"

@@ -4,7 +4,8 @@ One comma-separated matrix file per electrical parameter (ocv, r_ser, r1, r2,
 c1, c2): first row holds the temperature breakpoints in deg C, first column the
 SOC breakpoints in percent, the body the values in SI units (V, Ohm, F).
 Every CSV file is read by :func:`read_csv_rows`, and every number of a
-profile, table, curve or trajectory parsed by :func:`float_cells`. The
+profile, table, curve or trajectory parsed by :func:`float_cells`; bad data
+raises a plain ``ValueError`` naming the file and row, or the table. The
 engine looks tables up through :class:`GridLookup` objects
 (``CellParameterSet.lookup``, the aging ``rates``), which memoise, per grid,
 the last clamped point, its values and cell; :meth:`ParamGrid.interpolate`
@@ -40,10 +41,6 @@ _OUTLIER_RATIO = 0.1
 _OCV_MONOTONE_TOL_V = 1e-3
 
 
-class ParameterDataError(ValueError):
-    """A parameter data file is missing or malformed."""
-
-
 def check_finite(record) -> None:
     """Raise ``ValueError`` naming the first NaN or infinite real-number field of a dataclass."""
     for f in fields(record):
@@ -57,9 +54,7 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def read_csv_rows(
-    path: str | Path, what: str, header: str | None, error: type[ValueError] = ValueError
-) -> Iterator[tuple[int, list[str]]]:
+def read_csv_rows(path: str | Path, what: str, header: str | None) -> Iterator[tuple[int, list[str]]]:
     """Rows of a comma-separated file as (line number, cells), read lazily.
 
     Blank lines are skipped, and line numbers count from 1 at the top of the
@@ -67,12 +62,12 @@ def read_csv_rows(
     must equal ``header``, or, when ``header`` is None (tables and curves
     carry numbers there), it is yielded as the first row. Every row must have
     as many cells as the header. A missing or empty file, a wrong header and
-    a row of the wrong width raise ``error`` naming the path (``what`` names
-    the kind of file) and the row. Cells are not stripped.
+    a row of the wrong width raise ``ValueError`` naming the path (``what``
+    names the kind of file) and the row. Cells are not stripped.
     """
     path = Path(path)
     if not path.is_file():
-        raise error(f"missing {what} file: {path}")
+        raise ValueError(f"missing {what} file: {path}")
     width = 0
     for n, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
@@ -82,23 +77,21 @@ def read_csv_rows(
             width = len(cells)
             if header is not None:
                 if line.strip() != header:
-                    raise error(f"{path} row {n}: expected the header '{header}'")
+                    raise ValueError(f"{path} row {n}: expected the header '{header}'")
                 continue
         elif len(cells) != width:
-            raise error(f"{path} row {n}: expected {width} cells, got {len(cells)}")
+            raise ValueError(f"{path} row {n}: expected {width} cells, got {len(cells)}")
         yield n, cells
     if not width:
-        raise error(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
 
 
-def float_cells(
-    path: str | Path, n: int, cells: Sequence[str], error: type[ValueError] = ValueError
-) -> list[float]:
-    """Row ``n``'s text cells as floats; a non-number raises ``error`` naming the path and row."""
+def float_cells(path: str | Path, n: int, cells: Sequence[str]) -> list[float]:
+    """Row ``n``'s text cells as floats; a non-number raises ``ValueError`` naming the path and row."""
     try:
         return [float(cell) for cell in cells]
     except ValueError as exc:
-        raise error(f"{path} row {n}: non-numeric cell ({exc})") from None
+        raise ValueError(f"{path} row {n}: non-numeric cell ({exc})") from None
 
 
 def _bilinear_cell(
@@ -228,21 +221,21 @@ class ParamGrid:
 
     def __post_init__(self) -> None:
         if len(self.soc_breakpoints) < 2 or len(self.temp_breakpoints) < 2:
-            raise ParameterDataError(f"{self.name}: need at least 2x2 breakpoints")
+            raise ValueError(f"{self.name}: need at least 2x2 breakpoints")
         if not all(map(math.isfinite, (*self.soc_breakpoints, *self.temp_breakpoints))):
-            raise ParameterDataError(f"{self.name}: non-finite breakpoint")
+            raise ValueError(f"{self.name}: non-finite breakpoint")
         if any(b <= a for a, b in zip(self.soc_breakpoints, self.soc_breakpoints[1:])):
-            raise ParameterDataError(f"{self.name}: SOC breakpoints not strictly increasing")
+            raise ValueError(f"{self.name}: SOC breakpoints not strictly increasing")
         if any(b <= a for a, b in zip(self.temp_breakpoints, self.temp_breakpoints[1:])):
-            raise ParameterDataError(f"{self.name}: temperature breakpoints not strictly increasing")
+            raise ValueError(f"{self.name}: temperature breakpoints not strictly increasing")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (len(self.soc_breakpoints), len(self.temp_breakpoints)):
-            raise ParameterDataError(
+            raise ValueError(
                 f"{self.name}: value matrix shape {self.values.shape} does not match "
                 f"{len(self.soc_breakpoints)} SOC x {len(self.temp_breakpoints)} temperature breakpoints"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ParameterDataError(f"{self.name}: non-finite value in table")
+            raise ValueError(f"{self.name}: non-finite value in table")
         self.rows = tuple(map(tuple, self.values.tolist()))
 
     def interpolate(self, soc: float, temp: float) -> float:
@@ -282,10 +275,10 @@ class CellParameterSet:
 
 def load_grid(path: Path, name: str) -> ParamGrid:
     """One table file: column breakpoints in the header row, SOC in percent in the first column."""
-    rows = read_csv_rows(path, "parameter", None, ParameterDataError)
+    rows = read_csv_rows(path, "parameter", None)
     n, head = next(rows)
-    temps = tuple(float_cells(path, n, head[1:], ParameterDataError))
-    body = [float_cells(path, n, cells, ParameterDataError) for n, cells in rows]
+    temps = tuple(float_cells(path, n, head[1:]))
+    body = [float_cells(path, n, cells) for n, cells in rows]
     socs = tuple(row[0] / 100.0 for row in body)  # percent -> fraction
     return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
 
@@ -293,7 +286,7 @@ def load_grid(path: Path, name: str) -> ParamGrid:
 def load_parameter_set(directory: str | Path) -> CellParameterSet:
     """Load all six electrical parameter tables from ``directory``.
 
-    Raises :class:`ParameterDataError` naming the file, and the row where
+    Raises ``ValueError`` naming the file, and the row where
     there is one, for any missing file, malformed row, non-numeric cell, or
     non-monotone breakpoint axis. Value-level findings (sign, time-constant
     ordering) are the job of :func:`validate_parameter_set`.

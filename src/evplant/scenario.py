@@ -44,11 +44,11 @@ class ProfileRecord:
     charger_mode: ChargerMode | None = None
 
     def __post_init__(self) -> None:
-        check_finite(self)
         if not isinstance(self.kind, SegmentKind):
             raise ValueError(f"kind must be a SegmentKind, got {self.kind!r}")
         if self.charger_mode is not None and not isinstance(self.charger_mode, ChargerMode):
             raise ValueError(f"charger_mode must be a ChargerMode or None, got {self.charger_mode!r}")
+        check_finite(self)
         if self.kind is SegmentKind.DRIVE and abs(self.value_w) > MOTOR_POWER_LIMIT_W:
             raise ValueError(
                 f"drive power {self.value_w} W at t={self.t_s} exceeds the "
@@ -61,9 +61,12 @@ class ScenarioProfile:
     records: list[ProfileRecord]
 
     def __post_init__(self) -> None:
-        ts = [r.t_s for r in self.records]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("profile timestamps must be strictly increasing")
+        for k in range(1, len(self.records)):
+            t, before = self.records[k].t_s, self.records[k - 1].t_s
+            if t <= before:
+                raise ValueError(
+                    f"profile: t_s must increase, but record {k + 1} has t_s = {t!r} after {before!r}"
+                )
 
     @property
     def duration_s(self) -> float:
@@ -80,9 +83,14 @@ class ScenarioProfile:
             t, value, ambient = float_cells(path, n, (t_s, value_w or "0", ambient_c))
             try:
                 charger_mode = ChargerMode(mode.lower()) if mode else None
-                records.append(ProfileRecord(t, SegmentKind(kind.lower()), value, ambient, charger_mode))
+                record = ProfileRecord(t, SegmentKind(kind.lower()), value, ambient, charger_mode)
             except ValueError as exc:
                 raise ValueError(f"{path} row {n}: {exc}") from None
+            # checked here too, so the error names the file row and not the record
+            if records and t <= records[-1].t_s:
+                before = records[-1].t_s
+                raise ValueError(f"{path}: t_s must increase, but row {n} has t_s = {t!r} after {before!r}")
+            records.append(record)
         return cls(records)
 
 
@@ -107,6 +115,10 @@ class ScenarioConfig:
     efficiency_curve: Path | None = None
 
     def __post_init__(self) -> None:
+        # a record built in code is not converted: a wrong type would fail deep in the run
+        for name, kind in (("thermal_mode", ThermalMode), ("charger_mode", ChargerMode), ("bms", BmsLimits)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         check_finite(self)
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")

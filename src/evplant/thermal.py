@@ -61,6 +61,8 @@ class ThermalParams:
 
     @classmethod
     def for_mode(cls, mode: ThermalMode, c_pack: float = PACK_HEAT_CAPACITY) -> "ThermalParams":
+        if not isinstance(mode, ThermalMode):
+            raise ValueError(f"mode must be a ThermalMode, got {mode!r}")
         ax, ay, az = _ALPHAS[mode]
         return cls(c_pack=c_pack, alpha_x=ax, alpha_y=ay, alpha_z=az)
 

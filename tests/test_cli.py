@@ -285,6 +285,15 @@ def test_non_finite_profile_cell_is_reported(scenario_files, tmp_path, capsys, t
     assert capsys.readouterr().err == f"error: {profile} row {row}: {message}\n"
 
 
+def test_out_of_order_profile_is_reported(scenario_files, tmp_path, capsys):
+    config, profile = scenario_files
+    profile.write_text(PROFILE + "300,idle,0,20,\n")
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    message = "t_s must increase, but row 4 has t_s = 300.0 after 600.0"
+    assert capsys.readouterr().err == f"error: {profile}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_numeric_profile_cell_is_reported(scenario_files, tmp_path, capsys):
     config, profile = scenario_files
     profile.write_text(PROFILE.replace("600,idle,0,20", "600,idle,0,warm"))

@@ -756,7 +756,9 @@ class TestReports:
     @settings(max_examples=40, deadline=None)
     @given(traj=report_trajectory())
     def test_writer_matches_the_row_by_row_writer(self, traj, tmp_path_factory):
-        path = emit_report(traj, None, tmp_path_factory.mktemp("out"))[0]
+        # the writer itself: emit_report refuses the unordered and NaN times drawn here
+        path = tmp_path_factory.mktemp("out") / "trajectory.csv"
+        evplant.engine._write_trajectory(traj, path)
         assert path.read_bytes() == _rowwise_csv(traj)
 
     @pytest.mark.parametrize(
@@ -802,6 +804,17 @@ class TestReports:
         for key in ("charge_ah", "ac_energy_kwh", "eol_status", "rmse_cell_voltage_mv"):
             assert key in text
         assert "eol_status = ok" in text
+
+    def test_report_refuses_times_out_of_order(self, tmp_path):
+        # in this order the step sums would weigh one row by a negative width
+        n = 4
+        traj = Trajectory(*(np.ones(n) for _ in FLOAT_COLUMNS), flags=["plugged"] * n)
+        traj.t_s = np.array([1.0, 3.0, 2.0, 4.0])
+        traj.i_dc = np.full(n, 10.0)
+        message = "trajectory: t_s must increase, but row 3 has t_s = 2.0 after 3.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            emit_report(traj, None, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_one_row_report_has_no_step_width(self, tmp_path):
         # a row's width is the time since the row before it, and the one row has none

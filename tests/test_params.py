@@ -19,7 +19,6 @@ from evplant.params import (
     V_CELL_MIN,
     CellParameterSet,
     ParamGrid,
-    ParameterDataError,
     ValidationReport,
     load_parameter_set,
     validate_parameter_set,
@@ -67,7 +66,7 @@ class TestLoading:
     def test_missing_file_names_parameter(self, data_dir, tmp_path):
         for name in ("ocv", "r1", "r2", "c1", "c2"):
             shutil.copy(data_dir / f"{name}.csv", tmp_path / f"{name}.csv")
-        with pytest.raises(ParameterDataError, match="r_ser"):
+        with pytest.raises(ValueError, match="r_ser"):
             load_parameter_set(tmp_path)
 
     def test_malformed_row_reports_index(self, data_dir, tmp_path):
@@ -76,7 +75,7 @@ class TestLoading:
         lines = (tmp_path / "r1.csv").read_text().splitlines()
         lines[3] = lines[3] + ",1.0"  # extra cell
         (tmp_path / "r1.csv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParameterDataError, match="row 4"):
+        with pytest.raises(ValueError, match="row 4"):
             load_parameter_set(tmp_path)
 
     def test_non_numeric_cell(self, data_dir, tmp_path):
@@ -84,11 +83,11 @@ class TestLoading:
             shutil.copy(data_dir / f"{name}.csv", tmp_path / f"{name}.csv")
         text = (tmp_path / "c2.csv").read_text().replace("4141.5919", "oops")
         (tmp_path / "c2.csv").write_text(text)
-        with pytest.raises(ParameterDataError, match="non-numeric"):
+        with pytest.raises(ValueError, match="non-numeric"):
             load_parameter_set(tmp_path)
 
     def test_non_monotone_breakpoints_rejected(self):
-        with pytest.raises(ParameterDataError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="strictly increasing"):
             ParamGrid("x", (0.0, 0.5, 0.5), (0.0, 10.0), np.ones((3, 2)))
 
     @pytest.mark.parametrize(
@@ -104,7 +103,7 @@ class TestLoading:
         ],
     )
     def test_malformed_grid_rejected(self, socs, temps, values, message):
-        with pytest.raises(ParameterDataError, match=f"^x: {re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^x: {re.escape(message)}"):
             ParamGrid("x", socs, temps, values)
 
 

@@ -9,10 +9,12 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evplant.aging import CALENDAR_FILES, CYCLE_FILES
 from evplant.bms import BmsLimits
-from evplant.charger import ChargerMode
+from evplant.charger import ChargerConfig, ChargerMode
 from evplant.engine import run_scenario
 from evplant.scenario import (
     PROFILE_HEADER,
@@ -22,7 +24,7 @@ from evplant.scenario import (
     SegmentKind,
     load_config,
 )
-from evplant.thermal import ThermalMode
+from evplant.thermal import ThermalMode, ThermalParams
 
 GOOD_PROFILE = """t_s,kind,value_w,ambient_c,charger_mode
 0,drive,-12000,20,
@@ -60,8 +62,23 @@ class TestProfile:
             ProfileRecord(0.0, SegmentKind.IDLE, 0.0, 20.0),
             ProfileRecord(0.0, SegmentKind.IDLE, 0.0, 20.0),
         ]
-        with pytest.raises(ValueError, match="strictly increasing"):
+        message = "profile: t_s must increase, but record 2 has t_s = 0.0 after 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScenarioProfile(records)
+
+    def test_out_of_order_record_is_named(self):
+        records = [ProfileRecord(t, SegmentKind.IDLE, 0.0, 20.0) for t in (0.0, 60.0, 30.0)]
+        with pytest.raises(ValueError) as info:
+            ScenarioProfile(records)
+        assert str(info.value) == "profile: t_s must increase, but record 3 has t_s = 30.0 after 60.0"
+
+    def test_out_of_order_row_names_the_file_row(self, tmp_path):
+        # the row counts the header and the blank line, as every CSV error does
+        path = tmp_path / "p.csv"
+        path.write_text(PROFILE_HEADER + "\n0,idle,0,20,\n\n60,idle,0,20,\n30,idle,0,20,\n")
+        with pytest.raises(ValueError) as info:
+            ScenarioProfile.from_csv(path)
+        assert str(info.value) == f"{path}: t_s must increase, but row 5 has t_s = 30.0 after 60.0"
 
     def test_drive_power_bounded_by_motor_rating(self, tmp_path):
         with pytest.raises(ValueError, match="motor rating"):
@@ -99,19 +116,6 @@ class TestProfile:
         path = tmp_path / "p.csv"
         path.write_text(GOOD_PROFILE.replace("4200,idle,0,20,", "4200,idle,,20,"))
         assert ScenarioProfile.from_csv(path).records[2].value_w == 0.0
-
-    @pytest.mark.parametrize(
-        "kind, mode, message",
-        [
-            ("drive", None, "kind must be a SegmentKind, got 'drive'"),
-            (SegmentKind.PLUGGED, "one_phase", "charger_mode must be a ChargerMode or None, got 'one_phase'"),
-        ],
-    )
-    def test_non_enum_field_is_rejected(self, kind, mode, message):
-        # a record built in code is not converted: a string would fail deep in
-        # the run, as an AttributeError or a KeyError
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ProfileRecord(0.0, kind, -10000.0, 20.0, mode)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing profile"):
@@ -314,3 +318,75 @@ max_current_a = 80
             ScenarioConfig(control_interval_s=0.5)
         with pytest.raises(ValueError):
             ScenarioConfig(initial_soc=1.5)
+
+
+ENUMS = (SegmentKind, ChargerMode, ThermalMode)
+
+# every enum or record field of an input record: (field, type, None allowed, build with a value)
+TYPED_FIELDS = {
+    "ProfileRecord.kind": ("kind", SegmentKind, False, lambda v: ProfileRecord(0.0, v, 0.0, 20.0)),
+    "ProfileRecord.charger_mode": (
+        "charger_mode",
+        ChargerMode,
+        True,
+        lambda v: ProfileRecord(0.0, SegmentKind.PLUGGED, 0.0, 20.0, v),
+    ),
+    "ScenarioConfig.thermal_mode": ("thermal_mode", ThermalMode, False, lambda v: ScenarioConfig(thermal_mode=v)),
+    "ScenarioConfig.charger_mode": ("charger_mode", ChargerMode, False, lambda v: ScenarioConfig(charger_mode=v)),
+    "ScenarioConfig.bms": ("bms", BmsLimits, False, lambda v: ScenarioConfig(bms=v)),
+    "ChargerConfig.mode": ("mode", ChargerMode, False, lambda v: ChargerConfig(mode=v)),
+    "ThermalParams.for_mode": ("mode", ThermalMode, False, ThermalParams.for_mode),
+}
+
+
+def wrong_values(kind: type, none_allowed: bool):
+    """Values a field of type ``kind`` refuses: its members' text, any text, integers, other enums' members."""
+    values = st.text() | st.integers() | st.sampled_from([m for e in ENUMS if e is not kind for m in e])
+    if issubclass(kind, Enum):
+        values |= st.sampled_from([m.value for m in kind])
+    return values if none_allowed else values | st.none()
+
+
+class TestTypedFields:
+    # a record built in code is not converted: a wrong type would fail deep in
+    # the run, as an AttributeError or a KeyError, or, for ChargerConfig's
+    # mode, pick the three-phase set-points
+
+    @pytest.mark.parametrize("case", list(TYPED_FIELDS))
+    @given(data=st.data())
+    def test_wrong_type_is_rejected_by_field_name(self, case, data):
+        name, kind, none_allowed, build = TYPED_FIELDS[case]
+        value = data.draw(wrong_values(kind, none_allowed))
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value).startswith(f"{name} must be a {kind.__name__}")
+
+    @pytest.mark.parametrize("case", list(TYPED_FIELDS))
+    def test_valid_values_build(self, case):
+        _, kind, none_allowed, build = TYPED_FIELDS[case]
+        for value in [*(kind if issubclass(kind, Enum) else [kind()]), *([None] if none_allowed else [])]:
+            build(value)
+
+    @pytest.mark.parametrize(
+        "case, value, message",
+        [
+            ("ProfileRecord.kind", "drive", "kind must be a SegmentKind, got 'drive'"),
+            (
+                "ProfileRecord.charger_mode",
+                "one_phase",
+                "charger_mode must be a ChargerMode or None, got 'one_phase'",
+            ),
+            (
+                "ScenarioConfig.thermal_mode",
+                "lab_pack_test",
+                "thermal_mode must be a ThermalMode, got 'lab_pack_test'",
+            ),
+            ("ScenarioConfig.charger_mode", "one_phase", "charger_mode must be a ChargerMode, got 'one_phase'"),
+            ("ScenarioConfig.bms", None, "bms must be a BmsLimits, got None"),
+            ("ChargerConfig.mode", "one_phase", "mode must be a ChargerMode, got 'one_phase'"),
+            ("ThermalParams.for_mode", "ev_operation", "mode must be a ThermalMode, got 'ev_operation'"),
+        ],
+    )
+    def test_message_names_field_type_and_value(self, case, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TYPED_FIELDS[case][3](value)
