@@ -7,18 +7,20 @@ Every CSV file is read by :func:`read_csv_rows`, and every number of a
 profile, table, curve or trajectory parsed by :func:`float_cells`; bad data
 raises a plain ``ValueError`` naming the file and row, or the table. The
 engine looks tables up through :class:`GridLookup` objects
-(``CellParameterSet.lookup``, the aging ``rates``), which memoise, per grid,
-the last clamped point, its values and cell; :meth:`ParamGrid.interpolate`
-is their cache-free reference.
+(``CellParameterSet.lookup``, the aging ``rates``), which memoise the last
+clamped point, its values and each grid's cell, with the cells merged into
+one where they coincide; :meth:`ParamGrid.interpolate` is their cache-free
+reference.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -42,10 +44,14 @@ _OCV_MONOTONE_TOL_V = 1e-3
 
 
 def check_finite(record) -> None:
-    """Raise ``ValueError`` naming the first NaN or infinite real-number field of a dataclass."""
+    """Raise ``ValueError`` naming the first real-number field of a dataclass that is no finite float.
+
+    That is a NaN, an infinity or a number beyond the float range, such as ``10**400``.
+    """
     for f in fields(record):
         value = getattr(record, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        # False for NaN; compared exactly, so a huge int never converts and overflows
+        if isinstance(value, numbers.Real) and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
@@ -111,34 +117,28 @@ class _GridGroup:
     """Tables sharing one (SOC, temperature) breakpoint grid, looked up together.
 
     ``rows`` holds one value matrix per member table, ``hull`` the grid's
-    (s_min, s_max, t_min, t_max). ``memo`` holds the last clamped point, its
-    values and the cell it fell in, as one tuple that :class:`GridLookup`
-    reads once and checks against the clamped query before use: the values
-    and the cell depend on the clamped point alone, so a repeat of it returns
-    the stored values, and a point inside the same cell reuses the cell's
-    corner values and skips the bisect. A cell's box is half-open like the
-    bisect (``lo <= x < hi``) and open-ended on the hull's outer sides, which
-    the clamped point may touch. The group may be shared between threads and
-    concurrent runs.
+    (s_min, s_max, t_min, t_max). The group holds no state: the cell its
+    last point fell in is kept in the memo of the :class:`GridLookup` that
+    owns it.
     """
 
-    __slots__ = ("s_axis", "t_axis", "rows", "hull", "memo")
+    __slots__ = ("s_axis", "t_axis", "rows", "hull")
 
     def __init__(self, s_axis: tuple[float, ...], t_axis: tuple[float, ...], rows) -> None:
         self.s_axis = s_axis
         self.t_axis = t_axis
         self.rows = tuple(rows)
         self.hull = (s_axis[0], s_axis[-1], t_axis[0], t_axis[-1])
-        # (s, t, values, cell) of the last clamped point; cell as built by _locate
-        self.memo = (math.nan, math.nan, (), self._locate(s_axis[0], t_axis[0]))
 
     def _locate(self, s: float, t: float) -> tuple:
-        """The cell holding the clamped point (s, t), as the flat tuple the lookup unpacks.
+        """The cell holding the clamped point (s, t), as the tuple the lookup unpacks.
 
         It bisects into the cell :func:`_bilinear_cell` picks. The fields:
-        the box (s_in, s_out, t_in, t_out); the cell origin and width per
-        axis (s_lo, ds, t_lo, dt); and ``corners``, (v00, v10, v01, v11) per
-        member.
+        the box (s_in, s_out, t_in, t_out), half-open like the bisect
+        (``lo <= x < hi``) and open-ended on the hull's outer sides, which
+        the clamped point may touch; the geometry, the cell origin and
+        width per axis (s_lo, ds, t_lo, dt); and ``corners``,
+        (v00, v10, v01, v11) per member.
         """
         s_axis, t_axis, inf = self.s_axis, self.t_axis, math.inf
         i = min(max(bisect_right(s_axis, s) - 1, 0), len(s_axis) - 2)
@@ -148,12 +148,13 @@ class _GridGroup:
             inf if i == len(s_axis) - 2 else s_axis[i + 1],
             -inf if j == 0 else t_axis[j],
             inf if j == len(t_axis) - 2 else t_axis[j + 1],
-            s_axis[i],
-            s_axis[i + 1] - s_axis[i],
-            t_axis[j],
-            t_axis[j + 1] - t_axis[j],
+            (s_axis[i], s_axis[i + 1] - s_axis[i], t_axis[j], t_axis[j + 1] - t_axis[j]),
             tuple((r[i][j], r[i + 1][j], r[i][j + 1], r[i + 1][j + 1]) for r in self.rows),
         )
+
+
+# a cell no point lies in: the memo's merged cell when the groups' cells differ
+_NO_CELL = (math.inf, -math.inf, math.inf, -math.inf, (0.0, 1.0, 0.0, 1.0), ())
 
 
 class GridLookup:
@@ -161,46 +162,104 @@ class GridLookup:
 
     ``grids`` are :class:`ParamGrid`-like tables (``soc_breakpoints``,
     ``temp_breakpoints``, ``rows``). Each run of consecutive tables on the
-    same breakpoint grid shares one :class:`_GridGroup`, so the clamp,
-    bisect and weights are computed once per run, and the groups' values,
-    concatenated, are in the order of ``grids``. Each value equals the
-    table's own :meth:`ParamGrid.interpolate`, bit for bit: the clamp,
+    same breakpoint grid shares one :class:`_GridGroup`, and the groups'
+    values, concatenated, are in the order of ``grids``. Each value equals
+    the table's own :meth:`ParamGrid.interpolate`, bit for bit: the clamp,
     weights and term order are the same. A NaN coordinate raises
     ``ValueError`` naming ``label``.
+
+    ``memo`` is one tuple, read once per call and replaced whole, so the
+    lookup may be shared between threads and concurrent runs:
+    ``(s, t, values, merged, cells)``. ``(s, t)`` is the last query clamped
+    onto ``hull``, which clamps a side only where every group's hull ends
+    at the same breakpoint; ``values`` are the tables' values there, and
+    an exact repeat of the clamped point returns them. ``cells`` holds each
+    group's cell as :meth:`_GridGroup._locate` builds it, so a group is
+    bisected again only when its own clamped point leaves its cell.
+
+    ``merged`` is one cell for all groups when every group's clamped point
+    is ``(s, t)`` and every group's cell has the same origin and width:
+    its corners are all of theirs in table order, and a point in
+    its box is served by one clamp and one set of weights. The box is the
+    intersection of their boxes and of ``inner``, the points inside every
+    hull (upper edges included), so a query clamped onto ``hull`` into the
+    box is every group's own clamped point, in that group's cell.
+    Otherwise ``merged`` is a cell with an empty box, and each group is
+    clamped and evaluated on its own.
     """
 
-    __slots__ = ("label", "groups")
+    __slots__ = ("label", "groups", "hull", "inner", "memo")
 
     def __init__(self, label: str, grids: Sequence) -> None:
         self.label = label
         runs = groupby(grids, key=lambda grid: (grid.soc_breakpoints, grid.temp_breakpoints))
         self.groups = tuple(_GridGroup(s, t, (grid.rows for grid in run)) for (s, t), run in runs)
+        inf = math.inf
+        s_mins, s_maxs, t_mins, t_maxs = zip(*(group.hull for group in self.groups))
+        self.hull = tuple(
+            edges[0] if len(set(edges)) == 1 else far
+            for edges, far in zip((s_mins, s_maxs, t_mins, t_maxs), (-inf, inf, -inf, inf))
+        )
+        # half-open like a cell's box, so each upper end is the next float past the hull
+        self.inner = (max(s_mins), math.nextafter(min(s_maxs), inf), max(t_mins), math.nextafter(min(t_maxs), inf))
+        cells = tuple(group._locate(group.s_axis[0], group.t_axis[0]) for group in self.groups)
+        self.memo = (math.nan, math.nan, (), _NO_CELL, cells)
 
     def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
         if soc != soc or temp != temp:  # NaN
             raise ValueError(f"{self.label}: NaN lookup coordinates")
-        result: tuple[float, ...] = ()
-        for group in self.groups:
-            s_min, s_max, t_min, t_max = group.hull
-            s = s_min if soc < s_min else s_max if soc > s_max else soc
-            t = t_min if temp < t_min else t_max if temp > t_max else temp
-            last_s, last_t, values, cell = group.memo
-            if last_s != s or last_t != t:
-                if not (cell[0] <= s < cell[1] and cell[2] <= t < cell[3]):
-                    cell = group._locate(s, t)
-                _, _, _, _, s_lo, ds, t_lo, dt, corners = cell
-                fs = (s - s_lo) / ds
-                ft = (t - t_lo) / dt
+        s_min, s_max, t_min, t_max = self.hull
+        s = s_min if soc < s_min else s_max if soc > s_max else soc
+        t = t_min if temp < t_min else t_max if temp > t_max else temp
+        last_s, last_t, values, merged, cells = self.memo
+        if last_s == s and last_t == t:
+            return values
+        s_in, s_out, t_in, t_out, geometry, corners = merged
+        # loops in this frame, not comprehensions with frames of their own
+        members = []
+        if s_in <= s < s_out and t_in <= t < t_out:
+            s_lo, ds, t_lo, dt = geometry
+            fs = (s - s_lo) / ds
+            ft = (t - t_lo) / dt
+            w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
+            for v00, v10, v01, v11 in corners:
+                members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
+        else:
+            # group by group; merge while every group sits on (s, t) in a cell of one geometry
+            located = []
+            same = True
+            for group, cell in zip(self.groups, cells):
+                g_s_min, g_s_max, g_t_min, g_t_max = group.hull
+                g_s = g_s_min if s < g_s_min else g_s_max if s > g_s_max else s
+                g_t = g_t_min if t < g_t_min else g_t_max if t > g_t_max else t
+                if not (cell[0] <= g_s < cell[1] and cell[2] <= g_t < cell[3]):
+                    cell = group._locate(g_s, g_t)
+                located.append(cell)
+                _, _, _, _, geometry, corners = cell
+                same = same and g_s == s and g_t == t and geometry == located[0][4]
+                s_lo, ds, t_lo, dt = geometry
+                fs = (g_s - s_lo) / ds
+                ft = (g_t - t_lo) / dt
                 w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-                # a loop in this frame, not a comprehension with a frame of its own
-                members = []
                 for v00, v10, v01, v11 in corners:
                     members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
-                values = tuple(members)
-                group.memo = (s, t, values, cell)
-            result += values
-        return result
+            cells = tuple(located)
+            merged = _NO_CELL
+            if same:
+                s_in, s_out, t_in, t_out = self.inner
+                s_ins, s_outs, t_ins, t_outs, _, corner_runs = zip(*cells)
+                merged = (
+                    max(s_in, *s_ins),
+                    min(s_out, *s_outs),
+                    max(t_in, *t_ins),
+                    min(t_out, *t_outs),
+                    geometry,
+                    tuple(chain.from_iterable(corner_runs)),
+                )
+        values = tuple(members)
+        self.memo = (s, t, values, merged, cells)
+        return values
 
 
 @dataclass(eq=False)

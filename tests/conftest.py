@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
-from evplant.params import default_data_dir, load_parameter_set
+from evplant.params import PARAM_NAMES, default_data_dir, load_parameter_set
 
 TESTS_DIR = Path(__file__).parent
 
@@ -28,3 +29,14 @@ def cal_coeffs(data_dir):
 @pytest.fixture(scope="session")
 def cyc_coeffs(data_dir):
     return load_cycle_coeffs(data_dir)
+
+
+@pytest.fixture(scope="session")
+def r1_halved_dir(data_dir, tmp_path_factory) -> Path:
+    """The shipped electrical tables, but r1 keeps every other SOC row, so it no longer shares the R/C grid."""
+    directory = tmp_path_factory.mktemp("r1_halved")
+    for name in PARAM_NAMES:
+        shutil.copy(data_dir / f"{name}.csv", directory / f"{name}.csv")
+    lines = (directory / "r1.csv").read_text().splitlines()
+    (directory / "r1.csv").write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+    return directory

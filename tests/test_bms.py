@@ -116,7 +116,10 @@ class TestUsableCapacity:
 
 
 class TestLimitValidation:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # a huge int is beyond the float range: it must not overflow in the check
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge_int"), pytest.param(-(10**400), id="-huge_int")]
+    )
     @pytest.mark.parametrize("name", [f.name for f in fields(BmsLimits)])
     def test_non_finite_limit_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):

@@ -33,7 +33,7 @@ from evplant.engine import (
     strategy_max_power,
     strategy_off,
 )
-from evplant.params import PARAM_NAMES, GridLookup, ParamGrid
+from evplant.params import PARAM_NAMES, GridLookup, ParamGrid, _GridGroup, default_data_dir
 from evplant.scenario import (
     ProfileRecord,
     ScenarioConfig,
@@ -608,13 +608,57 @@ PINNED = {
         aging_day_profile(),
         "4bdd4dc0d675d3459ec600d3ce3bf0f74f899b8667955e8a7f14880257bccc73",
     ),
+    # the mixed run on the r1_halved_dir tables, whose r1 cells never coincide
+    # with the other tables' cells: every lookup takes the per-group path
+    "r1_halved": (
+        ScenarioConfig(initial_soc=0.4, initial_temp_c=22.0, aging_data_dir=default_data_dir()),
+        mixed_profile(),
+        "a3d216edb5e34c5ac27d0948803dd5ff3fa66b32f6f8bea3eb8c00b2c3569ebb",
+    ),
+    # a drive from a -20 degC pack, below the OCV grid's -5 degC edge, which
+    # the R/C grid reaches past: per group until the pack warms past -5 degC
+    "cold_drive": (
+        ScenarioConfig(initial_soc=0.8, initial_temp_c=-20.0),
+        ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.DRIVE, -15000.0, -20.0, None),
+                ProfileRecord(1200.0, SegmentKind.IDLE, 0.0, -20.0, None),
+            ]
+        ),
+        "56a827ae6f8d65b2565ad84f17764c4bbb338303f772bc390198271401457686",
+    ),
 }
+
+# Bisecting relocations (_GridGroup._locate calls) per pinned run, the one
+# per grid group made when the run builds its lookups included. A group is
+# bisected only when its clamped point leaves its cell, so a memo that lets
+# a group's cell go stale shows here as more relocations.
+RELOCATIONS = {"aging_day": 56, "cold_drive": 27, "cold_plugged": 9, "mixed": 23, "r1_halved": 40}
+
+
+def run_pinned(name: str, r1_halved_dir: Path) -> Trajectory:
+    config, profile, _ = PINNED[name]
+    if name == "r1_halved":
+        config = dataclasses.replace(config, data_dir=r1_halved_dir)
+    return run_scenario(config, profile)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_trajectory_matches_pinned_digest(name):
-    config, profile, digest = PINNED[name]
-    assert trajectory_digest(run_scenario(config, profile)) == digest
+def test_trajectory_matches_pinned_digest(name, r1_halved_dir):
+    assert trajectory_digest(run_pinned(name, r1_halved_dir)) == PINNED[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, monkeypatch):
+    locate, calls = _GridGroup._locate, []
+
+    def counting_locate(group, s, t):
+        calls.append((s, t))
+        return locate(group, s, t)
+
+    monkeypatch.setattr(_GridGroup, "_locate", counting_locate)
+    run_pinned(name, r1_halved_dir)
+    assert len(calls) == RELOCATIONS[name]
 
 
 class TestMetrics:

@@ -166,13 +166,8 @@ class TestFusedLookup:
         temp = data.draw(_axis_points(pset, "temp_breakpoints", -40.0, 70.0))
         _same_as_interpolate(pset, soc, temp)
 
-    def test_tables_on_different_grids(self, data_dir, tmp_path):
-        for name in PARAM_NAMES:
-            shutil.copy(data_dir / f"{name}.csv", tmp_path / f"{name}.csv")
-        # keep every other SOC row of r1, so it no longer shares the R/C grid
-        lines = (tmp_path / "r1.csv").read_text().splitlines()
-        (tmp_path / "r1.csv").write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
-        pset = load_parameter_set(tmp_path)
+    def test_tables_on_different_grids(self, r1_halved_dir):
+        pset = load_parameter_set(r1_halved_dir)
         assert len(pset.r1.soc_breakpoints) == 11
         assert pset.r1.soc_breakpoints != pset.r2.soc_breakpoints
         # one group per run of tables on one grid: ocv | r_ser | r1 | r2, c1, c2

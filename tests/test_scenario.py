@@ -102,6 +102,14 @@ class TestProfile:
             ScenarioProfile.from_csv(path)
         assert str(info.value) == f"{path} row 3: {name} must be a finite number, got {float(value)!r}"
 
+    # a file cell parses to a float; only a record built in code can hold an int beyond the float range
+    @pytest.mark.parametrize("value", [pytest.param(10**400, id="huge_int"), pytest.param(-(10**400), id="-huge_int")])
+    @pytest.mark.parametrize("name", ["t_s", "value_w", "ambient_c"])
+    def test_huge_int_in_a_record_built_in_code_names_the_field(self, name, value):
+        numbers = {"t_s": 0.0, "value_w": 0.0, "ambient_c": 20.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
+            ProfileRecord(numbers["t_s"], SegmentKind.IDLE, numbers["value_w"], numbers["ambient_c"])
+
     @pytest.mark.parametrize("name", ["t_s", "value_w", "ambient_c"])
     def test_non_numeric_cell_names_the_row(self, tmp_path, name):
         cells = {"t_s": "600", "value_w": "11040", "ambient_c": "20", name: "x"}
@@ -284,7 +292,10 @@ max_current_a = 80
             load_config(path)
         assert str(info.value) == f"{path} line 3: expected 'key = value'"
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # a huge int is beyond the float range: it must not overflow in the check
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge_int"), pytest.param(-(10**400), id="-huge_int")]
+    )
     @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if "float" in f.type])
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):

@@ -122,7 +122,10 @@ def test_invalid_params_rejected():
         ThermalParams(c_pack=-1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# a huge int is beyond the float range: it must not overflow in the check
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge_int"), pytest.param(-(10**400), id="-huge_int")]
+)
 @pytest.mark.parametrize("name", [f.name for f in fields(ThermalParams)])
 def test_non_finite_params_rejected(name, value):
     # a NaN passes a "<= 0" check and would only fail at the first step
