@@ -7,10 +7,11 @@ Every CSV file is read by :func:`read_csv_rows`, and every number of a
 profile, table, curve or trajectory parsed by :func:`float_cells`; bad data
 raises a plain ``ValueError`` naming the file and row, or the table. The
 engine looks tables up through :class:`GridLookup` objects
-(``CellParameterSet.lookup``, the aging ``rates``), which memoise the last
-clamped point, its values and each grid's cell, with the cells merged into
-one where they coincide; :meth:`ParamGrid.interpolate` is their cache-free
-reference.
+(``CellParameterSet.lookup``, the aging ``rates``). Each reads its tables on
+the union of their breakpoints: one union cell per point, one set of
+weights per run of tables whose cells share a geometry, and a memo of the
+last clamped point, its values and its cell. :meth:`ParamGrid.interpolate`
+is their cache-free reference.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import chain, groupby, product
+from itertools import groupby, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -113,153 +114,132 @@ def _bilinear_cell(
     return i, j, (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
 
 
-class _GridGroup:
-    """Tables sharing one (SOC, temperature) breakpoint grid, looked up together.
+def _cell_of(axis: tuple[float, ...], lo: float, hi: float) -> tuple[int, float, float]:
+    """Where the union cell ``[lo, hi]`` lies on a table ``axis``: (index, origin, width).
 
-    ``rows`` holds one value matrix per member table, ``hull`` the grid's
-    (s_min, s_max, t_min, t_max). The group holds no state: the cell its
-    last point fell in is kept in the memo of the :class:`GridLookup` that
-    owns it.
+    It lies in one cell of the axis, since every breakpoint of the axis is a
+    union breakpoint, or past a hull edge, where every point clamps onto
+    the edge: there the axis is fixed, and the edge cell comes with the
+    constant weight of its upper corner (0.0 past the lower edge, 1.0 past
+    the upper) as the origin, and width 0.0.
     """
-
-    __slots__ = ("s_axis", "t_axis", "rows", "hull")
-
-    def __init__(self, s_axis: tuple[float, ...], t_axis: tuple[float, ...], rows) -> None:
-        self.s_axis = s_axis
-        self.t_axis = t_axis
-        self.rows = tuple(rows)
-        self.hull = (s_axis[0], s_axis[-1], t_axis[0], t_axis[-1])
-
-    def _locate(self, s: float, t: float) -> tuple:
-        """The cell holding the clamped point (s, t), as the tuple the lookup unpacks.
-
-        It bisects into the cell :func:`_bilinear_cell` picks. The fields:
-        the box (s_in, s_out, t_in, t_out), half-open like the bisect
-        (``lo <= x < hi``) and open-ended on the hull's outer sides, which
-        the clamped point may touch; the geometry, the cell origin and
-        width per axis (s_lo, ds, t_lo, dt); and ``corners``,
-        (v00, v10, v01, v11) per member.
-        """
-        s_axis, t_axis, inf = self.s_axis, self.t_axis, math.inf
-        i = min(max(bisect_right(s_axis, s) - 1, 0), len(s_axis) - 2)
-        j = min(max(bisect_right(t_axis, t) - 1, 0), len(t_axis) - 2)
-        return (
-            -inf if i == 0 else s_axis[i],
-            inf if i == len(s_axis) - 2 else s_axis[i + 1],
-            -inf if j == 0 else t_axis[j],
-            inf if j == len(t_axis) - 2 else t_axis[j + 1],
-            (s_axis[i], s_axis[i + 1] - s_axis[i], t_axis[j], t_axis[j + 1] - t_axis[j]),
-            tuple((r[i][j], r[i + 1][j], r[i][j + 1], r[i + 1][j + 1]) for r in self.rows),
-        )
-
-
-# a cell no point lies in: the memo's merged cell when the groups' cells differ
-_NO_CELL = (math.inf, -math.inf, math.inf, -math.inf, (0.0, 1.0, 0.0, 1.0), ())
+    if hi <= axis[0]:
+        return 0, 0.0, 0.0
+    if lo >= axis[-1]:
+        return len(axis) - 2, 1.0, 0.0
+    k = bisect_right(axis, lo) - 1
+    return k, axis[k], axis[k + 1] - axis[k]
 
 
 class GridLookup:
     """Bilinear lookup of several 2-D tables at one point, one value per table.
 
     ``grids`` are :class:`ParamGrid`-like tables (``soc_breakpoints``,
-    ``temp_breakpoints``, ``rows``). Each run of consecutive tables on the
-    same breakpoint grid shares one :class:`_GridGroup`, and the groups'
-    values, concatenated, are in the order of ``grids``. Each value equals
-    the table's own :meth:`ParamGrid.interpolate`, bit for bit: the clamp,
-    weights and term order are the same. A NaN coordinate raises
-    ``ValueError`` naming ``label``.
+    ``temp_breakpoints``, ``rows``), on one breakpoint grid or on several.
+    A query is clamped onto ``hull``, the hull of the union grid whose axes
+    ``s_axis`` and ``t_axis`` hold every table's breakpoints, and evaluated
+    in one union cell (see :meth:`_build`). A union cell lies inside one
+    cell of every table, or past its hull, where that table is fixed at
+    its edge, so each value equals the table's own
+    :meth:`ParamGrid.interpolate`, bit for bit: the clamp, weights and term
+    order are the same. Values are in the order of ``grids``. A NaN
+    coordinate raises ``ValueError`` naming ``label``.
 
-    ``memo`` is one tuple, read once per call and replaced whole, so the
-    lookup may be shared between threads and concurrent runs:
-    ``(s, t, values, merged, cells)``. ``(s, t)`` is the last query clamped
-    onto ``hull``, which clamps a side only where every group's hull ends
-    at the same breakpoint; ``values`` are the tables' values there, and
-    an exact repeat of the clamped point returns them. ``cells`` holds each
-    group's cell as :meth:`_GridGroup._locate` builds it, so a group is
-    bisected again only when its own clamped point leaves its cell.
-
-    ``merged`` is one cell for all groups when every group's clamped point
-    is ``(s, t)`` and every group's cell has the same origin and width:
-    its corners are all of theirs in table order, and a point in
-    its box is served by one clamp and one set of weights. The box is the
-    intersection of their boxes and of ``inner``, the points inside every
-    hull (upper edges included), so a query clamped onto ``hull`` into the
-    box is every group's own clamped point, in that group's cell.
-    Otherwise ``merged`` is a cell with an empty box, and each group is
-    clamped and evaluated on its own.
+    ``cells`` keeps each union cell from the first time a point lands in
+    it, keyed by its (SOC, temperature) index. ``memo`` is one tuple, read
+    once per call and replaced whole, so the lookup may be shared between
+    threads and concurrent runs: ``(s, t, values, cell)``, the last query
+    clamped onto ``hull``, the values there and its union cell. An exact
+    repeat returns ``values``, and a point in the cell's box reuses it.
     """
 
-    __slots__ = ("label", "groups", "hull", "inner", "memo")
+    __slots__ = ("label", "grids", "s_axis", "t_axis", "hull", "cells", "memo")
 
     def __init__(self, label: str, grids: Sequence) -> None:
         self.label = label
-        runs = groupby(grids, key=lambda grid: (grid.soc_breakpoints, grid.temp_breakpoints))
-        self.groups = tuple(_GridGroup(s, t, (grid.rows for grid in run)) for (s, t), run in runs)
-        inf = math.inf
-        s_mins, s_maxs, t_mins, t_maxs = zip(*(group.hull for group in self.groups))
-        self.hull = tuple(
-            edges[0] if len(set(edges)) == 1 else far
-            for edges, far in zip((s_mins, s_maxs, t_mins, t_maxs), (-inf, inf, -inf, inf))
-        )
-        # half-open like a cell's box, so each upper end is the next float past the hull
-        self.inner = (max(s_mins), math.nextafter(min(s_maxs), inf), max(t_mins), math.nextafter(min(t_maxs), inf))
-        cells = tuple(group._locate(group.s_axis[0], group.t_axis[0]) for group in self.groups)
-        self.memo = (math.nan, math.nan, (), _NO_CELL, cells)
+        self.grids = tuple(grids)
+        self.s_axis = tuple(sorted({b for grid in self.grids for b in grid.soc_breakpoints}))
+        self.t_axis = tuple(sorted({b for grid in self.grids for b in grid.temp_breakpoints}))
+        self.hull = (self.s_axis[0], self.s_axis[-1], self.t_axis[0], self.t_axis[-1])
+        self.cells: dict[tuple[int, int], tuple] = {}
+        # an empty box, so the first query builds its cell
+        self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, (), False))
 
     def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
-        if soc != soc or temp != temp:  # NaN
-            raise ValueError(f"{self.label}: NaN lookup coordinates")
         s_min, s_max, t_min, t_max = self.hull
         s = s_min if soc < s_min else s_max if soc > s_max else soc
         t = t_min if temp < t_min else t_max if temp > t_max else temp
-        last_s, last_t, values, merged, cells = self.memo
+        last_s, last_t, values, cell = self.memo
         if last_s == s and last_t == t:
             return values
-        s_in, s_out, t_in, t_out, geometry, corners = merged
+        s_in, s_out, t_in, t_out, runs, fixed = cell
+        if not (s_in <= s < s_out and t_in <= t < t_out):
+            cell = self._locate(s, t)
+            runs, fixed = cell[4], cell[5]
         # loops in this frame, not comprehensions with frames of their own
         members = []
-        if s_in <= s < s_out and t_in <= t < t_out:
-            s_lo, ds, t_lo, dt = geometry
-            fs = (s - s_lo) / ds
-            ft = (t - t_lo) / dt
-            w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-            for v00, v10, v01, v11 in corners:
-                members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
-        else:
-            # group by group; merge while every group sits on (s, t) in a cell of one geometry
-            located = []
-            same = True
-            for group, cell in zip(self.groups, cells):
-                g_s_min, g_s_max, g_t_min, g_t_max = group.hull
-                g_s = g_s_min if s < g_s_min else g_s_max if s > g_s_max else s
-                g_t = g_t_min if t < g_t_min else g_t_max if t > g_t_max else t
-                if not (cell[0] <= g_s < cell[1] and cell[2] <= g_t < cell[3]):
-                    cell = group._locate(g_s, g_t)
-                located.append(cell)
-                _, _, _, _, geometry, corners = cell
-                same = same and g_s == s and g_t == t and geometry == located[0][4]
-                s_lo, ds, t_lo, dt = geometry
-                fs = (g_s - s_lo) / ds
-                ft = (g_t - t_lo) / dt
+        if fixed:
+            for s_lo, ds, t_lo, dt, corners in runs:
+                fs = (s - s_lo) / ds if ds else s_lo
+                ft = (t - t_lo) / dt if dt else t_lo
                 w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
                 for v00, v10, v01, v11 in corners:
                     members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
-            cells = tuple(located)
-            merged = _NO_CELL
-            if same:
-                s_in, s_out, t_in, t_out = self.inner
-                s_ins, s_outs, t_ins, t_outs, _, corner_runs = zip(*cells)
-                merged = (
-                    max(s_in, *s_ins),
-                    min(s_out, *s_outs),
-                    max(t_in, *t_ins),
-                    min(t_out, *t_outs),
-                    geometry,
-                    tuple(chain.from_iterable(corner_runs)),
-                )
+        else:  # the same without the width tests, which no run here needs
+            for s_lo, ds, t_lo, dt, corners in runs:
+                fs = (s - s_lo) / ds
+                ft = (t - t_lo) / dt
+                w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
+                for v00, v10, v01, v11 in corners:
+                    members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
         values = tuple(members)
-        self.memo = (s, t, values, merged, cells)
+        self.memo = (s, t, values, cell)
         return values
+
+    def _locate(self, s: float, t: float) -> tuple:
+        """The union cell holding the clamped point (s, t), built on its first visit.
+
+        A NaN coordinate fails every box check, so it is refused here.
+        """
+        if s != s or t != t:
+            raise ValueError(f"{self.label}: NaN lookup coordinates")
+        s_axis, t_axis = self.s_axis, self.t_axis
+        # the cell _bilinear_cell picks: a point on the hull's upper edge is in the last cell
+        i = min(bisect_right(s_axis, s), len(s_axis) - 1) - 1
+        j = min(bisect_right(t_axis, t), len(t_axis) - 1) - 1
+        cell = self.cells.get((i, j))
+        if cell is None:
+            cell = self.cells[i, j] = self._build(i, j)
+        return cell
+
+    def _build(self, i: int, j: int) -> tuple:
+        """Union cell (i, j) as the tuple the lookup unpacks: ``(s_in, s_out, t_in, t_out, runs, fixed)``.
+
+        The box is half-open like the bisect (``lo <= x < hi``) and
+        open-ended past the hull's upper edges, which a clamped point may
+        touch. ``runs`` holds ``(s_lo, ds, t_lo, dt, corners)`` per run of
+        consecutive tables whose cells have equal origin and width per axis
+        as :func:`_cell_of` gives them (width 0.0 on an axis where the run is
+        fixed), with ``corners`` (v00, v10, v01, v11) per table. ``fixed``
+        tells whether any run is fixed on an axis.
+        """
+        s_axis, t_axis = self.s_axis, self.t_axis
+        s_lo, s_hi, t_lo, t_hi = s_axis[i], s_axis[i + 1], t_axis[j], t_axis[j + 1]
+        located = []
+        for grid in self.grids:
+            k, *s_geometry = _cell_of(grid.soc_breakpoints, s_lo, s_hi)
+            m, *t_geometry = _cell_of(grid.temp_breakpoints, t_lo, t_hi)
+            lo, hi = grid.rows[k], grid.rows[k + 1]
+            located.append(((*s_geometry, *t_geometry), (lo[m], hi[m], lo[m + 1], hi[m + 1])))
+        runs = tuple(
+            (*geometry, tuple(corners for _, corners in run))
+            for geometry, run in groupby(located, key=lambda entry: entry[0])
+        )
+        s_out = s_hi if i < len(s_axis) - 2 else math.inf
+        t_out = t_hi if j < len(t_axis) - 2 else math.inf
+        fixed = any(run[1] == 0.0 or run[3] == 0.0 for run in runs)
+        return s_lo, s_out, t_lo, t_out, runs, fixed
 
 
 @dataclass(eq=False)

@@ -107,7 +107,8 @@ def step_thermal(
     """
     conductance = params.alpha_sum
     if cooling_active:
-        conductance += RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
+        # coolant_flow_rate(t_pack), written out: this runs on most steps
+        conductance += RHO_COOLANT * C_COOLANT * abs(t_pack / FLOW_RATE_REF_TEMP * FLOW_RATE_SLOPE)
     approach = -math.expm1(-conductance * dt / params.c_pack)  # 1 - exp(-G dt / C)
     t_new = t_pack + (t_ambient + q_gen / conductance - t_pack) * approach
     if charging and t_new < HEATER_FLOOR_C:

@@ -33,7 +33,7 @@ from evplant.engine import (
     strategy_max_power,
     strategy_off,
 )
-from evplant.params import PARAM_NAMES, GridLookup, ParamGrid, _GridGroup, default_data_dir
+from evplant.params import PARAM_NAMES, GridLookup, ParamGrid, default_data_dir
 from evplant.scenario import (
     ProfileRecord,
     ScenarioConfig,
@@ -629,11 +629,17 @@ PINNED = {
     ),
 }
 
-# Bisecting relocations (_GridGroup._locate calls) per pinned run, the one
-# per grid group made when the run builds its lookups included. A group is
-# bisected only when its clamped point leaves its cell, so a memo that lets
-# a group's cell go stale shows here as more relocations.
-RELOCATIONS = {"aging_day": 56, "cold_drive": 27, "cold_plugged": 9, "mixed": 23, "r1_halved": 40}
+# Union cells built and box misses (GridLookup._locate calls) per pinned
+# run, over all its lookups. A lookup looks a cell up only when its clamped
+# point leaves the memo's cell, and builds each cell once, so a memo that
+# lets its cell go stale shows here as more misses.
+RELOCATIONS = {
+    "aging_day": (20, 30),
+    "cold_drive": (14, 14),
+    "cold_plugged": (4, 4),
+    "mixed": (9, 11),
+    "r1_halved": (9, 11),
+}
 
 
 def run_pinned(name: str, r1_halved_dir: Path) -> Trajectory:
@@ -650,15 +656,22 @@ def test_trajectory_matches_pinned_digest(name, r1_halved_dir):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, monkeypatch):
-    locate, calls = _GridGroup._locate, []
+    locate, build = GridLookup._locate, GridLookup._build
+    misses, built = [], []
 
-    def counting_locate(group, s, t):
-        calls.append((s, t))
-        return locate(group, s, t)
+    def counting_locate(lookup, s, t):
+        misses.append((s, t))
+        return locate(lookup, s, t)
 
-    monkeypatch.setattr(_GridGroup, "_locate", counting_locate)
+    def counting_build(lookup, i, j):
+        built.append((lookup, i, j))
+        return build(lookup, i, j)
+
+    monkeypatch.setattr(GridLookup, "_locate", counting_locate)
+    monkeypatch.setattr(GridLookup, "_build", counting_build)
     run_pinned(name, r1_halved_dir)
-    assert len(calls) == RELOCATIONS[name]
+    assert len(set(built)) == len(built), "a union cell was built twice"
+    assert (len(built), len(misses)) == RELOCATIONS[name]
 
 
 class TestMetrics:

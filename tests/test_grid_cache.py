@@ -8,9 +8,11 @@ float neighbours, exact repeats, tables with 2-point axes, moves out of the
 grid hull on each side, and moves beyond every hull that change the query
 but not its clamped point, which the memo is keyed on. The pairs share
 breakpoints where their grids overlap and differ outside it, as the shipped
-``ocv`` and R/C grids do, so the walk crosses between one merged cell for
-all tables and one cell per grid. A ``GridLookup`` over any order of tables
-on different grids returns their values in that order.
+``ocv`` and R/C grids do, so the walk crosses between union cells with one
+run of tables and cells with one run per grid, some fixed at a hull edge.
+Generated tables on breakpoint sets that overlap in part, with hulls that
+differ on every side, walk the same way. A ``GridLookup`` over any order of
+tables on different grids returns their values in that order.
 """
 
 from __future__ import annotations
@@ -127,24 +129,15 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 
 def _check_memo(lookup: GridLookup, soc: float, temp: float) -> None:
     """The memo of ``lookup`` after a call at (soc, temp) holds what its docstring says."""
-    s, t, _, merged, cells = lookup.memo
+    s, t, values, cell = lookup.memo
     s_min, s_max, t_min, t_max = lookup.hull
     assert (s, t) == (_clamp(soc, s_min, s_max), _clamp(temp, t_min, t_max))
-    points = []
-    for group, cell in zip(lookup.groups, cells):
-        s_min, s_max, t_min, t_max = group.hull
-        g_s, g_t = _clamp(soc, s_min, s_max), _clamp(temp, t_min, t_max)
-        points.append((g_s, g_t))
-        # On a cell's upper edge both neighbours give the same value, so only
-        # the cached cell shows whether the box is half-open like the bisect.
-        assert cell[0] <= g_s < cell[1] and cell[2] <= g_t < cell[3]
-        assert cell == group._locate(g_s, g_t)
-    if merged[5]:  # a merged cell holds every table's corners, the empty one none
-        assert merged[0] <= s < merged[1] and merged[2] <= t < merged[3]
-        # merged only where every group's clamped point and cell geometry coincide
-        assert all(point == (s, t) for point in points)
-        assert all(_bits(cell[4]) == _bits(merged[4]) for cell in cells)
-        assert merged[5] == tuple(corner for cell in cells for corner in cell[5])
+    # On a cell's upper edge both neighbours give the same value, so only
+    # the cell's box shows whether it is half-open like the bisect.
+    assert cell[0] <= s < cell[1] and cell[2] <= t < cell[3]
+    assert lookup._locate(s, t) is cell
+    assert sum(len(run[4]) for run in cell[4]) == len(lookup.grids)
+    assert _bits(values) == _bits([grid.interpolate(soc, temp) for grid in lookup.grids])
 
 
 class CachedLookups(RuleBasedStateMachine):
@@ -255,8 +248,66 @@ MIXED_GRIDS = ALL_GRIDS + CYCLE_GRIDS
 def test_lookup_keeps_the_order_of_its_tables(order, n, points):
     grids = order[:n]
     lookup = GridLookup("mixed tables", grids)
-    axes = [(g.s_axis, g.t_axis) for g in lookup.groups]
-    assert sum(len(g.rows) for g in lookup.groups) == len(grids)
-    assert all(a != b for a, b in zip(axes, axes[1:])), "runs of one grid share a group"
     for soc, temp in points + points[:1]:
         assert _bits(lookup(soc, temp)) == _bits([g.interpolate(soc, temp) for g in grids]), (soc, temp)
+    for cell in lookup.cells.values():
+        geometries = [_bits(run[:4]) for run in cell[4]]
+        assert all(a != b for a, b in zip(geometries, geometries[1:])), "tables of one geometry share a run"
+
+
+@st.composite
+def overlapping_axes(draw, n_tables: int, ulp: bool) -> list[tuple[float, ...]]:
+    """One breakpoint axis per table, drawn from a shared pool, with hulls that differ on both sides.
+
+    Table k's lower edge is the pool's ``lows[k]``-th breakpoint and its
+    upper edge the ``highs[k]``-th from the top, so no two tables share an
+    edge. Its inner breakpoints are a random subset of the pool points
+    inside every hull, so the tables share some and differ in others. With
+    ``ulp``, table 0 holds one of those points and table 1 its float
+    neighbour, a cell one ulp wide on the union grid.
+    """
+    steps = draw(st.lists(st.integers(-200, 200), min_size=2 * n_tables + 1, max_size=12, unique=True))
+    pool = [step / 4.0 for step in sorted(steps)]
+    lows, highs = draw(st.permutations(range(n_tables))), draw(st.permutations(range(n_tables)))
+    inner = pool[n_tables:-n_tables]
+    axes = [
+        {pool[lows[k]], pool[-1 - highs[k]], *draw(st.lists(st.sampled_from(inner), unique=True))}
+        for k in range(n_tables)
+    ]
+    if ulp:
+        point = draw(st.sampled_from(inner))
+        axes[0].add(point)
+        axes[1].add(math.nextafter(point, math.inf))
+    return [tuple(sorted(axis)) for axis in axes]
+
+
+def _coordinates(axis: tuple[float, ...]):
+    """Floats around the axis's hull, its breakpoints and their float neighbours."""
+    return st.one_of(
+        st.floats(axis[0] - 5.0, axis[-1] + 5.0),
+        st.sampled_from(axis),
+        st.builds(math.nextafter, st.sampled_from(axis), st.sampled_from((-math.inf, math.inf))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_tables=st.integers(2, 3), ulp=st.sampled_from(("none", "soc", "temp")))
+def test_lookup_on_generated_grids_equals_interpolate(data, n_tables, ulp):
+    s_axes = data.draw(overlapping_axes(n_tables, ulp == "soc"))
+    t_axes = data.draw(overlapping_axes(n_tables, ulp == "temp"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    grids = [
+        ParamGrid(f"generated_{k}", s, t, rng.uniform(-2.0, 2.0, (len(s), len(t))))
+        for k, (s, t) in enumerate(zip(s_axes, t_axes))
+    ]
+    lookup = GridLookup("generated tables", grids)
+    step = st.one_of(
+        st.tuples(st.just("jump"), st.tuples(_coordinates(lookup.s_axis), _coordinates(lookup.t_axis))),
+        st.tuples(st.just("move"), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))),
+    )
+    soc, temp = lookup.s_axis[0], lookup.t_axis[0]
+    for kind, (x, y) in data.draw(st.lists(step, min_size=1, max_size=40)):
+        soc, temp = (soc + x, temp + y) if kind == "move" else (x, y)
+        expected = [grid.interpolate(soc, temp) for grid in grids]
+        assert _bits(lookup(soc, temp)) == _bits(expected), (soc, temp)
+        _check_memo(lookup, soc, temp)

@@ -154,6 +154,12 @@ def _axis_points(pset, axis: str, lo: float, hi: float):
     return st.one_of(st.floats(lo, hi), st.sampled_from(nodes))
 
 
+def _runs(lookup, soc, temp):
+    """Tables per run in the union cell that holds (soc, temp)."""
+    lookup(soc, temp)
+    return [len(run[4]) for run in lookup.memo[3][4]]
+
+
 def _same_as_interpolate(pset, soc, temp):
     expected = tuple(pset.grid(name).interpolate(soc, temp) for name in PARAM_NAMES)
     assert pset.lookup(soc, temp) == expected
@@ -170,8 +176,10 @@ class TestFusedLookup:
         pset = load_parameter_set(r1_halved_dir)
         assert len(pset.r1.soc_breakpoints) == 11
         assert pset.r1.soc_breakpoints != pset.r2.soc_breakpoints
-        # one group per run of tables on one grid: ocv | r_ser | r1 | r2, c1, c2
-        assert [len(group.rows) for group in pset.lookup.groups] == [1, 1, 1, 3]
+        # r1's cells are twice as wide, so it splits the run: ocv, r_ser | r1 | r2, c1, c2
+        assert _runs(pset.lookup, 0.55, 25.0) == [2, 1, 3]
+        # and below -5 degC ocv is fixed at its edge: ocv | r_ser | r1 | r2, c1, c2
+        assert _runs(pset.lookup, 0.55, -10.0) == [1, 1, 1, 3]
         for soc in (-0.1, 0.0, 0.05, 0.33, 0.5, 0.97, 1.0, 1.2):
             for temp in (-30.0, -15.0, 0.0, 22.5, 35.0, 60.0):
                 _same_as_interpolate(pset, soc, temp)
@@ -180,10 +188,12 @@ class TestFusedLookup:
         with pytest.raises(ValueError, match="NaN"):
             pset.lookup(float("nan"), 25.0)
 
-    def test_shipped_tables_share_one_group_per_grid(self, pset, data_dir):
-        assert [len(group.rows) for group in pset.lookup.groups] == [1, 5]
-        for coeffs in (load_calendar_coeffs(data_dir), load_cycle_coeffs(data_dir)):
-            assert [len(group.rows) for group in coeffs.rates.groups] == [2]
+    def test_shipped_tables_share_one_run_per_cell(self, pset, data_dir):
+        assert _runs(pset.lookup, 0.5, 25.0) == [6]
+        # below the ocv grid's -5 degC edge, ocv is fixed there and the R/C tables are not
+        assert _runs(pset.lookup, 0.5, -10.0) == [1, 5]
+        assert _runs(load_calendar_coeffs(data_dir).rates, 0.5, 30.0) == [2]
+        assert _runs(load_cycle_coeffs(data_dir).rates, 0.5, 0.5) == [2]
 
 
 class TestValidation:

@@ -8,6 +8,8 @@ from dataclasses import fields
 import pytest
 
 from evplant.thermal import (
+    C_COOLANT,
+    RHO_COOLANT,
     ThermalMode,
     ThermalParams,
     convection_power,
@@ -108,6 +110,17 @@ class TestStep:
         cooled = step_thermal(45.0, 0.0, 20.0, 60.0, ev_params, cooling_active=True)
         convection_only = step_thermal(45.0, 0.0, 20.0, 60.0, ev_params, cooling_active=False)
         assert cooled < convection_only
+
+    @pytest.mark.parametrize("dt", [1.0, 60.0])
+    def test_cooled_step_uses_the_coolant_flow_rate(self, ev_params, dt):
+        # the step writes the flow-rate law out; it must be coolant_flow_rate's, bit for bit
+        sweep = [k * 0.37 for k in range(-200, 220)] + [0.0, -0.0, 45.0, -45.0, 1e-300, -1e300]
+        for t_pack in sweep:
+            conductance = ev_params.alpha_sum + RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
+            approach = -math.expm1(-conductance * dt / ev_params.c_pack)
+            expected = t_pack + (20.0 + 800.0 / conductance - t_pack) * approach
+            cooled = step_thermal(t_pack, 800.0, 20.0, dt, ev_params, cooling_active=True)
+            assert cooled.hex() == expected.hex(), t_pack
 
 
 def test_mode_coefficients_differ():
