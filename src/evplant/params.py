@@ -163,7 +163,7 @@ class GridLookup:
         self.hull = (self.s_axis[0], self.s_axis[-1], self.t_axis[0], self.t_axis[-1])
         self.cells: dict[tuple[int, int], tuple] = {}
         # an empty box, so the first query builds its cell
-        self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, (), False))
+        self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, ()))
 
     def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
@@ -173,26 +173,18 @@ class GridLookup:
         last_s, last_t, values, cell = self.memo
         if last_s == s and last_t == t:
             return values
-        s_in, s_out, t_in, t_out, runs, fixed = cell
+        s_in, s_out, t_in, t_out, runs = cell
         if not (s_in <= s < s_out and t_in <= t < t_out):
             cell = self._locate(s, t)
-            runs, fixed = cell[4], cell[5]
+            runs = cell[4]
         # loops in this frame, not comprehensions with frames of their own
         members = []
-        if fixed:
-            for s_lo, ds, t_lo, dt, corners in runs:
-                fs = (s - s_lo) / ds if ds else s_lo
-                ft = (t - t_lo) / dt if dt else t_lo
-                w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-                for v00, v10, v01, v11 in corners:
-                    members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
-        else:  # the same without the width tests, which no run here needs
-            for s_lo, ds, t_lo, dt, corners in runs:
-                fs = (s - s_lo) / ds
-                ft = (t - t_lo) / dt
-                w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-                for v00, v10, v01, v11 in corners:
-                    members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
+        for s_lo, ds, t_lo, dt, corners in runs:
+            fs = (s - s_lo) / ds if ds else s_lo
+            ft = (t - t_lo) / dt if dt else t_lo
+            w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
+            for v00, v10, v01, v11 in corners:
+                members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
         values = tuple(members)
         self.memo = (s, t, values, cell)
         return values
@@ -214,15 +206,14 @@ class GridLookup:
         return cell
 
     def _build(self, i: int, j: int) -> tuple:
-        """Union cell (i, j) as the tuple the lookup unpacks: ``(s_in, s_out, t_in, t_out, runs, fixed)``.
+        """Union cell (i, j) as the tuple the lookup unpacks: ``(s_in, s_out, t_in, t_out, runs)``.
 
         The box is half-open like the bisect (``lo <= x < hi``) and
         open-ended past the hull's upper edges, which a clamped point may
         touch. ``runs`` holds ``(s_lo, ds, t_lo, dt, corners)`` per run of
         consecutive tables whose cells have equal origin and width per axis
         as :func:`_cell_of` gives them (width 0.0 on an axis where the run is
-        fixed), with ``corners`` (v00, v10, v01, v11) per table. ``fixed``
-        tells whether any run is fixed on an axis.
+        fixed), with ``corners`` (v00, v10, v01, v11) per table.
         """
         s_axis, t_axis = self.s_axis, self.t_axis
         s_lo, s_hi, t_lo, t_hi = s_axis[i], s_axis[i + 1], t_axis[j], t_axis[j + 1]
@@ -238,8 +229,7 @@ class GridLookup:
         )
         s_out = s_hi if i < len(s_axis) - 2 else math.inf
         t_out = t_hi if j < len(t_axis) - 2 else math.inf
-        fixed = any(run[1] == 0.0 or run[3] == 0.0 for run in runs)
-        return s_lo, s_out, t_lo, t_out, runs, fixed
+        return s_lo, s_out, t_lo, t_out, runs
 
 
 @dataclass(eq=False)

@@ -42,6 +42,18 @@ def _report(criterion: int, text: str) -> None:
     print(f"PASS criterion {criterion}: {text}")
 
 
+def _timed(work, *args):
+    """``work(*args)`` and the wall time it took, in s.
+
+    A criterion with a time bound runs its workload once, in a module-scoped
+    fixture: its correctness test asserts on the result and its ``timing``
+    test on the time, so ``-m 'not timing'`` skips only the bound.
+    """
+    start = time.perf_counter()
+    result = work(*args)
+    return result, time.perf_counter() - start
+
+
 def _load_expected(name: str):
     lines = (EXPECTED_TABLE_DIR / f"{name}_expected.csv").read_text().splitlines()
     temps = [float(x) for x in lines[0].split(",")[1:]]
@@ -71,16 +83,18 @@ def _table_fidelity(pset) -> None:
             assert grid.interpolate(socs[i], temps[j]) == rows[i][j], (name, i, j)
 
 
-def test_criterion_1_table_fidelity(pset):
-    _table_fidelity(pset)
+@pytest.fixture(scope="module")
+def table_fidelity(pset):
+    return _timed(_table_fidelity, pset)
+
+
+def test_criterion_1_table_fidelity(table_fidelity):
     _report(1, "6 parameters x 10 random nodes exact")
 
 
 @pytest.mark.timing
-def test_criterion_1_table_fidelity_time(pset):
-    start = time.perf_counter()
-    _table_fidelity(pset)
-    elapsed = time.perf_counter() - start
+def test_criterion_1_table_fidelity_time(table_fidelity):
+    _, elapsed = table_fidelity
     assert elapsed < 1.0
     _report(1, f"table fidelity checked in {elapsed * 1e3:.0f} ms")
 
@@ -97,17 +111,20 @@ def _time_constant_ordering(pset) -> int:
     return checked
 
 
-def test_criterion_2_time_constant_ordering(pset):
-    checked = _time_constant_ordering(pset)
+@pytest.fixture(scope="module")
+def time_constant_ordering(pset):
+    return _timed(_time_constant_ordering, pset)
+
+
+def test_criterion_2_time_constant_ordering(time_constant_ordering):
+    checked, _ = time_constant_ordering
     assert checked == 21 * 6
     _report(2, f"tau1 < tau2 at all {checked} nodes")
 
 
 @pytest.mark.timing
-def test_criterion_2_time_constant_ordering_time(pset):
-    start = time.perf_counter()
-    _time_constant_ordering(pset)
-    elapsed = time.perf_counter() - start
+def test_criterion_2_time_constant_ordering_time(time_constant_ordering):
+    _, elapsed = time_constant_ordering
     assert elapsed < 1.0
     _report(2, f"time-constant ordering checked in {elapsed * 1e3:.0f} ms")
 
@@ -133,18 +150,21 @@ def _calendar_to_eol(cal_coeffs) -> AgingState:
     return state
 
 
-def test_criterion_4_calendar_eol_window(cal_coeffs):
-    state = _calendar_to_eol(cal_coeffs)
+@pytest.fixture(scope="module")
+def calendar_eol(cal_coeffs):
+    return _timed(_calendar_to_eol, cal_coeffs)
+
+
+def test_criterion_4_calendar_eol_window(calendar_eol):
+    state, _ = calendar_eol
     assert 431.0 <= state.elapsed_days <= 589.0
     assert eol_check(state) is EolStatus.CAPACITY
     _report(4, f"capacity hits 80 % after {state.elapsed_days:.1f} days (window 431..589)")
 
 
 @pytest.mark.timing
-def test_criterion_4_calendar_eol_time(cal_coeffs):
-    start = time.perf_counter()
-    _calendar_to_eol(cal_coeffs)
-    elapsed = time.perf_counter() - start
+def test_criterion_4_calendar_eol_time(calendar_eol):
+    _, elapsed = calendar_eol
     assert elapsed < 5.0
     _report(4, f"calendar aging to end of life in {elapsed:.2f} s")
 
@@ -202,18 +222,21 @@ def _cycles_to_eol(cyc_coeffs) -> tuple[AgingState, AgingState]:
     return _cycle_to_eol(0.10, 0.90, cyc_coeffs), _cycle_to_eol(0.025, 0.975, cyc_coeffs)
 
 
-def test_criterion_5_cycle_eol(cyc_coeffs):
-    state80, state95 = _cycles_to_eol(cyc_coeffs)
+@pytest.fixture(scope="module")
+def cycle_eol(cyc_coeffs):
+    return _timed(_cycles_to_eol, cyc_coeffs)
+
+
+def test_criterion_5_cycle_eol(cycle_eol):
+    (state80, state95), _ = cycle_eol
     assert state80.eqfc == pytest.approx(3634.0, rel=0.01)
     assert 2649.0 <= state95.eqfc <= 2849.0
     _report(5, f"EOL at {state80.eqfc:.1f} EQFC (80 % swings) and {state95.eqfc:.1f} EQFC (95 % swings)")
 
 
 @pytest.mark.timing
-def test_criterion_5_cycle_eol_time(cyc_coeffs):
-    start = time.perf_counter()
-    _cycles_to_eol(cyc_coeffs)
-    elapsed = time.perf_counter() - start
+def test_criterion_5_cycle_eol_time(cycle_eol):
+    _, elapsed = cycle_eol
     assert elapsed < 30.0
     _report(5, f"cycle aging to end of life in {elapsed:.2f} s")
 
@@ -298,8 +321,13 @@ def _full_discharge() -> Trajectory:
     return run_scenario(DISCHARGE_CONFIG, profile)
 
 
-def test_criterion_9_full_discharge_plausibility():
-    traj = _full_discharge()
+@pytest.fixture(scope="module")
+def full_discharge():
+    return _timed(_full_discharge)
+
+
+def test_criterion_9_full_discharge_plausibility(full_discharge):
+    traj, _ = full_discharge
     ah = float(np.sum(traj.i_dc) / 3600.0)
     kwh = float(np.sum(traj.i_dc * traj.v_pack) / 3.6e6)
     assert traj.soc[-1] == pytest.approx(DISCHARGE_CONFIG.bms.soc_min, abs=1e-3)
@@ -309,10 +337,8 @@ def test_criterion_9_full_discharge_plausibility():
 
 
 @pytest.mark.timing
-def test_criterion_9_full_discharge_time():
-    start = time.perf_counter()
-    _full_discharge()
-    elapsed = time.perf_counter() - start
+def test_criterion_9_full_discharge_time(full_discharge):
+    _, elapsed = full_discharge
     assert elapsed < 2.0
     _report(9, f"window discharge simulated in {elapsed:.2f} s")
 
