@@ -12,8 +12,13 @@ Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. A run covers and ages its
 whole profile: a tail shorter than one step is one last, shorter step, and
-the time since the last aging point is booked at the end. Runs are purely
-deterministic: identical inputs give bit-identical trajectories. A failing
+the time since the last aging point is booked at the end. A step records
+only what it decides: its end time, SOC, cell voltage, current, pack
+temperature, AC power and flags; each aging point records the aging state.
+The pack voltage, the DC power and the per-row aging columns are derived
+from those once per run, with the loop's operands, so they are the same
+floats. Runs are purely deterministic: identical inputs give bit-identical
+trajectories. A failing
 step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
 for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
 The plant layers trust their inputs, which are checked where they enter the
@@ -218,7 +223,6 @@ def run_scenario(
     t_pack = config.initial_temp_c if config.initial_temp_c is not None else records[0].ambient_c
     v_cell = rest_voltage(ecm_state, params, t_pack)
     n_series = params.n_series
-    v_pack = n_series * v_cell
     v_max_pack = n_series * (limits.v_cell_max - CV_MARGIN_V_PER_CELL)
     ev_operation = config.thermal_mode is ThermalMode.EV_OPERATION
 
@@ -233,8 +237,13 @@ def run_scenario(
     plugged = False
     mode = None
 
-    rows: list[tuple] = []
+    # (t_s, soc, v_cell, i_dc, t_pack, p_ac) per step, flat
+    rows: list[float] = []
     flags_col: list[str] = []
+    # c_norm, r_norm and eqfc, flat: the fresh state, then one triple per aging point
+    aging_log = [aging.c_norm, aging.r_norm, aging.eqfc]
+    # aging_every as the loop starts; the tail step overwrites it
+    aging_cadence = aging_every
 
     for k in range(n_steps):
         t = t0 + k * dt
@@ -290,7 +299,7 @@ def run_scenario(
                 a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
                 i_cmd = cc_cv_limit(
                     p_dc_avail,
-                    v_pack,
+                    n_series * v_cell,
                     v_max_pack,
                     n_series * a_cell,
                     n_series * b_cell,
@@ -298,14 +307,15 @@ def run_scenario(
                 i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
                 t_cmd += dt
             elif driving:
-                i_req = rec.value_w / v_pack
+                i_req = rec.value_w / (n_series * v_cell)
                 i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
 
             ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
-            v_pack = n_series * v_cell
-            p_dc = i_dc * v_pack
-            if plugged and p_dc > 0:
-                p_ac = dc_to_ac(p_dc, ch_cfg)
+            if plugged:
+                # the DC power _recorded_trajectory derives for the row, with the same operands
+                p_dc = i_dc * (n_series * v_cell)
+                if p_dc > 0:
+                    p_ac = dc_to_ac(p_dc, ch_cfg)
 
             cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
             t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
@@ -319,6 +329,7 @@ def run_scenario(
             if (k + 1) % aging_every == 0:
                 calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
                 cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+                aging_log += (aging.c_norm, aging.r_norm, aging.eqfc)
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(
                 f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
@@ -333,21 +344,7 @@ def run_scenario(
         if not t_min_c <= t_pack <= t_max_c:
             flags += "|temp_envelope"
 
-        rows.append(
-            (
-                t + dt,
-                ecm_state.soc,
-                v_cell,
-                v_pack,
-                i_dc,
-                t_pack,
-                p_ac,
-                p_dc,
-                aging.c_norm,
-                aging.r_norm,
-                aging.eqfc,
-            )
-        )
+        rows += (t + dt, ecm_state.soc, v_cell, i_dc, t_pack, p_ac)
         flags_col.append(flags)
         p_ac_prev = p_ac
 
@@ -357,13 +354,41 @@ def run_scenario(
         calendar_step(aging, ecm_state.soc, t_pack, rest_days, cal_coeffs)
         cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
-    trajectory = Trajectory.from_rows(rows, flags_col)
+    trajectory = _recorded_trajectory(rows, flags_col, n_series, aging_log, aging_cadence)
     if tail_dt:
         trajectory.t_s[-1] = records[-1].t_s
     trajectory.c_norm[-1] = aging.c_norm
     trajectory.r_norm[-1] = aging.r_norm
     trajectory.eqfc[-1] = aging.eqfc
     return trajectory
+
+
+def _recorded_trajectory(
+    rows: list[float],
+    flags: list[str],
+    n_series: int,
+    aging_log: list[float],
+    aging_every: int,
+) -> Trajectory:
+    """The trajectory of what ``run_scenario``'s steps recorded.
+
+    ``rows`` holds (t_s, soc, v_cell, i_dc, t_pack, p_ac) per step, flat.
+    ``v_pack = n_series * v_cell`` and ``p_dc = i_dc * v_pack`` take the
+    loop's operands, so each is the float the step computed. ``aging_log``
+    holds (c_norm, r_norm, eqfc), flat, for the fresh state and after each
+    aging point; point j closes on row ``j * aging_every - 1``, which is the
+    first to show it.
+    """
+    n = len(flags)
+    table = np.fromiter(rows, float, n * 6).reshape(n, 6)
+    t_s, soc, v_cell, i_dc, t_pack, p_ac = (np.ascontiguousarray(c) for c in table.T)
+    v_pack = n_series * v_cell
+    snapshots = np.array(aging_log).reshape(-1, 3)
+    starts = np.arange(len(snapshots)) * aging_every - 1
+    starts[0] = 0
+    counts = np.diff(starts, append=n)
+    c_norm, r_norm, eqfc = (np.repeat(column, counts) for column in snapshots.T)
+    return Trajectory(t_s, soc, v_cell, v_pack, i_dc, t_pack, p_ac, i_dc * v_pack, c_norm, r_norm, eqfc, flags)
 
 
 def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics:

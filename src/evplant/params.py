@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
@@ -211,9 +212,10 @@ class GridLookup:
         The box is half-open like the bisect (``lo <= x < hi``) and
         open-ended past the hull's upper edges, which a clamped point may
         touch. ``runs`` holds ``(s_lo, ds, t_lo, dt, corners)`` per run of
-        consecutive tables whose cells have equal origin and width per axis
-        as :func:`_cell_of` gives them (width 0.0 on an axis where the run is
-        fixed), with ``corners`` (v00, v10, v01, v11) per table.
+        consecutive tables whose cells have the same origin and width per
+        axis as :func:`_cell_of` gives them (width 0.0 on an axis where the
+        run is fixed), bit for bit, so an origin of ``-0.0`` and one of
+        ``0.0`` start two runs, with ``corners`` (v00, v10, v01, v11) per table.
         """
         s_axis, t_axis = self.s_axis, self.t_axis
         s_lo, s_hi, t_lo, t_hi = s_axis[i], s_axis[i + 1], t_axis[j], t_axis[j + 1]
@@ -223,13 +225,13 @@ class GridLookup:
             m, *t_geometry = _cell_of(grid.temp_breakpoints, t_lo, t_hi)
             lo, hi = grid.rows[k], grid.rows[k + 1]
             located.append(((*s_geometry, *t_geometry), (lo[m], hi[m], lo[m + 1], hi[m + 1])))
-        runs = tuple(
-            (*geometry, tuple(corners for _, corners in run))
-            for geometry, run in groupby(located, key=lambda entry: entry[0])
-        )
+        runs = []
+        for _, run in groupby(located, key=lambda entry: struct.pack("4d", *entry[0])):
+            geometries, corners = zip(*run)
+            runs.append((*geometries[0], corners))
         s_out = s_hi if i < len(s_axis) - 2 else math.inf
         t_out = t_hi if j < len(t_axis) - 2 else math.inf
-        return s_lo, s_out, t_lo, t_out, runs
+        return s_lo, s_out, t_lo, t_out, tuple(runs)
 
 
 @dataclass(eq=False)

@@ -33,7 +33,7 @@ from evplant.engine import (
     strategy_max_power,
     strategy_off,
 )
-from evplant.params import PARAM_NAMES, GridLookup, ParamGrid, default_data_dir
+from evplant.params import N_SERIES, PARAM_NAMES, GridLookup, ParamGrid, default_data_dir
 from evplant.scenario import (
     ProfileRecord,
     ScenarioConfig,
@@ -608,15 +608,17 @@ PINNED = {
         aging_day_profile(),
         "4bdd4dc0d675d3459ec600d3ce3bf0f74f899b8667955e8a7f14880257bccc73",
     ),
-    # the mixed run on the r1_halved_dir tables, whose r1 cells never coincide
-    # with the other tables' cells: every lookup takes the per-group path
+    # the mixed run on the r1_halved_dir tables, whose r1 cells each span two
+    # union cells: every union cell holds r1 as a run of its own, which
+    # splits the other R/C tables' run in two
     "r1_halved": (
         ScenarioConfig(initial_soc=0.4, initial_temp_c=22.0, aging_data_dir=default_data_dir()),
         mixed_profile(),
         "a3d216edb5e34c5ac27d0948803dd5ff3fa66b32f6f8bea3eb8c00b2c3569ebb",
     ),
     # a drive from a -20 degC pack, below the OCV grid's -5 degC edge, which
-    # the R/C grid reaches past: per group until the pack warms past -5 degC
+    # the R/C grid reaches past: until the pack warms past -5 degC, each union
+    # cell holds two runs, the OCV table fixed at its edge and the R/C tables
     "cold_drive": (
         ScenarioConfig(initial_soc=0.8, initial_temp_c=-20.0),
         ScenarioProfile(
@@ -626,6 +628,27 @@ PINNED = {
             ]
         ),
         "56a827ae6f8d65b2565ad84f17764c4bbb338303f772bc390198271401457686",
+    ),
+    # dt = 2 s aging every 6 s over 305 s: 152 whole steps, which 3 does not
+    # divide, and a 1 s tail; a short drive, a charge that trips soc_high and
+    # a warm idle that lifts the pack past t_max_c (temp_envelope)
+    "tail_cadence": (
+        ScenarioConfig(
+            dt_s=2.0,
+            aging_interval_s=6.0,
+            initial_soc=0.95,
+            initial_temp_c=20.0,
+            bms=BmsLimits(t_max_c=20.5),
+        ),
+        ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.DRIVE, -3000.0, 20.0, None),
+                ProfileRecord(20.0, SegmentKind.PLUGGED, 11040.0, 20.0, None),
+                ProfileRecord(200.0, SegmentKind.IDLE, 0.0, 40.0, None),
+                ProfileRecord(305.0, SegmentKind.IDLE, 0.0, 40.0, None),
+            ]
+        ),
+        "c22b0223faf991c0df7f914026c03bf5136abd5516aba28a224182b1121d8464",
     ),
 }
 
@@ -639,6 +662,7 @@ RELOCATIONS = {
     "cold_plugged": (4, 4),
     "mixed": (9, 11),
     "r1_halved": (9, 11),
+    "tail_cadence": (4, 5),
 }
 
 
@@ -672,6 +696,53 @@ def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, 
     run_pinned(name, r1_halved_dir)
     assert len(set(built)) == len(built), "a union cell was built twice"
     assert (len(built), len(misses)) == RELOCATIONS[name]
+
+
+@st.composite
+def recorded_runs(draw):
+    """A config and a profile of 1-3 segments, whole steps or with a tail, aging every 1-4 steps."""
+    dt = draw(st.sampled_from([1.0, 2.0, 5.0]))
+    config = ScenarioConfig(
+        dt_s=dt,
+        control_interval_s=dt * draw(st.integers(1, 5)),
+        aging_interval_s=dt * draw(st.integers(1, 4)),
+        initial_soc=draw(st.floats(0.05, 0.95)),
+        initial_temp_c=draw(st.floats(0.0, 40.0)),
+    )
+    n = draw(st.integers(1, 3))
+    starts = sorted(draw(st.lists(st.integers(1, 60), min_size=n - 1, max_size=n - 1, unique=True)))
+    powers = {SegmentKind.DRIVE: st.floats(-30_000.0, 0.0), SegmentKind.PLUGGED: st.floats(0.0, 11_040.0)}
+    records = []
+    for start in [0, *starts]:
+        kind = draw(st.sampled_from(SegmentKind))
+        records.append(ProfileRecord(start * dt, kind, draw(powers.get(kind, st.just(0.0))), 20.0, None))
+    end = (starts[-1] if starts else 0) + draw(st.integers(1, 60))
+    tail = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    records.append(ProfileRecord((end + tail) * dt, SegmentKind.IDLE, 0.0, 20.0, None))
+    return config, ScenarioProfile(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=recorded_runs())
+def test_recorded_columns_follow_the_plant_state(run):
+    # v_pack and p_dc are products of the step's own values, and the aging
+    # columns move only where an aging interval closes, or on the last row
+    config, profile = run
+    traj = run_scenario(config, profile)
+
+    def bits(column):
+        return np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+
+    assert np.array_equal(bits(traj.v_pack), bits(N_SERIES * traj.v_cell))
+    assert np.array_equal(bits(traj.p_dc), bits(traj.i_dc * traj.v_pack))
+    aging_every = round(config.aging_interval_s / config.dt_s)
+    whole_steps = math.floor(profile.duration_s / config.dt_s + 1e-9)
+    closes = [(k + 1) % aging_every == 0 and k < whole_steps for k in range(traj.n_rows)]
+    closes[-1] = True
+    for name, start in (("c_norm", 1.0), ("r_norm", 1.0), ("eqfc", 0.0)):
+        column = bits(getattr(traj, name))
+        moved = column != np.concatenate((bits([start]), column[:-1]))
+        assert not np.any(moved & ~np.array(closes)), name
 
 
 class TestMetrics:

@@ -21,6 +21,7 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -311,3 +312,20 @@ def test_lookup_on_generated_grids_equals_interpolate(data, n_tables, ulp):
         expected = [grid.interpolate(soc, temp) for grid in grids]
         assert _bits(lookup(soc, temp)) == _bits(expected), (soc, temp)
         _check_memo(lookup, soc, temp)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["negative-first", "positive-first"])
+def test_cell_origins_of_opposite_zero_sign_start_two_runs(order):
+    # with the runs keyed on ==, both tables took the first one's origin
+    # and one of them read 0.0 where interpolate gives -0.0
+    values = [[1.0, 1.0], [-0.0, -0.0], [-0.0, -0.0]]
+    grids = [
+        ParamGrid("negative_zero", (-1.0, -0.0, 1.0), (0.0, 1.0), values),
+        ParamGrid("positive_zero", (-1.0, 0.0, 1.0), (0.0, 1.0), values),
+    ][::order]
+    lookup = GridLookup("signed zeros", grids)
+    expected = [grid.interpolate(-0.0, 0.0) for grid in grids]
+    assert _bits(lookup(-0.0, 0.0)) == _bits(expected)
+    assert _bits(expected) != _bits(expected[::-1]), "the two tables no longer differ in sign"
+    (cell,) = lookup.cells.values()
+    assert len(cell[4]) == 2
