@@ -10,14 +10,18 @@ heater keeps the pack at or above 0 degC. A step maps one pack temperature
 """
 
 from evplant import ThermalMode, ThermalParams, step_thermal
-from evplant.thermal import convection_power, coolant_flow_rate, cooling_power
+from evplant.thermal import C_COOLANT, FLOW_RATE_REF_TEMP, FLOW_RATE_SLOPE, RHO_COOLANT
 
 params = ThermalParams.for_mode(ThermalMode.EV_OPERATION)
+# at 45 degC the coolant flows at FLOW_RATE_SLOPE, proportionally less below it
+loop_conductance_45 = RHO_COOLANT * C_COOLANT * FLOW_RATE_SLOPE
 print(f"heat capacity {params.c_pack / 1e3:.2f} kJ/K, "
-      f"convection sum {params.alpha_sum:.3f} W/K")
-print(f"coolant flow at 45 degC: {coolant_flow_rate(45.0):.3e} m^3/s")
-print(f"convection at +10 K over ambient: {convection_power(30, 20, params):.1f} W")
-print(f"liquid cooling at +10 K over ambient: {cooling_power(30, 20, params):.1f} W")
+      f"convection {params.alpha_sum:.3f} W/K")
+print(f"coolant flow at 45 degC: {FLOW_RATE_SLOPE:.3e} m^3/s, "
+      f"loop conductance {loop_conductance_45:.2f} W/K")
+print(f"convection at +10 K over ambient: {params.alpha_sum * 10.0:.1f} W")
+print(f"liquid cooling, 30 degC pack over 20 degC coolant: "
+      f"{loop_conductance_45 * 30.0 / FLOW_RATE_REF_TEMP * (30.0 - 20.0):.1f} W")
 print()
 
 # 500 W of constant losses, convection only: the pack creeps toward a

@@ -11,8 +11,9 @@ latest pack voltage and gate it.
 Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. A run covers and ages its
-whole profile: a tail shorter than one step is one last, shorter step, and
-the time since the last aging point is booked at the end. A step records
+whole profile: :func:`evplant.scenario.whole_steps` splits its span into
+whole steps and a tail, which is one last, shorter step, and the time since
+the last aging point is booked at the end. A step records
 only what it decides: its end time, SOC, cell voltage, current, pack
 temperature, AC power and flags; each aging point records the aging state.
 The pack voltage, the DC power and the per-row aging columns are derived
@@ -67,7 +68,7 @@ from .charger import (
 )
 from .ecm import EcmState, operating_point, rest_voltage, step_ecm, voltage_prediction_coeffs
 from .params import default_data_dir, float_cells, load_parameter_set, read_csv_rows
-from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind
+from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind, whole_steps
 from .thermal import ThermalMode, ThermalParams, step_thermal
 
 SECONDS_PER_DAY = 86400.0
@@ -181,10 +182,8 @@ def run_scenario(
     """Simulate one scenario; see the module docstring for the step order."""
     records = profile.records
     dt = config.dt_s
-    steps = profile.duration_s / dt
-    n_whole = int(math.floor(steps + 1e-9))
     # a tail shorter than one step is simulated as one last, shorter step
-    tail_dt = profile.duration_s - n_whole * dt if steps - n_whole > 1e-9 else 0.0
+    n_whole, tail_dt = whole_steps(profile.duration_s, dt)
     n_steps = n_whole + (tail_dt > 0.0)
     if n_steps <= 0:
         return Trajectory.empty()

@@ -25,8 +25,25 @@ MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejecte
 
 PROFILE_HEADER = "t_s,kind,value_w,ambient_c,charger_mode"
 
-# relative slack on an interval's count of steps: 2.1 s / 0.7 s is 3.0000000000000004
-_WHOLE_STEPS_REL_TOL = 1e-9
+# a rest shorter than this fraction of a step is the rounding of the span, not
+# a tail: 2.1 s / 0.7 s is 3.0000000000000004, and 8,640,374.8 s - 8,640,000.0 s
+# is 1874.0000000037 steps of 0.2 s
+_WHOLE_STEPS_TOL = 1e-6
+
+
+def whole_steps(span_s: float, dt_s: float) -> tuple[int, float]:
+    """The whole steps of ``dt_s`` in ``span_s`` and the rest, shorter than one step.
+
+    A span within ``_WHOLE_STEPS_TOL`` of a step of a whole count is that
+    count, with no rest: a span taken between two large times (a run from
+    day 100) rounds by a sliver of a step, never by a millionth of one.
+    """
+    steps = span_s / dt_s
+    n = round(steps)
+    if abs(steps - n) <= _WHOLE_STEPS_TOL:
+        return n, 0.0
+    n = math.floor(steps)
+    return n, span_s - n * dt_s
 
 
 class SegmentKind(Enum):
@@ -131,8 +148,7 @@ class ScenarioConfig:
         # the engine polls and ages every whole number of steps
         for name in ("control_interval_s", "aging_interval_s"):
             interval = getattr(self, name)
-            steps = interval / self.dt_s
-            if abs(steps - round(steps)) > _WHOLE_STEPS_REL_TOL * steps:
+            if whole_steps(interval, self.dt_s)[1]:
                 raise ValueError(
                     f"{name} must be a whole multiple of dt_s ({float(self.dt_s)!r}), got {float(interval)!r}"
                 )

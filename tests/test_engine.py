@@ -39,6 +39,7 @@ from evplant.scenario import (
     ScenarioConfig,
     ScenarioProfile,
     SegmentKind,
+    whole_steps,
 )
 from evplant.thermal import ThermalMode
 
@@ -329,6 +330,20 @@ class TestRunScenario:
         drops = 0.5 - traj.soc[0], traj.soc[0] - traj.soc[1]
         assert drops[1] / drops[0] == pytest.approx(40.0 * traj.i_dc[1] / (60.0 * traj.i_dc[0]), rel=1e-6)
 
+    def test_a_late_start_splits_into_whole_steps(self):
+        # 374.8 s from day 100 at dt = 0.2 s is 1874.0000000037 steps in
+        # floats; a slack of 1e-9 on the count runs the excess as a 1.9e-9 s
+        # step of its own
+        profile = ScenarioProfile(
+            [
+                ProfileRecord(8_640_000.0, SegmentKind.DRIVE, -3000.0, 20.0),
+                ProfileRecord(8_640_374.8, SegmentKind.IDLE, 0.0, 20.0),
+            ]
+        )
+        traj = run_scenario(ScenarioConfig(dt_s=0.2, initial_soc=0.5, initial_temp_c=20.0), profile)
+        assert traj.n_rows == 1874
+        assert np.diff(traj.t_s, prepend=8_640_000.0).min() > 0.19
+
     def test_strategy_off_draws_nothing(self):
         config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
         traj = run_scenario(config, charge_profile(duration=120.0), strategy_off)
@@ -379,6 +394,53 @@ class TestRunScenario:
         assert traj.n_rows == 2400
         assert calls["operating_point"] == calls["step_ecm"] == calls["step_thermal"] == 2400
         assert calls["gate_current"] == kinds.count("drive") + kinds.count("plugged") == 2100
+
+    @pytest.mark.parametrize("mode", list(ThermalMode))
+    @pytest.mark.parametrize(
+        "kind, power_w, ambient_c, t_pack_c, soc, loop_runs",
+        [
+            pytest.param(SegmentKind.DRIVE, -10000.0, 20.0, 30.0, 0.5, True, id="warm_drive"),
+            pytest.param(SegmentKind.DRIVE, -10000.0, 30.0, 10.0, 0.5, False, id="drive_pack_below_ambient"),
+            pytest.param(SegmentKind.PLUGGED, 11040.0, 20.0, 30.0, 0.5, "with_current", id="charging"),
+            pytest.param(SegmentKind.PLUGGED, 11040.0, 20.0, 30.0, 0.945, "with_current", id="plugged_to_soc_high"),
+            pytest.param(SegmentKind.IDLE, 0.0, 20.0, 30.0, 0.5, False, id="idle"),
+        ],
+    )
+    def test_cooling_loop_runs_only_to_carry_heat_out(
+        self, monkeypatch, mode, kind, power_w, ambient_c, t_pack_c, soc, loop_runs
+    ):
+        # in the vehicle, the loop runs while driving, or while charging with
+        # current, and only while the pack is warmer than the ambient coolant;
+        # a pack on the lab bench has no loop
+        original = evplant.engine.step_thermal
+        cooling = []
+
+        def recording(t_pack, q_gen, t_ambient, dt, params, cooling_active=False, charging=False):
+            cooling.append(cooling_active)
+            return original(t_pack, q_gen, t_ambient, dt, params, cooling_active, charging)
+
+        monkeypatch.setattr(evplant.engine, "step_thermal", recording)
+        profile = ScenarioProfile(
+            [ProfileRecord(0.0, kind, power_w, ambient_c), ProfileRecord(120.0, SegmentKind.IDLE, 0.0, ambient_c)]
+        )
+        config = ScenarioConfig(thermal_mode=mode, initial_soc=soc, initial_temp_c=t_pack_c)
+        traj = run_scenario(config, profile)
+        assert len(cooling) == traj.n_rows == 120
+        # the pack stays on the side of ambient it starts on
+        assert np.all((traj.t_pack > ambient_c) == (t_pack_c > ambient_c))
+        if mode is ThermalMode.LAB_PACK_TEST:
+            assert not any(cooling)
+        elif loop_runs == "with_current":
+            # off through the charger's dead time, on while current flows
+            assert cooling == [i > 0.0 for i in traj.i_dc]
+            assert any(cooling) and not all(cooling)
+        else:
+            assert cooling == [loop_runs] * 120
+        if soc > 0.9:
+            # after soc_high trips, the pack stays plugged at 0 A with the loop off
+            trip = next(k for k, flags in enumerate(traj.flags) if flags == "plugged|soc_high")
+            assert any(cooling[:trip]) or mode is ThermalMode.LAB_PACK_TEST
+            assert not np.any(traj.i_dc[trip:]) and not any(cooling[trip:])
 
     def test_step_stays_within_its_python_call_budget(self):
         # Python-level calls per step of a day of drives, charging and idle,
@@ -736,8 +798,8 @@ def test_recorded_columns_follow_the_plant_state(run):
     assert np.array_equal(bits(traj.v_pack), bits(N_SERIES * traj.v_cell))
     assert np.array_equal(bits(traj.p_dc), bits(traj.i_dc * traj.v_pack))
     aging_every = round(config.aging_interval_s / config.dt_s)
-    whole_steps = math.floor(profile.duration_s / config.dt_s + 1e-9)
-    closes = [(k + 1) % aging_every == 0 and k < whole_steps for k in range(traj.n_rows)]
+    n_whole, _ = whole_steps(profile.duration_s, config.dt_s)
+    closes = [(k + 1) % aging_every == 0 and k < n_whole for k in range(traj.n_rows)]
     closes[-1] = True
     for name, start in (("c_norm", 1.0), ("r_norm", 1.0), ("eqfc", 0.0)):
         column = bits(getattr(traj, name))

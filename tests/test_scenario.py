@@ -9,7 +9,7 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evplant.aging import CALENDAR_FILES, CYCLE_FILES
@@ -23,6 +23,7 @@ from evplant.scenario import (
     ScenarioProfile,
     SegmentKind,
     load_config,
+    whole_steps,
 )
 from evplant.thermal import ThermalMode, ThermalParams
 
@@ -356,6 +357,31 @@ def wrong_values(kind: type, none_allowed: bool):
     if issubclass(kind, Enum):
         values |= st.sampled_from([m.value for m in kind])
     return values if none_allowed else values | st.none()
+
+
+class TestWholeSteps:
+    @given(
+        t0=st.sampled_from([0.0, 1.5, 3600.3, 8.64e6, 3.1536e7]),
+        dt=st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.0, 60.0]),
+        n=st.integers(0, 10**7),
+    )
+    # 374.8 s from day 100, and one short step from year 1: a slack of 1e-9 on
+    # the count, absolute or relative to it, leaves a sliver of a step in each
+    @example(t0=8.64e6, dt=0.2, n=1874)
+    @example(t0=3.1536e7, dt=0.1, n=1)
+    def test_a_span_of_whole_steps_has_no_rest(self, t0, dt, n):
+        # the span as a run sees it: the difference of its end and start times
+        assert whole_steps((t0 + n * dt) - t0, dt) == (n, 0.0)
+
+    @given(
+        dt=st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.0, 60.0]),
+        n=st.integers(0, 10**4),
+        f=st.floats(0.01, 0.99),
+    )
+    def test_a_real_tail_is_kept(self, dt, n, f):
+        n_whole, rest = whole_steps(n * dt + f * dt, dt)
+        assert n_whole == n
+        assert abs(rest - f * dt) <= 1e-6 * dt
 
 
 class TestTypedFields:

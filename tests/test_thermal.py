@@ -8,13 +8,13 @@ from dataclasses import fields
 import pytest
 
 from evplant.thermal import (
+    _ALPHAS,
     C_COOLANT,
+    FLOW_RATE_REF_TEMP,
+    FLOW_RATE_SLOPE,
     RHO_COOLANT,
     ThermalMode,
     ThermalParams,
-    convection_power,
-    coolant_flow_rate,
-    cooling_power,
     step_thermal,
 )
 
@@ -29,17 +29,19 @@ def lab_params():
     return ThermalParams.for_mode(ThermalMode.LAB_PACK_TEST)
 
 
-class TestConvection:
-    def test_zero_delta(self, ev_params):
-        assert convection_power(20.0, 20.0, ev_params) == 0.0
+def cooling_conductance(t_pack: float) -> float:
+    """The cooling loop's conductance (W/K): rho * c * flow, the flow linear in |t_pack|."""
+    return RHO_COOLANT * C_COOLANT * abs(t_pack / FLOW_RATE_REF_TEMP * FLOW_RATE_SLOPE)
 
+
+class TestConvection:
     def test_ev_operation_coefficients(self, ev_params):
         assert ev_params.alpha_sum == pytest.approx(5.579, rel=1e-12)
-        assert convection_power(30.0, 20.0, ev_params) == pytest.approx(55.79, rel=1e-12)
+        assert ev_params.alpha_sum * 10.0 == pytest.approx(55.79, rel=1e-12)
 
     def test_lab_coefficients(self, lab_params):
         assert lab_params.alpha_sum == pytest.approx(4.234, rel=1e-12)
-        assert convection_power(30.0, 20.0, lab_params) == pytest.approx(42.34, rel=1e-12)
+        assert lab_params.alpha_sum * 10.0 == pytest.approx(42.34, rel=1e-12)
 
     def test_heat_capacity_default(self, ev_params, lab_params):
         assert ev_params.c_pack == 17120.0
@@ -48,26 +50,15 @@ class TestConvection:
 
 class TestCoolantLoop:
     def test_flow_rate_at_reference(self):
-        assert coolant_flow_rate(45.0) == pytest.approx(1.513e-5, rel=1e-12)
+        assert 45.0 / FLOW_RATE_REF_TEMP * FLOW_RATE_SLOPE == pytest.approx(1.513e-5, rel=1e-12)
 
-    def test_flow_rate_zero(self):
-        assert coolant_flow_rate(0.0) == 0.0
+    def test_loop_conductance_example(self):
+        # 30 degC pack over 20 degC coolant: the paper's 361.7 W
+        assert cooling_conductance(30.0) == pytest.approx(1080.0 * 3320.0 * (30.0 / 45.0 * 1.513e-5), rel=1e-12)
+        assert cooling_conductance(30.0) * (30.0 - 20.0) == pytest.approx(361.7, abs=0.1)
 
-    def test_flow_rate_absolute_value(self):
-        assert coolant_flow_rate(-10.0) == pytest.approx(10.0 / 45.0 * 1.513e-5, rel=1e-12)
-
-    def test_cooling_power_example(self, ev_params):
-        expected = 10.0 * 1080.0 * 3320.0 * (30.0 / 45.0 * 1.513e-5)
-        assert cooling_power(30.0, 20.0, ev_params) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(361.7, abs=0.1)
-
-    def test_cooling_power_zero_delta(self, ev_params):
-        assert cooling_power(25.0, 25.0, ev_params) == 0.0
-
-    def test_cooling_power_sign_flips_when_ambient_warmer(self, ev_params):
-        # formula as printed: warm ambient would push heat into the pack,
-        # which is why the engine gates the loop on positive delta-T
-        assert cooling_power(20.0, 30.0, ev_params) < 0.0
+    def test_loop_conductance_at_reference(self):
+        assert cooling_conductance(45.0) == pytest.approx(54.25, abs=0.01)
 
 
 class TestStep:
@@ -112,11 +103,11 @@ class TestStep:
         assert cooled < convection_only
 
     @pytest.mark.parametrize("dt", [1.0, 60.0])
-    def test_cooled_step_uses_the_coolant_flow_rate(self, ev_params, dt):
-        # the step writes the flow-rate law out; it must be coolant_flow_rate's, bit for bit
+    def test_cooled_step_follows_the_cooling_law(self, ev_params, dt):
+        # the law written out, operand for operand: the step must give it bit for bit
         sweep = [k * 0.37 for k in range(-200, 220)] + [0.0, -0.0, 45.0, -45.0, 1e-300, -1e300]
         for t_pack in sweep:
-            conductance = ev_params.alpha_sum + RHO_COOLANT * C_COOLANT * coolant_flow_rate(t_pack)
+            conductance = ev_params.alpha_sum + cooling_conductance(t_pack)
             approach = -math.expm1(-conductance * dt / ev_params.c_pack)
             expected = t_pack + (20.0 + 800.0 / conductance - t_pack) * approach
             cooled = step_thermal(t_pack, 800.0, 20.0, dt, ev_params, cooling_active=True)
@@ -124,10 +115,19 @@ class TestStep:
 
 
 def test_mode_coefficients_differ():
+    # the paper's directional coefficients; the model uses their sum
+    assert _ALPHAS[ThermalMode.EV_OPERATION] == (0.726, 3.470, 1.383)
+    assert _ALPHAS[ThermalMode.LAB_PACK_TEST] == (0.472, 2.863, 0.899)
     ev = ThermalParams.for_mode(ThermalMode.EV_OPERATION)
     lab = ThermalParams.for_mode(ThermalMode.LAB_PACK_TEST)
-    assert (ev.alpha_x, ev.alpha_y, ev.alpha_z) == (0.726, 3.470, 1.383)
-    assert (lab.alpha_x, lab.alpha_y, lab.alpha_z) == (0.472, 2.863, 0.899)
+    # summed left to right, the float every pinned run was recorded with
+    assert ev.alpha_sum.hex() == (0.726 + 3.470 + 1.383).hex()
+    assert lab.alpha_sum.hex() == (0.472 + 2.863 + 0.899).hex()
+    assert ThermalParams() == ev
+
+
+def test_params_hold_the_capacity_and_one_conductance():
+    assert [f.name for f in fields(ThermalParams)] == ["c_pack", "alpha_sum"]
 
 
 def test_invalid_params_rejected():
