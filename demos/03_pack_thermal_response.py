@@ -9,19 +9,31 @@ heater keeps the pack at or above 0 degC. A step maps one pack temperature
 (degC) to the next.
 """
 
+import math
+
 from evplant import ThermalMode, ThermalParams, step_thermal
-from evplant.thermal import C_COOLANT, FLOW_RATE_REF_TEMP, FLOW_RATE_SLOPE, RHO_COOLANT
 
 params = ThermalParams.for_mode(ThermalMode.EV_OPERATION)
-# at 45 degC the coolant flows at FLOW_RATE_SLOPE, proportionally less below it
-loop_conductance_45 = RHO_COOLANT * C_COOLANT * FLOW_RATE_SLOPE
+
+
+def conductance(t_pack: float, cooling_active: bool) -> float:
+    """Conductance to ambient (W/K) that a step applies at ``t_pack``, read
+    back from one unforced 1 s step: the node relaxes by 1 - exp(-G dt / C)."""
+    t_ambient = t_pack - 10.0
+    approach = (step_thermal(t_pack, 0.0, t_ambient, 1.0, params, cooling_active) - t_pack) / (t_ambient - t_pack)
+    return -params.c_pack * math.log1p(-approach)
+
+
+def loop_conductance(t_pack: float) -> float:
+    return conductance(t_pack, True) - conductance(t_pack, False)
+
+
 print(f"heat capacity {params.c_pack / 1e3:.2f} kJ/K, "
       f"convection {params.alpha_sum:.3f} W/K")
-print(f"coolant flow at 45 degC: {FLOW_RATE_SLOPE:.3e} m^3/s, "
-      f"loop conductance {loop_conductance_45:.2f} W/K")
+print(f"cooling loop at 45 degC: {loop_conductance(45.0):.2f} W/K")
 print(f"convection at +10 K over ambient: {params.alpha_sum * 10.0:.1f} W")
 print(f"liquid cooling, 30 degC pack over 20 degC coolant: "
-      f"{loop_conductance_45 * 30.0 / FLOW_RATE_REF_TEMP * (30.0 - 20.0):.1f} W")
+      f"{loop_conductance(30.0) * (30.0 - 20.0):.1f} W")
 print()
 
 # 500 W of constant losses, convection only: the pack creeps toward a

@@ -35,8 +35,10 @@ def whole_steps(span_s: float, dt_s: float) -> tuple[int, float]:
     """The whole steps of ``dt_s`` in ``span_s`` and the rest, shorter than one step.
 
     A span within ``_WHOLE_STEPS_TOL`` of a step of a whole count is that
-    count, with no rest: a span taken between two large times (a run from
-    day 100) rounds by a sliver of a step, never by a millionth of one.
+    count, with no rest. A span taken between two large times (a run from
+    day 100) is off a whole count by the rounding of those times; that stays
+    inside the slack for times within a year, steps of 0.1 s or more and
+    counts below about 10**9.
     """
     steps = span_s / dt_s
     n = round(steps)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evplant.engine
@@ -35,6 +35,7 @@ from evplant.engine import (
 )
 from evplant.params import N_SERIES, PARAM_NAMES, GridLookup, ParamGrid, default_data_dir
 from evplant.scenario import (
+    _WHOLE_STEPS_TOL,
     ProfileRecord,
     ScenarioConfig,
     ScenarioProfile,
@@ -331,9 +332,8 @@ class TestRunScenario:
         assert drops[1] / drops[0] == pytest.approx(40.0 * traj.i_dc[1] / (60.0 * traj.i_dc[0]), rel=1e-6)
 
     def test_a_late_start_splits_into_whole_steps(self):
-        # 374.8 s from day 100 at dt = 0.2 s is 1874.0000000037 steps in
-        # floats; a slack of 1e-9 on the count runs the excess as a 1.9e-9 s
-        # step of its own
+        # the span of 374.8 s from day 100 is 1874 whole steps of 0.2 s,
+        # though in floats it divides to 1874.0000000037
         profile = ScenarioProfile(
             [
                 ProfileRecord(8_640_000.0, SegmentKind.DRIVE, -3000.0, 20.0),
@@ -584,20 +584,27 @@ class TestFailureContract:
 
     @settings(max_examples=150, deadline=None)
     @given(rows=profile_rows(), initial_soc=st.floats(0.0, 1.0))
+    # spans within the whole-step slack of 0 and of 1 step: no row, and one
+    # row that ends 5e-7 s short of the last record
+    @example(rows=[[0.0, SegmentKind.DRIVE, -1000.0, 20.0, None], [1.192092896e-07, SegmentKind.IDLE, 0.0, 20.0, None]],
+             initial_soc=0.5)
+    @example(rows=[[0.0, SegmentKind.DRIVE, -1000.0, 20.0, None], [1.0000005, SegmentKind.IDLE, 0.0, 20.0, None]],
+             initial_soc=0.5)
     def test_bad_input_fails_with_a_message(self, rows, initial_soc):
         try:
             profile = ScenarioProfile([ProfileRecord(*row) for row in rows])
         except ValueError:
             return
+        config = ScenarioConfig(initial_soc=initial_soc)
         try:
-            traj = run_scenario(ScenarioConfig(initial_soc=initial_soc), profile)
+            traj = run_scenario(config, profile)
         except RuntimeError as exc:
             assert re.match(r"(plant step|strategy) failed at step \d+ \(t=", str(exc))
         else:
             # a run that completes covers its whole profile, to within the
-            # 1e-9 step slack of a profile that is whole steps
-            end = profile.records[-1].t_s
-            assert traj.t_s[-1] == pytest.approx(end, abs=1e-9) if traj.n_rows else profile.duration_s <= 1e-9
+            # slack of whole_steps: a rest that small is rounding, not a tail
+            end, slack = profile.records[-1].t_s, _WHOLE_STEPS_TOL * config.dt_s
+            assert traj.t_s[-1] == pytest.approx(end, abs=slack) if traj.n_rows else profile.duration_s <= slack
 
     @pytest.mark.parametrize("table", ["r1", "ocv"])
     def test_zero_table_fails_at_the_first_step(self, data_dir, tmp_path, table):

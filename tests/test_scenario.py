@@ -319,9 +319,18 @@ max_current_a = 80
         [(0.25, 10.0, 60.0), (0.5, 10.0, 60.0), (1.0, 10.0, 60.0), (60.0, 60.0, 60.0), (0.7, 2.1, 4.2)],
     )
     def test_intervals_that_are_whole_steps_load(self, dt, control, aging):
-        # 2.1 / 0.7 is 3.0000000000000004 in binary; the relative slack admits it
+        # 2.1 / 0.7 is 3.0000000000000004 in binary; the whole-step slack admits it
         config = ScenarioConfig(dt_s=dt, control_interval_s=control, aging_interval_s=aging)
         assert (config.control_interval_s, config.aging_interval_s) == (control, aging)
+
+    def test_an_interval_within_a_millionth_of_a_step_is_that_step(self):
+        # the intervals follow the run's whole-step rule: 60.00003 s at dt 60 s
+        # is 1.0000005 steps, which the engine rounds to 1; 60.0003 s is not
+        config = ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.00003)
+        assert whole_steps(config.aging_interval_s, config.dt_s) == (1, 0.0)
+        message = "aging_interval_s must be a whole multiple of dt_s (60.0), got 60.0003"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.0003)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -365,8 +374,8 @@ class TestWholeSteps:
         dt=st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.0, 60.0]),
         n=st.integers(0, 10**7),
     )
-    # 374.8 s from day 100, and one short step from year 1: a slack of 1e-9 on
-    # the count, absolute or relative to it, leaves a sliver of a step in each
+    # 374.8 s from day 100, and one short step from year 1: each span is off a
+    # whole count by the rounding of its end time, well inside the slack
     @example(t0=8.64e6, dt=0.2, n=1874)
     @example(t0=3.1536e7, dt=0.1, n=1)
     def test_a_span_of_whole_steps_has_no_rest(self, t0, dt, n):
