@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .params import default_data_dir, float_cells, read_csv_rows
 
 # ramp dynamics after a new set-point command
@@ -229,6 +231,31 @@ def dc_to_ac(p_dc: float, config: ChargerConfig) -> float:
         return p_dc / y0
     # solve slope*p^2 + b*p - p_dc = 0 for p in the segment
     return (-b + math.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
+
+
+def dc_to_ac_array(p_dc: np.ndarray, config: ChargerConfig) -> np.ndarray:
+    """:func:`dc_to_ac` of each element of ``p_dc``, all > 0: the same floats, element by element.
+
+    ``searchsorted(side="left")`` finds the segment as ``bisect_left`` does,
+    and each branch repeats the scalar's operations in its operand order.
+    """
+    anchors = config.dc_anchors
+    etas = config.efficiency.points
+    slope, b, y0 = np.array(config.dc_segments).T
+    # the segment below each point, clipped onto the first and last for the clamp branches
+    seg = np.searchsorted(anchors, p_dc, side="left") - 1
+    np.clip(seg, 0, len(slope) - 1, out=seg)
+    slope, b, y0 = slope[seg], b[seg], y0[seg]
+    flat = slope == 0.0
+    # a flat segment's quadratic is 0/0, and its value is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_ac = (-b + np.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
+    p_ac[flat] = p_dc[flat] / y0[flat]
+    low = p_dc <= anchors[0]
+    p_ac[low] = p_dc[low] / etas[0][1]
+    high = p_dc >= anchors[-1]
+    p_ac[high] = p_dc[high] / etas[-1][1]
+    return p_ac
 
 
 def cc_cv_limit(

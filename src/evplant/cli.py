@@ -39,10 +39,9 @@ def resolve_strategy(spec: str | None) -> Strategy | None:
         return strategy_off
     if spec.startswith("constant:"):
         try:
-            watts = float(spec.split(":", 1)[1])
+            return make_constant_strategy(float(spec.split(":", 1)[1]))
         except ValueError as exc:
             raise ValueError(f"cannot load strategy '{spec}': {exc}") from None
-        return make_constant_strategy(watts)
     if ":" in spec:
         module_name, attr = spec.split(":", 1)
         try:

@@ -3,7 +3,8 @@
 Each step: resolve the active profile segment; when plugged in, poll the
 strategy at the control interval and when a charging session starts (a
 plug-in, or a charger-mode change while plugged, which resets the set-point
-and ramp), quantize the AC set-point, convert the ramped power to DC while
+and ramp) with the AC power the last step drew (0 W at a session start),
+quantize the AC set-point, convert the ramped power to DC while
 the ramp still moves and hold the settled set-point's DC power, converted
 once per command, after it, then apply the CV current limit and the BMS
 gate; when driving, convert the requested DC power to current against the
@@ -15,11 +16,12 @@ whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
 the last aging point is booked at the end. A step records
 only what it decides: its end time, SOC, cell voltage, current, pack
-temperature, AC power and flags; each aging point records the aging state.
-The pack voltage, the DC power and the per-row aging columns are derived
-from those once per run, with the loop's operands, so they are the same
-floats. Runs are purely deterministic: identical inputs give bit-identical
-trajectories. A failing
+temperature and flags; each aging point records the aging state. The pack
+voltage, the DC power, the AC power (the charger's inverse efficiency, on
+the plugged rows that draw) and the per-row aging columns are derived from
+those once per run, with the loop's operands, so they are the floats the
+step would compute; a poll computes only the last step's AC power. Runs are
+purely deterministic: identical inputs give bit-identical trajectories. A failing
 step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
 for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
 The plant layers trust their inputs, which are checked where they enter the
@@ -62,6 +64,7 @@ from .charger import (
     cc_cv_limit,
     command_setpoint,
     dc_to_ac,
+    dc_to_ac_array,
     load_curve,
     quantize_setpoint,
     ramp_power,
@@ -84,7 +87,7 @@ class StrategyObservation(NamedTuple):
     soc: float
     t_pack_c: float
     plugged: bool
-    ac_power_w: float  # currently drawn AC power
+    ac_power_w: float  # the AC power the last step drew (its row's p_ac_w)
     setpoints_w: tuple[float, ...]  # achievable AC set-points incl. 0
 
 
@@ -101,6 +104,10 @@ def strategy_off(obs: StrategyObservation) -> float:
 
 
 def make_constant_strategy(watts: float) -> Strategy:
+    """Request ``watts`` at every poll; a NaN, infinite or negative power is refused here."""
+    if not (math.isfinite(watts) and watts >= 0.0):
+        raise ValueError(f"constant power must be finite and >= 0, got {watts!r}")
+
     def strategy(obs: StrategyObservation) -> float:
         return watts
 
@@ -227,7 +234,6 @@ def run_scenario(
 
     ctrl = ChargeControlState()
     t_cmd = 0.0  # time since the last command
-    p_ac_prev = 0.0
     # DC power of the settled set-point, held until the next command
     p_dc_settled = 0.0
     # segment state, resolved when the step time reaches the next record
@@ -236,9 +242,11 @@ def run_scenario(
     plugged = False
     mode = None
 
-    # (t_s, soc, v_cell, i_dc, t_pack, p_ac) per step, flat
+    # (t_s, soc, v_cell, i_dc, t_pack) per step, flat
     rows: list[float] = []
     flags_col: list[str] = []
+    # (first row, plugged, charger config) per record change
+    spans: list[tuple[int, bool, ChargerConfig]] = []
     # c_norm, r_norm and eqfc, flat: the fresh state, then one triple per aging point
     aging_log = [aging.c_norm, aging.r_norm, aging.eqfc]
     # aging_every as the loop starts; the tail step overwrites it
@@ -266,9 +274,8 @@ def run_scenario(
             mode = rec_mode
             ch_cfg = charger_cfgs[mode]
             ch_setpoints = achievable_setpoints(ch_cfg)
+            spans.append((k, plugged, ch_cfg))
         reason = GATE_OK
-        i_dc = 0.0
-        p_ac = 0.0
         try:
             point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
             if plugged:
@@ -277,6 +284,11 @@ def run_scenario(
                         session_start = False
                         ctrl = ChargeControlState()
                         p_ac_prev = p_dc_settled = 0.0
+                    else:
+                        # the AC power the last step drew: i_dc and v_cell
+                        # still hold its values, the operands of its row's p_ac
+                        p_dc = i_dc * (n_series * v_cell)
+                        p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
                     # built from a tuple, without the NamedTuple's Python-level __new__
                     obs = tuple.__new__(
                         StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
@@ -308,14 +320,10 @@ def run_scenario(
             elif driving:
                 i_req = rec.value_w / (n_series * v_cell)
                 i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
+            else:
+                i_dc = 0.0
 
             ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
-            if plugged:
-                # the DC power _recorded_trajectory derives for the row, with the same operands
-                p_dc = i_dc * (n_series * v_cell)
-                if p_dc > 0:
-                    p_ac = dc_to_ac(p_dc, ch_cfg)
-
             cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
             t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
             # the one finiteness check of the step: a non-finite parameter,
@@ -343,9 +351,8 @@ def run_scenario(
         if not t_min_c <= t_pack <= t_max_c:
             flags += "|temp_envelope"
 
-        rows += (t + dt, ecm_state.soc, v_cell, i_dc, t_pack, p_ac)
+        rows += (t + dt, ecm_state.soc, v_cell, i_dc, t_pack)
         flags_col.append(flags)
-        p_ac_prev = p_ac
 
     # book the time since the last aging point and the unclosed residual
     # half cycles into the final reported state
@@ -353,7 +360,7 @@ def run_scenario(
         calendar_step(aging, ecm_state.soc, t_pack, rest_days, cal_coeffs)
         cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
-    trajectory = _recorded_trajectory(rows, flags_col, n_series, aging_log, aging_cadence)
+    trajectory = _recorded_trajectory(rows, flags_col, n_series, spans, aging_log, aging_cadence)
     if tail_dt:
         trajectory.t_s[-1] = records[-1].t_s
     trajectory.c_norm[-1] = aging.c_norm
@@ -366,28 +373,40 @@ def _recorded_trajectory(
     rows: list[float],
     flags: list[str],
     n_series: int,
+    spans: list[tuple[int, bool, ChargerConfig]],
     aging_log: list[float],
     aging_every: int,
 ) -> Trajectory:
     """The trajectory of what ``run_scenario``'s steps recorded.
 
-    ``rows`` holds (t_s, soc, v_cell, i_dc, t_pack, p_ac) per step, flat.
+    ``rows`` holds (t_s, soc, v_cell, i_dc, t_pack) per step, flat.
     ``v_pack = n_series * v_cell`` and ``p_dc = i_dc * v_pack`` take the
-    loop's operands, so each is the float the step computed. ``aging_log``
-    holds (c_norm, r_norm, eqfc), flat, for the fresh state and after each
-    aging point; point j closes on row ``j * aging_every - 1``, which is the
-    first to show it.
+    loop's operands. ``spans`` holds (first row, plugged, charger config)
+    from each record change on: ``p_ac`` is ``dc_to_ac(p_dc)`` with the
+    span's config on a plugged row that draws (``p_dc > 0``), and 0.0 on
+    every other row, which is the AC power a strategy poll reads for the
+    step. ``aging_log`` holds (c_norm, r_norm, eqfc), flat, for the fresh
+    state and after each aging point; point j closes on row
+    ``j * aging_every - 1``, which is the first to show it.
     """
     n = len(flags)
-    table = np.fromiter(rows, float, n * 6).reshape(n, 6)
-    t_s, soc, v_cell, i_dc, t_pack, p_ac = (np.ascontiguousarray(c) for c in table.T)
+    # one contiguous row per column; the row-major table is freed at once
+    t_s, soc, v_cell, i_dc, t_pack = np.fromiter(rows, float, n * 5).reshape(n, 5).T.copy()
     v_pack = n_series * v_cell
+    p_dc = i_dc * v_pack
+    p_ac = np.zeros(n)
+    stops = [start for start, _, _ in spans[1:]] + [n]
+    for (start, plugged, ch_cfg), stop in zip(spans, stops):
+        if plugged:
+            # only the rows that draw are gathered and converted
+            drawing = np.flatnonzero(p_dc[start:stop] > 0) + start
+            p_ac[drawing] = dc_to_ac_array(p_dc[drawing], ch_cfg)
     snapshots = np.array(aging_log).reshape(-1, 3)
     starts = np.arange(len(snapshots)) * aging_every - 1
     starts[0] = 0
     counts = np.diff(starts, append=n)
     c_norm, r_norm, eqfc = (np.repeat(column, counts) for column in snapshots.T)
-    return Trajectory(t_s, soc, v_cell, v_pack, i_dc, t_pack, p_ac, i_dc * v_pack, c_norm, r_norm, eqfc, flags)
+    return Trajectory(t_s, soc, v_cell, v_pack, i_dc, t_pack, p_ac, p_dc, c_norm, r_norm, eqfc, flags)
 
 
 def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics:

@@ -161,7 +161,13 @@ class GridLookup:
         self.grids = tuple(grids)
         self.s_axis = tuple(sorted({b for grid in self.grids for b in grid.soc_breakpoints}))
         self.t_axis = tuple(sorted({b for grid in self.grids for b in grid.temp_breakpoints}))
-        self.hull = (self.s_axis[0], self.s_axis[-1], self.t_axis[0], self.t_axis[-1])
+        # a zero edge as +0.0 (x + 0.0 is x otherwise): the set keeps the sign
+        # of whichever table lists it first, and a query clamped onto -0.0
+        # gives -0.0 less a table's own +0.0 edge, where interpolate clamps
+        # onto that edge and gives 0.0
+        self.hull = tuple(
+            edge + 0.0 for edge in (self.s_axis[0], self.s_axis[-1], self.t_axis[0], self.t_axis[-1])
+        )
         self.cells: dict[tuple[int, int], tuple] = {}
         # an empty box, so the first query builds its cell
         self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, ()))

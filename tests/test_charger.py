@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from evplant.charger import (
     cc_cv_limit,
     command_setpoint,
     dc_to_ac,
+    dc_to_ac_array,
     load_curve,
     quantize_setpoint,
     ramp_power,
@@ -54,6 +56,12 @@ def scanned_dc_to_ac(p_dc: float, config: ChargerConfig) -> float:
             b = y0 - slope * x0
             return (-b + math.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
     raise AssertionError("dc power not bracketed")
+
+
+def assert_same_floats(actual: np.ndarray, expected: list[float]) -> None:
+    """Element by element the same float64 bit patterns."""
+    assert actual.dtype == np.float64
+    assert actual.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +221,23 @@ class TestEfficiency:
         config = CONFIGS[curve]
         p_dc = fraction * config.dc_anchors[-1]
         assert dc_to_ac(p_dc, config) == scanned_dc_to_ac(p_dc, config)
+
+    @pytest.mark.parametrize("curve", sorted(CONFIGS))
+    def test_array_inverse_equals_dc_to_ac_at_the_anchors_and_past_them(self, curve):
+        config = CONFIGS[curve]
+        points = [p for a in config.dc_anchors for p in (math.nextafter(a, 0.0), a, math.nextafter(a, math.inf))]
+        points += [1.0, 0.5 * config.dc_anchors[0], 2.0 * config.dc_anchors[-1], 1e9]
+        assert_same_floats(dc_to_ac_array(np.array(points), config), [dc_to_ac(p, config) for p in points])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve=st.sampled_from(sorted(CONFIGS)),
+        fractions=st.lists(st.floats(0.0, 1.2, exclude_min=True), min_size=1, max_size=20),
+    )
+    def test_array_inverse_equals_dc_to_ac_anywhere(self, curve, fractions):
+        config = CONFIGS[curve]
+        points = [fraction * config.dc_anchors[-1] for fraction in fractions]
+        assert_same_floats(dc_to_ac_array(np.array(points), config), [dc_to_ac(p, config) for p in points])
 
     @pytest.mark.parametrize("mode", ["one_phase", "three_phase"])
     def test_zero_dc_power_needs_no_ac(self, mode, request):

@@ -375,6 +375,13 @@ NON_NUMBER_CONSTANTS = [
 ]
 
 
+# a constant strategy whose watts no charger can draw is refused when it is resolved
+BAD_POWER_CONSTANTS = [
+    (f"constant:{text}", f"cannot load strategy 'constant:{text}': constant power must be finite and >= 0, got {watts}")
+    for text, watts in (("nan", "nan"), ("inf", "inf"), ("-5", "-5.0"))
+]
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -383,6 +390,7 @@ NON_NUMBER_CONSTANTS = [
         ("math:pi", "strategy 'math:pi' is not callable"),
         ("math:sqrt", "strategy failed at step 0 (t=0.0 s): TypeError"),
         *NON_NUMBER_CONSTANTS,
+        *BAD_POWER_CONSTANTS,
     ],
 )
 def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, spec, message):
@@ -391,6 +399,18 @@ def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, spec, messag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec, message", BAD_POWER_CONSTANTS)
+def test_bad_power_constant_strategy_fails_on_a_profile_never_plugged(tmp_path, capsys, spec, message):
+    # no step polls the strategy, so only its resolution can refuse it
+    config = tmp_path / "scenario.cfg"
+    config.write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
+    profile = tmp_path / "drive.csv"
+    profile.write_text("t_s,kind,value_w,ambient_c,charger_mode\n0,drive,-5000,20,\n60,idle,0,20,\n")
+    assert _simulate(config, profile, tmp_path / "o", "--strategy", spec) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("spec, message", NON_NUMBER_CONSTANTS)

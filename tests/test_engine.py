@@ -82,6 +82,47 @@ def aging_day_profile(ambient=15.0):
     )
 
 
+def stepped_strategy(*targets: tuple[float, float]):
+    """Request each (end time, watts) target until its end time."""
+
+    def strategy(obs: StrategyObservation) -> float:
+        return next(w for t_end, w in targets if obs.t_s < t_end)
+
+    return strategy
+
+
+# (config, profile, strategy, session start times) whose polls read the AC power
+POLLED_CASES = {
+    # up from 0 W, down, a 0 W set-point, then up from 0 W again
+    "commands": (
+        ScenarioConfig(initial_soc=0.3, initial_temp_c=20.0),
+        charge_profile(duration=3600.0),
+        stepped_strategy((900.0, 11040.0), (1800.0, 4140.0), (2700.0, 0.0), (math.inf, 6900.0)),
+        {0.0},
+    ),
+    # a CV taper, then the soc_high trip holds the pack plugged at 0 A
+    "cv_to_soc_high": (
+        ScenarioConfig(initial_soc=0.9, initial_temp_c=20.0),
+        charge_profile(duration=1200.0),
+        strategy_max_power,
+        {0.0},
+    ),
+    # the one-phase record starts a new session while plugged
+    "mode_change": (
+        ScenarioConfig(initial_soc=0.4, initial_temp_c=20.0),
+        ScenarioProfile(
+            [
+                ProfileRecord(0.0, SegmentKind.PLUGGED, 11040.0, 20.0, ChargerMode.THREE_PHASE),
+                ProfileRecord(1800.0, SegmentKind.PLUGGED, 2900.0, 20.0, ChargerMode.ONE_PHASE),
+                ProfileRecord(3600.0, SegmentKind.IDLE, 0.0, 20.0, None),
+            ]
+        ),
+        strategy_max_power,
+        {0.0, 1800.0},
+    ),
+}
+
+
 def trajectory_digest(traj: Trajectory) -> str:
     """SHA-256 over the float64 little-endian columns, then the joined flags."""
     h = hashlib.sha256()
@@ -529,6 +570,54 @@ class TestRunScenario:
         assert (100.0, 0.0, 2900.0) in seen
         assert np.all(traj.p_ac[100:300] <= 2900.0 * 1.001)
         assert traj.p_ac[100] == 0.0 and traj.p_ac[299] == pytest.approx(2900.0, rel=1e-3)
+
+    @pytest.mark.parametrize("dt, control", [(1.0, 10.0), (60.0, 60.0)])
+    @pytest.mark.parametrize("case", sorted(POLLED_CASES))
+    def test_poll_sees_the_last_rows_draw(self, case, dt, control):
+        config, profile, strategy, session_starts = POLLED_CASES[case]
+        config = dataclasses.replace(config, dt_s=dt, control_interval_s=control)
+        polls = []
+
+        def spy(obs: StrategyObservation) -> float:
+            polls.append((obs.t_s, obs.ac_power_w))
+            return strategy(obs)
+
+        traj = run_scenario(config, profile, spy)
+        assert len(polls) > 10
+        for t, seen in polls:
+            if t in session_starts:
+                expected = 0.0
+            else:
+                # the poll of step k reads row k - 1, the step that ended at t
+                expected = traj.p_ac[round(t / dt) - 1]
+            assert np.float64(seen).view(np.int64) == np.float64(expected).view(np.int64), t
+        # the polls read drawing rows, and partial draws: a ramp, a taper or a 0 W set-point
+        highest = max(seen for _, seen in polls)
+        assert highest > 0.0 and any(0.0 < seen < 0.99 * highest for _, seen in polls)
+
+    def test_charger_inverse_runs_only_at_a_poll(self, monkeypatch):
+        # the AC power of the rows is derived after the loop; in the loop a
+        # poll that does not start a session converts the last step's draw
+        config, profile, strategy, session_starts = POLLED_CASES["commands"]
+        original = evplant.engine.dc_to_ac
+        converted, polls = [], []
+
+        def dc_to_ac(p_dc, config):
+            converted.append(p_dc)
+            return original(p_dc, config)
+
+        def spy(obs: StrategyObservation) -> float:
+            polls.append(obs.t_s)
+            return strategy(obs)
+
+        monkeypatch.setattr(evplant.engine, "dc_to_ac", dc_to_ac)
+        traj = run_scenario(config, profile, spy)
+        drawn_before = [t for t in polls if t not in session_starts and traj.p_dc[round(t) - 1] > 0]
+        # of 360 polls, the session start at 0 s and the 90 polls from 1810 s
+        # to 2700 s, after the 0 W command's 4 s delay, read no draw
+        assert len(polls) == 360
+        assert len(converted) == len(drawn_before) == 360 - 1 - 90
+        assert traj.n_rows == 3600 and np.count_nonzero(traj.p_ac) > 2000
 
     @pytest.mark.parametrize("initial_soc", [0.85, 0.5])
     def test_cell_voltage_converges_as_dt_shrinks(self, initial_soc):

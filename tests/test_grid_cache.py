@@ -329,3 +329,47 @@ def test_cell_origins_of_opposite_zero_sign_start_two_runs(order):
     assert _bits(expected) != _bits(expected[::-1]), "the two tables no longer differ in sign"
     (cell,) = lookup.cells.values()
     assert len(cell[4]) == 2
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["negative-first", "positive-first"])
+def test_a_zero_hull_edge_clamps_as_interpolate_does(order):
+    # a hull edge with the sign of the table listing it first would read
+    # -0.0 in the other table, where interpolate clamps onto its own edge
+    values = [[-0.0, -0.0], [1.0, 1.0]]
+    grids = [
+        ParamGrid("negative_edge", (-0.0, 2.0), (0.0, 1.0), values),
+        ParamGrid("positive_edge", (0.0, 1.0), (0.0, 1.0), values),
+    ][::order]
+    lookup = GridLookup("signed zero edges", grids)
+    expected = [grid.interpolate(-1.0, 0.0) for grid in grids]
+    assert _bits(expected) == _bits([0.0, 0.0])
+    assert _bits(lookup(-1.0, 0.0)) == _bits(expected)
+
+
+@st.composite
+def signed_zero_axis(draw) -> tuple[float, ...]:
+    """A breakpoint axis that holds a zero of either sign: its lower edge, its upper edge or inside."""
+    below = draw(st.lists(st.sampled_from((-2.0, -1.0, -0.5)), max_size=2, unique=True))
+    above = draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=0 if below else 1, max_size=2, unique=True))
+    return (*sorted(below), draw(st.sampled_from((0.0, -0.0))), *sorted(above))
+
+
+SIGNED_ZEROS = st.sampled_from((-0.0, 0.0, -1.0, 1.0, 0.25))
+COORDINATES_NEAR_ZERO = st.one_of(st.sampled_from((-0.0, 0.0, -5.0, 5.0)), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_tables=st.integers(2, 3))
+def test_lookup_on_signed_zero_axes_equals_interpolate(data, n_tables):
+    # a fresh lookup per query, so the memo's exact-repeat check, which
+    # compares with ==, plays no part
+    grids = []
+    for k in range(n_tables):
+        s, t = data.draw(signed_zero_axis()), data.draw(signed_zero_axis())
+        row = st.lists(SIGNED_ZEROS, min_size=len(t), max_size=len(t))
+        values = data.draw(st.lists(row, min_size=len(s), max_size=len(s)))
+        grids.append(ParamGrid(f"signed_zero_{k}", s, t, values))
+    queries = st.lists(st.tuples(COORDINATES_NEAR_ZERO, COORDINATES_NEAR_ZERO), min_size=1, max_size=10)
+    for soc, temp in data.draw(queries):
+        expected = [grid.interpolate(soc, temp) for grid in grids]
+        assert _bits(GridLookup("signed zeros", grids)(soc, temp)) == _bits(expected), (soc, temp)
