@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -415,9 +415,12 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
     The reference is zero-order-hold resampled onto the simulation timestamps;
     samples outside the reference's time span are dropped. Charge and energy
     are the step sums over the simulated trajectory, as in ``summary.txt``.
-    Both need times that increase from row to row; the error names the first
+    Both need as many rows in every column and in ``flags`` as in ``t_s``,
+    and times that increase from row to row; the error names the first
     row, counted from 1, whose time does not exceed the one before it.
     """
+    _check_lengths(sim, "simulation trajectory")
+    _check_lengths(reference, "reference trajectory")
     if sim.n_rows == 0 or reference.n_rows == 0:
         raise ValueError("cannot compute metrics on an empty trajectory")
     _check_increasing(sim.t_s, "simulation trajectory")
@@ -438,6 +441,15 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
         energy_kwh=_step_integral(sim.i_dc * sim.v_pack, sim.t_s) / 3.6e6,
         duration_min=(float(sim.t_s[-1]) - float(sim.t_s[0])) / 60.0,
     )
+
+
+def _check_lengths(trajectory: Trajectory, what: str) -> None:
+    """Raise ``ValueError`` naming the first column, or ``flags``, whose length is not that of ``t_s``."""
+    n = trajectory.n_rows
+    for name in (*FLOAT_COLUMNS[1:], "flags"):
+        length = len(getattr(trajectory, name))
+        if length != n:
+            raise ValueError(f"{what}: {name} has {length} rows, but t_s has {n}")
 
 
 def _check_increasing(t: np.ndarray, what: str) -> None:
@@ -468,22 +480,24 @@ def _step_integral(values: np.ndarray, t: np.ndarray) -> float:
 def _write_trajectory(trajectory: Trajectory, path: Path) -> None:
     """Write the CSV rows: each float as its shortest ``repr``, the flags as they are.
 
-    ``repr`` dominates the cost, and columns repeat values, so it runs once
-    per distinct value of a column; values are told apart by their float64
-    bit patterns, which keeps ``-0.0`` and ``0.0`` apart. Rows are streamed
-    in blocks, which bounds the transient Python strings.
+    Rows go out in blocks of ``_BLOCK_ROWS``, and only one block's strings
+    are held at a time, so the memory the write takes does not grow with the
+    trajectory. ``repr`` dominates the cost, and columns repeat values, so it
+    runs once per distinct value of a column within a block; values are told
+    apart by their float64 bit patterns, which keeps ``-0.0`` and ``0.0``
+    apart. A value that recurs in later blocks is formatted again there.
     """
-    columns = []
-    for name in FLOAT_COLUMNS:
-        bits = np.ascontiguousarray(getattr(trajectory, name), dtype=np.float64).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        columns.append((texts, inverse))
     with open(path, "w") as f:
         f.write(TRAJECTORY_HEADER + "\n")
         for start in range(0, trajectory.n_rows, _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
-            cells = [texts[inverse[start:stop]].tolist() for texts, inverse in columns]
+            cells = []
+            for name in FLOAT_COLUMNS:
+                block = getattr(trajectory, name)[start:stop]
+                bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
+                distinct, inverse = np.unique(bits, return_inverse=True)
+                texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+                cells.append(texts[inverse].tolist())
             rows = zip(*cells, trajectory.flags[start:stop])
             f.write("\n".join(map(",".join, rows)) + "\n")
 
@@ -495,9 +509,11 @@ def emit_report(
 ) -> list[Path]:
     """Write ``trajectory.csv`` and ``summary.txt`` into ``out_dir``.
 
-    The summary's charge and energy are step sums, so the times must increase
+    Every column and ``flags`` must have as many rows as ``t_s``, and the
+    summary's charge and energy are step sums, so the times must increase
     from row to row; otherwise nothing is written.
     """
+    _check_lengths(trajectory, "trajectory")
     _check_increasing(trajectory.t_s, "trajectory")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -543,18 +559,23 @@ def read_trajectory(path: str | Path) -> Trajectory:
     those), goes through :func:`read_csv_rows`, whose errors name the row.
     ``loadtxt`` gets the same ``splitlines`` lines, so both split rows alike,
     and it accepts a subset of what ``float`` does, with the same values,
-    except for ``\\x1f``, which it strips as whitespace.
+    except for ``\\x1f``, which it strips as whitespace. The file's text is
+    dropped once those checks are made, and the list of lines once
+    ``loadtxt`` has filled its table, so at its peak the read holds the
+    lines and the table, not the text as well.
     """
     path = Path(path)
     text = path.read_text() if path.is_file() else ""
     lines = text.splitlines()
-    body = lines[1:]
-    if lines[:1] == [TRAJECTORY_HEADER] and any(body) and "\x1f" not in text:
+    well_formed = lines[:1] == [TRAJECTORY_HEADER] and any(islice(lines, 1, None)) and "\x1f" not in text
+    del text
+    if well_formed:
         try:
-            table = np.loadtxt(body, _ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(lines, _ROW_DTYPE, delimiter=",", comments=None, skiprows=1, ndmin=1)
         except ValueError:
             pass
         else:
+            del lines
             columns = (np.ascontiguousarray(table[name]) for name in FLOAT_COLUMNS)
             return Trajectory(*columns, flags=table["flags"].tolist())
     rows, flags = [], []

@@ -132,6 +132,11 @@ def _cell_of(axis: tuple[float, ...], lo: float, hi: float) -> tuple[int, float,
     return k, axis[k], axis[k + 1] - axis[k]
 
 
+def _signs(s: float, t: float) -> tuple[float, float]:
+    """The signs of ``s`` and ``t`` as +-1.0, which tell ``-0.0`` from ``0.0``."""
+    return math.copysign(1.0, s), math.copysign(1.0, t)
+
+
 class GridLookup:
     """Bilinear lookup of several 2-D tables at one point, one value per table.
 
@@ -151,7 +156,8 @@ class GridLookup:
     once per call and replaced whole, so the lookup may be shared between
     threads and concurrent runs: ``(s, t, values, cell)``, the last query
     clamped onto ``hull``, the values there and its union cell. An exact
-    repeat returns ``values``, and a point in the cell's box reuses it.
+    repeat, the sign of a zero included, returns ``values``, and a point in
+    the cell's box reuses the cell.
     """
 
     __slots__ = ("label", "grids", "s_axis", "t_axis", "hull", "cells", "memo")
@@ -178,7 +184,8 @@ class GridLookup:
         s = s_min if soc < s_min else s_max if soc > s_max else soc
         t = t_min if temp < t_min else t_max if temp > t_max else temp
         last_s, last_t, values, cell = self.memo
-        if last_s == s and last_t == t:
+        # == takes -0.0 for 0.0, so a repeat at a zero coordinate compares the signs too
+        if last_s == s and last_t == t and (s and t or _signs(s, t) == _signs(last_s, last_t)):
             return values
         s_in, s_out, t_in, t_out, runs = cell
         if not (s_in <= s < s_out and t_in <= t < t_out):

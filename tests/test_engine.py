@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import math
 import re
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -950,6 +952,17 @@ class TestMetrics:
         with pytest.raises(ValueError, match=f"^{re.escape(full)}$"):
             compute_metrics(sim, ref)
 
+    @pytest.mark.parametrize("name", ["simulation", "reference"])
+    @pytest.mark.parametrize("short", ["soc", "v_cell", "flags"])
+    def test_columns_must_have_the_rows_of_t_s(self, name, short):
+        # a short simulation column failed on a boolean index, a short
+        # reference one on "index 3 is out of bounds"
+        whole, ragged = ragged_trajectory(None), ragged_trajectory(short)
+        sim, ref = (ragged, whole) if name == "simulation" else (whole, ragged)
+        message = f"{name} trajectory: {short} has 3 rows, but t_s has 4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_metrics(sim, ref)
+
     def test_integrals(self):
         t = np.arange(1.0, 101.0)
         const = Trajectory(
@@ -1038,9 +1051,48 @@ def report_trajectory(draw):
     return Trajectory(**columns, flags=[flags[i] for i in rng.integers(0, len(flags), n)])
 
 
+def block_edge_trajectory() -> Trajectory:
+    """One write block and one row more, at increasing times.
+
+    The last row repeats row 0's other values with p_ac's zero sign
+    flipped, so those values are formatted in two blocks, and 0.0 and -0.0
+    sit in adjacent blocks of one column.
+    """
+    n = evplant.engine._BLOCK_ROWS + 1
+    table = np.random.default_rng(5).standard_normal((n, len(FLOAT_COLUMNS)))
+    table[:, 0] = np.arange(1.0, n + 1.0)
+    table[0, 1:] = table[-1, 1:]
+    table[0, FLOAT_COLUMNS.index("p_ac")] = 0.0
+    table[-1, FLOAT_COLUMNS.index("p_ac")] = -0.0
+    return Trajectory(*table.T.copy(), flags=["plugged"] * n)
+
+
+def ragged_trajectory(short: str | None) -> Trajectory:
+    """Four rows, with the column or ``flags`` named ``short``, if any, one row short."""
+    n = 4
+    traj = Trajectory(*(np.ones(n) for _ in FLOAT_COLUMNS), flags=["plugged"] * n)
+    traj.t_s = np.arange(1.0, n + 1.0)
+    if short is not None:
+        setattr(traj, short, getattr(traj, short)[:-1])
+    return traj
+
+
+def traced_peak(call) -> tuple[object, int, int]:
+    """What ``call()`` returns, the peak of traced memory above its start, and the traced memory it kept."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
 class TestReports:
     @settings(max_examples=40, deadline=None)
     @given(traj=report_trajectory())
+    @example(traj=block_edge_trajectory())
     def test_writer_matches_the_row_by_row_writer(self, traj, tmp_path_factory):
         # the writer itself: emit_report refuses the unordered and NaN times drawn here
         path = tmp_path_factory.mktemp("out") / "trajectory.csv"
@@ -1081,6 +1133,44 @@ class TestReports:
         np.testing.assert_array_equal(back.v_cell, traj.v_cell)
         np.testing.assert_array_equal(back.eqfc, traj.eqfc)
         assert back.flags == traj.flags
+
+    def test_read_back_over_blocks_is_bit_identical(self, tmp_path):
+        traj = block_edge_trajectory()
+        back = read_trajectory(emit_report(traj, None, tmp_path)[0])
+        for name in FLOAT_COLUMNS:
+            np.testing.assert_array_equal(getattr(back, name).view(np.int64), getattr(traj, name).view(np.int64))
+        assert back.flags == traj.flags
+
+    def test_report_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # the writer holds one block's strings; it held every distinct value's
+        # text for the whole write, here 15.5 MB at 16,384 rows and 4.3 MB at 4,096
+        rng = np.random.default_rng(11)
+        peaks = []
+        for n in (4096, 16384):
+            traj = Trajectory(*rng.random((len(FLOAT_COLUMNS), n)), flags=["drive"] * n)
+            traj.t_s = np.arange(1.0, n + 1.0)
+            _, peak, _ = traced_peak(lambda: emit_report(traj, None, tmp_path / str(n)))
+            peaks.append(peak)
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_read_back_memory_is_a_few_times_what_it_returns(self, tmp_path):
+        # the reader kept the file's text and a copy of its lines through the
+        # parse: 723 B per row against 150 B per row returned
+        n = 16384
+        traj = Trajectory(*np.random.default_rng(12).random((len(FLOAT_COLUMNS), n)), flags=["drive"] * n)
+        traj.t_s = np.arange(1.0, n + 1.0)
+        path = emit_report(traj, None, tmp_path)[0]
+        back, peak, kept = traced_peak(lambda: read_trajectory(path))
+        assert back.n_rows == n
+        assert peak < 4 * kept, (peak, kept)
+
+    @pytest.mark.parametrize("short", ["soc", "eqfc", "flags"])
+    def test_report_refuses_a_ragged_trajectory(self, tmp_path, short):
+        # zip stopped at the short column: three rows written, "rows = 4.0" in the summary
+        message = f"trajectory: {short} has 3 rows, but t_s has 4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            emit_report(ragged_trajectory(short), None, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_summary_contents(self, tmp_path):
         config = ScenarioConfig(initial_soc=0.4, initial_temp_c=20.0)

@@ -332,6 +332,21 @@ def test_cell_origins_of_opposite_zero_sign_start_two_runs(order):
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["negative-first", "positive-first"])
+def test_a_repeat_with_a_zero_of_the_other_sign_is_not_an_exact_repeat(order):
+    # with the repeat check on ==, the query at -0.0 returned the values at 0.0
+    values = [[1.0, 1.0], [-0.0, -0.0], [-0.0, -0.0]]
+    grids = [
+        ParamGrid("negative_zero", (-1.0, -0.0, 1.0), (0.0, 1.0), values),
+        ParamGrid("positive_zero", (-1.0, 0.0, 1.0), (0.0, 1.0), values),
+    ][::order]
+    lookup = GridLookup("signed zeros", grids)
+    for soc in (0.0, -0.0, 0.0):
+        expected = [grid.interpolate(soc, 0.0) for grid in grids]
+        assert _bits(lookup(soc, 0.0)) == _bits(expected), soc
+    assert _bits(expected) != _bits([grid.interpolate(-0.0, 0.0) for grid in grids]), "the signs no longer matter"
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["negative-first", "positive-first"])
 def test_a_zero_hull_edge_clamps_as_interpolate_does(order):
     # a hull edge with the sign of the table listing it first would read
     # -0.0 in the other table, where interpolate clamps onto its own edge
