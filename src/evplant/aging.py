@@ -118,7 +118,7 @@ def calendar_step(
     coeffs: CalendarCoeffGrid,
 ) -> AgingState:
     """Accrue storage aging for ``dt_days`` at the given operating point."""
-    if dt_days < 0:
+    if not dt_days >= 0:
         raise ValueError(f"dt_days must be >= 0, got {dt_days}")
     alpha_c, alpha_r = coeffs.rates(soc, temp)
     state.c_norm -= alpha_c * dt_days

@@ -201,7 +201,7 @@ def ramp_power(state: ChargeControlState, t: float, config: ChargerConfig) -> fl
 
 def ac_to_dc(p_ac: float, config: ChargerConfig) -> float:
     """DC power into the battery for a given AC draw."""
-    if p_ac < 0:
+    if not p_ac >= 0:
         raise ValueError(f"AC power must be >= 0, got {p_ac}")
     if p_ac == 0.0:
         return 0.0
@@ -216,7 +216,7 @@ def dc_to_ac(p_dc: float, config: ChargerConfig) -> float:
     DC powers; at an anchor's own DC power the lower segment is taken. On it,
     eta = b + slope * p, and the quadratic p * eta(p) = p_dc is solved for p.
     """
-    if p_dc < 0:
+    if not p_dc >= 0:
         raise ValueError(f"DC power must be >= 0, got {p_dc}")
     if p_dc == 0.0:
         return 0.0
@@ -272,7 +272,7 @@ def cc_cv_limit(
     (pack level) and picks the largest current whose predicted voltage stays
     at or under ``v_max_pack``; the result is never negative.
     """
-    if pack_voltage <= 0:
+    if not pack_voltage > 0:
         raise ValueError(f"pack voltage must be positive, got {pack_voltage}")
     if p_dc_request <= 0:
         return 0.0

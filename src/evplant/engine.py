@@ -14,9 +14,10 @@ series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. A run covers and ages its
 whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
-the last aging point is booked at the end. A step records
-only what it decides: its end time, SOC, cell voltage, current, pack
-temperature and flags; each aging point records the aging state. The pack
+the last aging point is booked at the end. A step records only what it
+decides: its end time, SOC, cell voltage, current, pack temperature and
+flags; each aging point, and then the run's end, records the aging state.
+The last row shows the final state and ends at the profile's end. The pack
 voltage, the DC power, the AC power (the charger's inverse efficiency, on
 the plugged rows that draw) and the per-row aging columns are derived from
 those once per run, with the loop's operands, so they are the floats the
@@ -195,8 +196,8 @@ def run_scenario(
     if n_steps <= 0:
         return Trajectory.empty()
     # ScenarioConfig holds both intervals to whole multiples of dt
-    control_every = round(config.control_interval_s / dt)
-    aging_every = round(config.aging_interval_s / dt)
+    control_every = whole_steps(config.control_interval_s, dt)[0]
+    aging_every = whole_steps(config.aging_interval_s, dt)[0]
     aging_dt_days = aging_every * dt / SECONDS_PER_DAY
     # time from the last aging point to the end of the run, booked after the loop
     rest_days = ((n_whole % aging_every) * dt + tail_dt) / SECONDS_PER_DAY
@@ -247,17 +248,14 @@ def run_scenario(
     flags_col: list[str] = []
     # (first row, plugged, charger config) per record change
     spans: list[tuple[int, bool, ChargerConfig]] = []
-    # c_norm, r_norm and eqfc, flat: the fresh state, then one triple per aging point
+    # c_norm, r_norm and eqfc, flat: the fresh state, each aging point's, the final state
     aging_log = [aging.c_norm, aging.r_norm, aging.eqfc]
-    # aging_every as the loop starts; the tail step overwrites it
-    aging_cadence = aging_every
 
     for k in range(n_steps):
         t = t0 + k * dt
         if k == n_whole:
             # the tail step: shorter, and no aging point; rest_days books its time
             dt = tail_dt
-            aging_every = n_steps + 1
         if t >= next_t:
             while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
                 rec_idx += 1
@@ -333,7 +331,7 @@ def run_scenario(
                     f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
                 )
 
-            if (k + 1) % aging_every == 0:
+            if (k + 1) % aging_every == 0 and k < n_whole:
                 calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
                 cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
                 aging_log += (aging.c_norm, aging.r_norm, aging.eqfc)
@@ -360,13 +358,8 @@ def run_scenario(
         calendar_step(aging, ecm_state.soc, t_pack, rest_days, cal_coeffs)
         cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
-    trajectory = _recorded_trajectory(rows, flags_col, n_series, spans, aging_log, aging_cadence)
-    if tail_dt:
-        trajectory.t_s[-1] = records[-1].t_s
-    trajectory.c_norm[-1] = aging.c_norm
-    trajectory.r_norm[-1] = aging.r_norm
-    trajectory.eqfc[-1] = aging.eqfc
-    return trajectory
+    aging_log += (aging.c_norm, aging.r_norm, aging.eqfc)
+    return _recorded_trajectory(rows, flags_col, n_series, spans, aging_log, aging_every, records[-1].t_s)
 
 
 def _recorded_trajectory(
@@ -376,6 +369,7 @@ def _recorded_trajectory(
     spans: list[tuple[int, bool, ChargerConfig]],
     aging_log: list[float],
     aging_every: int,
+    t_end: float,
 ) -> Trajectory:
     """The trajectory of what ``run_scenario``'s steps recorded.
 
@@ -386,12 +380,15 @@ def _recorded_trajectory(
     span's config on a plugged row that draws (``p_dc > 0``), and 0.0 on
     every other row, which is the AC power a strategy poll reads for the
     step. ``aging_log`` holds (c_norm, r_norm, eqfc), flat, for the fresh
-    state and after each aging point; point j closes on row
-    ``j * aging_every - 1``, which is the first to show it.
+    state, after each aging point and, last, for the final state; point j
+    closes on row ``j * aging_every - 1``, which is the first to show it,
+    and the final state is the last row's. The last row ends at ``t_end``,
+    the profile's end.
     """
     n = len(flags)
     # one contiguous row per column; the row-major table is freed at once
     t_s, soc, v_cell, i_dc, t_pack = np.fromiter(rows, float, n * 5).reshape(n, 5).T.copy()
+    t_s[-1] = t_end
     v_pack = n_series * v_cell
     p_dc = i_dc * v_pack
     p_ac = np.zeros(n)
@@ -403,7 +400,7 @@ def _recorded_trajectory(
             p_ac[drawing] = dc_to_ac_array(p_dc[drawing], ch_cfg)
     snapshots = np.array(aging_log).reshape(-1, 3)
     starts = np.arange(len(snapshots)) * aging_every - 1
-    starts[0] = 0
+    starts[0], starts[-1] = 0, n - 1
     counts = np.diff(starts, append=n)
     c_norm, r_norm, eqfc = (np.repeat(column, counts) for column in snapshots.T)
     return Trajectory(t_s, soc, v_cell, v_pack, i_dc, t_pack, p_ac, p_dc, c_norm, r_norm, eqfc, flags)
@@ -414,7 +411,8 @@ def compute_metrics(sim: Trajectory, reference: Trajectory) -> ValidationMetrics
 
     The reference is zero-order-hold resampled onto the simulation timestamps;
     samples outside the reference's time span are dropped. Charge and energy
-    are the step sums over the simulated trajectory, as in ``summary.txt``.
+    are the step sums over the simulated trajectory of ``i_dc`` and of
+    ``i_dc * v_pack``; ``summary.txt`` sums ``p_dc`` for its DC energy.
     Both need as many rows in every column and in ``flags`` as in ``t_s``,
     and times that increase from row to row; the error names the first
     row, counted from 1, whose time does not exceed the one before it.

@@ -141,7 +141,7 @@ class GridLookup:
     """Bilinear lookup of several 2-D tables at one point, one value per table.
 
     ``grids`` are :class:`ParamGrid`-like tables (``soc_breakpoints``,
-    ``temp_breakpoints``, ``rows``), on one breakpoint grid or on several.
+    ``temp_breakpoints``, ``values``), on one breakpoint grid or on several.
     A query is clamped onto ``hull``, the hull of the union grid whose axes
     ``s_axis`` and ``t_axis`` hold every table's breakpoints, and evaluated
     in one union cell (see :meth:`_build`). A union cell lies inside one
@@ -236,8 +236,8 @@ class GridLookup:
         for grid in self.grids:
             k, *s_geometry = _cell_of(grid.soc_breakpoints, s_lo, s_hi)
             m, *t_geometry = _cell_of(grid.temp_breakpoints, t_lo, t_hi)
-            lo, hi = grid.rows[k], grid.rows[k + 1]
-            located.append(((*s_geometry, *t_geometry), (lo[m], hi[m], lo[m + 1], hi[m + 1])))
+            (v00, v01), (v10, v11) = grid.values[k : k + 2, m : m + 2].tolist()
+            located.append(((*s_geometry, *t_geometry), (v00, v10, v01, v11)))
         runs = []
         for _, run in groupby(located, key=lambda entry: struct.pack("4d", *entry[0])):
             geometries, corners = zip(*run)
@@ -252,16 +252,15 @@ class ParamGrid:
     """2-D lookup table of one cell parameter over (SOC, temperature).
 
     SOC breakpoints are stored as fractions (table rows in percent are
-    converted on load); temperatures in deg C; values in SI units. Lookups
-    read ``rows``, the same values as tuples of Python floats. Immutable
-    after construction.
+    converted on load); temperatures in deg C; values in SI units. ``values``
+    is the grid's own read-only copy of the table, so no write to an entry
+    can leave a lookup's cached cell stale; lookups read entries as Python floats.
     """
 
     name: str
     soc_breakpoints: tuple[float, ...]
     temp_breakpoints: tuple[float, ...]
     values: np.ndarray  # shape (n_soc, n_temp)
-    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.soc_breakpoints) < 2 or len(self.temp_breakpoints) < 2:
@@ -272,7 +271,8 @@ class ParamGrid:
             raise ValueError(f"{self.name}: SOC breakpoints not strictly increasing")
         if any(b <= a for a, b in zip(self.temp_breakpoints, self.temp_breakpoints[1:])):
             raise ValueError(f"{self.name}: temperature breakpoints not strictly increasing")
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
+        self.values.setflags(write=False)
         if self.values.shape != (len(self.soc_breakpoints), len(self.temp_breakpoints)):
             raise ValueError(
                 f"{self.name}: value matrix shape {self.values.shape} does not match "
@@ -280,7 +280,6 @@ class ParamGrid:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"{self.name}: non-finite value in table")
-        self.rows = tuple(map(tuple, self.values.tolist()))
 
     def interpolate(self, soc: float, temp: float) -> float:
         """Bilinear lookup with constant extrapolation outside the grid hull.
@@ -290,8 +289,8 @@ class ParamGrid:
         if soc != soc or temp != temp:  # NaN
             raise ValueError(f"{self.name}: NaN lookup coordinates")
         i, j, w00, w10, w01, w11 = _bilinear_cell(self.soc_breakpoints, self.temp_breakpoints, soc, temp)
-        lo, hi = self.rows[i], self.rows[i + 1]
-        return w00 * lo[j] + w10 * hi[j] + w01 * lo[j + 1] + w11 * hi[j + 1]
+        (v00, v01), (v10, v11) = self.values[i : i + 2, j : j + 2].tolist()
+        return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
 
 
 @dataclass(eq=False)

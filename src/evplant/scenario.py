@@ -113,7 +113,7 @@ class ScenarioProfile:
         return cls(records)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run needs besides the profile and the strategy."""
 

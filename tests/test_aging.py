@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -87,6 +88,14 @@ class TestCalendar:
     def test_negative_dt_rejected(self, cal_coeffs):
         with pytest.raises(ValueError):
             calendar_step(AgingState(), 0.5, 25.0, -1.0, cal_coeffs)
+
+    @pytest.mark.parametrize("dt_days", [math.nan, -math.nan], ids=["nan", "negative_nan"])
+    def test_nan_dt_rejected(self, cal_coeffs, dt_days):
+        # a NaN passed `dt_days < 0` and turned c_norm into NaN
+        state = AgingState()
+        with pytest.raises(ValueError, match="^dt_days must be >= 0, got nan$"):
+            calendar_step(state, 0.5, 25.0, dt_days, cal_coeffs)
+        assert (state.c_norm, state.r_norm, state.elapsed_days) == (1.0, 1.0, 0.0)
 
 
 class TestCycle:

@@ -278,6 +278,22 @@ class TestCvLimit:
             cc_cv_limit(100.0, 0.0, 390.6, 344.0, 0.4)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cfg: ac_to_dc(math.nan, cfg), "AC power must be >= 0, got nan"),
+        (lambda cfg: dc_to_ac(math.nan, cfg), "DC power must be >= 0, got nan"),
+        (lambda cfg: cc_cv_limit(1000.0, math.nan, 390.0, 380.0, 0.1), "pack voltage must be positive, got nan"),
+    ],
+    ids=["ac_to_dc", "dc_to_ac", "cc_cv_limit"],
+)
+def test_a_nan_power_or_pack_voltage_is_refused(three_phase, call, message):
+    # a NaN fails every comparison, so each guard asks for the valid range
+    # and refuses what is not in it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(three_phase)
+
+
 class TestConfigValidation:
     def test_ramp_must_span_zero_to_one(self):
         with pytest.raises(ValueError, match="ramp curve"):

@@ -387,6 +387,22 @@ class TestRunScenario:
         assert traj.n_rows == 1874
         assert np.diff(traj.t_s, prepend=8_640_000.0).min() > 0.19
 
+    @pytest.mark.parametrize("t0, t_end, dt", [(0.0, 2.1, 0.7), (8_640_000.0, 8_640_374.8, 0.2)])
+    def test_the_last_row_ends_at_the_profile_end(self, t0, t_end, dt):
+        # both spans are whole steps only within the whole-step slack: the
+        # step grid ends at 2.0999999999999996 and at 8640374.799999999
+        profile = ScenarioProfile(
+            [ProfileRecord(t0, SegmentKind.DRIVE, -3000.0, 20.0), ProfileRecord(t_end, SegmentKind.IDLE, 0.0, 20.0)]
+        )
+        config = ScenarioConfig(dt_s=dt, control_interval_s=dt, aging_interval_s=dt, initial_temp_c=20.0)
+        traj = run_scenario(config, profile)
+        n, tail = whole_steps(profile.duration_s, dt)
+        grid_end = (t0 + (n - 1) * dt) + dt
+        assert (traj.n_rows, tail) == (n, 0.0) and grid_end != t_end
+        assert traj.t_s[-1] == t_end
+        assert abs(traj.t_s[-1] - grid_end) <= _WHOLE_STEPS_TOL * dt
+        assert traj.t_s[-2] == (t0 + (n - 2) * dt) + dt
+
     def test_strategy_off_draws_nothing(self):
         config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
         traj = run_scenario(config, charge_profile(duration=120.0), strategy_off)

@@ -106,6 +106,18 @@ class TestLoading:
         with pytest.raises(ValueError, match=f"^x: {re.escape(message)}"):
             ParamGrid("x", socs, temps, values)
 
+    def test_the_table_is_read_only(self):
+        # a lookup caches the table's cells, so a write to the table would go unseen
+        grid = ParamGrid("x", (0.0, 1.0), (0.0, 10.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0, 0] = 5.0
+
+    def test_the_table_is_a_copy_of_the_callers_array(self):
+        table = np.array([[1.0, 2.0], [3.0, 4.0]])
+        grid = ParamGrid("x", (0.0, 1.0), (0.0, 10.0), table)
+        table[0, 0] = 5.0
+        assert (grid.values[0, 0], grid.interpolate(0.0, 0.0)) == (1.0, 1.0)
+
 
 class TestInterpolation:
     def test_grid_nodes_are_exact(self, pset):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from enum import Enum
 from pathlib import Path
 
@@ -331,6 +331,14 @@ max_current_a = 80
         message = "aging_interval_s must be a whole multiple of dt_s (60.0), got 60.0003"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.0003)
+
+    def test_a_field_cannot_be_assigned(self):
+        # an assignment would skip the checks: a dt_s of 0.3 s does not divide
+        # the 10 s control interval, and the run would poll every 9.9 s
+        config = ScenarioConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.dt_s = 0.3
+        assert config.dt_s == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
