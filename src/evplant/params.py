@@ -62,6 +62,14 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def read_text(path: Path) -> str:
+    """The text of the file at ``path``; text that does not decode raises ``ValueError`` naming the path."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot decode the file as text ({exc})") from None
+
+
 def read_csv_rows(path: str | Path, what: str, header: str | None) -> Iterator[tuple[int, list[str]]]:
     """Rows of a comma-separated file as (line number, cells), read lazily.
 
@@ -71,13 +79,14 @@ def read_csv_rows(path: str | Path, what: str, header: str | None) -> Iterator[t
     carry numbers there), it is yielded as the first row. Every row must have
     as many cells as the header. A missing or empty file, a wrong header and
     a row of the wrong width raise ``ValueError`` naming the path (``what``
-    names the kind of file) and the row. Cells are not stripped.
+    names the kind of file) and the row, and text that does not decode one
+    naming the path. Cells are not stripped.
     """
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"missing {what} file: {path}")
     width = 0
-    for n, line in enumerate(path.read_text().splitlines(), start=1):
+    for n, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -247,14 +256,15 @@ class GridLookup:
         return s_lo, s_out, t_lo, t_out, tuple(runs)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ParamGrid:
     """2-D lookup table of one cell parameter over (SOC, temperature).
 
     SOC breakpoints are stored as fractions (table rows in percent are
-    converted on load); temperatures in deg C; values in SI units. ``values``
-    is the grid's own read-only copy of the table, so no write to an entry
-    can leave a lookup's cached cell stale; lookups read entries as Python floats.
+    converted on load); temperatures in deg C; values in SI units. The
+    fields cannot be rebound, and ``values`` is the grid's own read-only
+    copy of the table, so neither a new table nor a write to an entry can
+    leave a lookup's cached cell stale; lookups read entries as Python floats.
     """
 
     name: str
@@ -271,8 +281,9 @@ class ParamGrid:
             raise ValueError(f"{self.name}: SOC breakpoints not strictly increasing")
         if any(b <= a for a, b in zip(self.temp_breakpoints, self.temp_breakpoints[1:])):
             raise ValueError(f"{self.name}: temperature breakpoints not strictly increasing")
-        self.values = np.array(self.values, dtype=float)
-        self.values.setflags(write=False)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if self.values.shape != (len(self.soc_breakpoints), len(self.temp_breakpoints)):
             raise ValueError(
                 f"{self.name}: value matrix shape {self.values.shape} does not match "

@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 
 from .bms import BmsLimits
 from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, ChargerMode, check_dead_time
-from .params import check_finite, default_data_dir, float_cells, read_csv_rows
+from .params import check_finite, default_data_dir, float_cells, read_csv_rows, read_text
 from .thermal import PACK_HEAT_CAPACITY, ThermalMode
 
 MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejected
@@ -190,7 +190,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     Relative paths are resolved against the config file's directory. Unknown
     keys are rejected so typos do not silently fall back to defaults, a key
     may be set once, and numbers must be finite; errors name the file (and
-    the line and key of a bad line).
+    the line and key of a bad line), text that does not decode too.
     """
     path = Path(path)
     if not path.is_file():
@@ -199,7 +199,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     values: dict = {ScenarioConfig: {}, BmsLimits: {}}
     first_line: dict[str, int] = {}
-    for idx, raw in enumerate(path.read_text().splitlines(), start=1):
+    for idx, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

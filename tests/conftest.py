@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,20 @@ def r1_halved_dir(data_dir, tmp_path_factory) -> Path:
     lines = (directory / "r1.csv").read_text().splitlines()
     (directory / "r1.csv").write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
     return directory
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """``traced_peak(call)``: what ``call()`` returns, the peak of traced memory above its start, and the traced memory it kept."""
+
+    def measure(call) -> tuple[object, int, int]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = call()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak, kept
+
+    return measure

@@ -6,6 +6,7 @@ lines anywhere, one data row is corrupted (a cell added, a cell dropped or
 text put in a numeric cell), and the parser must raise a ``ValueError``
 naming the path and ``row <n>``, where n is the row's 1-based line in the
 file. The CLI commands reading such a file exit 2 with one ``error:`` line.
+A file, or a config, that does not decode as text names its path.
 The trajectory reader's one-call parse must also agree with the row-by-row
 reader it replaced on valid and broken files alike.
 """
@@ -26,11 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evplant.engine
 from evplant.charger import load_curve
 from evplant.cli import _cmd_batch, main
-from evplant.engine import FLOAT_COLUMNS, TRAJECTORY_HEADER, Trajectory, read_trajectory
+from evplant.engine import FLOAT_COLUMNS, TRAJECTORY_HEADER, Trajectory, emit_report, read_trajectory
 from evplant.params import PARAM_NAMES, default_data_dir, load_grid, read_csv_rows
-from evplant.scenario import PROFILE_HEADER, ScenarioProfile
+from evplant.scenario import PROFILE_HEADER, ScenarioProfile, load_config
 
 MANIFEST_HEADER = "config,profile,out,strategy"
 BLANKS = st.sampled_from(["", " ", "\t"])
@@ -206,6 +208,42 @@ def test_missing_and_empty_files_name_the_path(kind, tmp_path):
         parse(empty)
 
 
+# a byte that starts no UTF-8 sequence
+UNDECODABLE = b"\xff"
+
+
+@pytest.mark.parametrize("kind", ["config"] + list(PARSERS))
+def test_undecodable_file_names_the_path(kind, tmp_path):
+    parse = load_config if kind == "config" else PARSERS[kind][1]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(UNDECODABLE + b"1,2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot decode the file as text") as info:
+        parse(path)
+    assert type(info.value) is ValueError
+
+
+def test_undecodable_byte_past_the_first_read_names_the_path(tmp_path):
+    # the trajectory reader's pass reads the file in blocks; the bad byte is in the second
+    path = tmp_path / "trajectory.csv"
+    row = ",".join(["1.0"] * 11 + ["idle"])
+    path.write_bytes(f"{TRAJECTORY_HEADER}\n{row}\n".encode() * 2000 + UNDECODABLE)
+    assert path.stat().st_size > 1 << 16
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot decode the file as text"):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize("kind", ["config"] + list(PARSERS))
+def test_cli_reports_an_undecodable_file_in_one_line(kind, tmp_path):
+    # the curve case's command reads the config first
+    bad, argv = _cli_case("curve" if kind == "config" else kind, tmp_path)
+    if kind == "config":
+        bad = tmp_path / "scenario.cfg"
+    bad.write_bytes(UNDECODABLE + b"1,2\n")
+    code, err = _run_cli(argv)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: cannot decode the file as text (")
+
+
 def _read_row_by_row(path: Path) -> Trajectory:
     """The trajectory reader before the one-call parse, kept as the oracle."""
     rows = []
@@ -234,8 +272,8 @@ def _outcome(read, path: Path) -> tuple:
 ODD_CELLS = [
     "1_0", " 1", "1 ", "\x1f1", "1\x1f", " \x1f1", "+1e400", "-0", "1.", ".5", "nan", "-inf", "0x10", "", "\uff11",
 ]
-# line breaks of str.splitlines and other whitespace, and the delimiter
-FLAG_CHARS = "ab|_ \t\x0c\x1f\x85\u2028\u3000#\",\r"
+# the line breaks of str.splitlines besides \n, other whitespace, and the delimiter
+FLAG_CHARS = "ab|_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\u3000#\",\r"
 
 
 @st.composite
@@ -253,7 +291,7 @@ def trajectory_text(draw):
     for line in [header] + [",".join(cells + [f]) for cells, f in rows]:
         lines += draw(st.lists(blank, max_size=1))
         lines.append(line)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -284,3 +322,21 @@ def test_header_only_trajectory_reads_empty_without_a_warning(body, tmp_path):
         traj = read_trajectory(path)
     assert traj.n_rows == 0 and traj.flags == []
     assert all(getattr(traj, name).dtype == np.float64 for name in FLOAT_COLUMNS)
+
+
+def test_a_written_report_reads_in_one_parse(tmp_path, monkeypatch):
+    # over several of the pass's reads, and not a row read by the row-by-row reader
+    n = 3000
+    traj = Trajectory(*np.random.default_rng(5).random((len(FLOAT_COLUMNS), n)), flags=["drive|soc_clip"] * n)
+    traj.t_s = np.arange(1.0, n + 1.0)
+    path = emit_report(traj, None, tmp_path)[0]
+    assert path.stat().st_size > 3 << 16
+
+    def refuse(*args):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(evplant.engine, "read_csv_rows", refuse)
+    back = read_trajectory(path)
+    for name in FLOAT_COLUMNS:
+        assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+    assert back.flags == traj.flags

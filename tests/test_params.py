@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import shutil
@@ -111,6 +112,14 @@ class TestLoading:
         grid = ParamGrid("x", (0.0, 1.0), (0.0, 10.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError, match="read-only"):
             grid.values[0, 0] = 5.0
+
+    @pytest.mark.parametrize("field", ["values", "soc_breakpoints", "temp_breakpoints"])
+    def test_the_fields_cannot_be_rebound(self, field):
+        # a lookup caches the table's cells, so a new table or axis would go unseen
+        grid = ParamGrid("x", (0.0, 1.0), (0.0, 10.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, field, getattr(grid, field)[::-1])
+        assert grid.interpolate(0.0, 0.0) == 1.0
 
     def test_the_table_is_a_copy_of_the_callers_array(self):
         table = np.array([[1.0, 2.0], [3.0, 4.0]])
