@@ -15,15 +15,15 @@ temperature, and accrue aging at its own cadence. A run covers and ages its
 whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
 the last aging point is booked at the end. A step records only what it
-decides: its end time, SOC, cell voltage, current, pack temperature and
-flags; each aging point, and then the run's end, records the aging state.
-The recorded floats move into preallocated tables once per block of
-steps (see :func:`run_scenario`), so a run holds little more than the
+decides: its SOC, cell voltage, current, pack temperature and flags, each
+stored in place in a preallocated table; each aging point, and then the
+run's end, records the aging state. So a run holds little more than the
 trajectory it returns. The last row shows the final state and ends at the
-profile's end. The pack voltage, the DC power, the AC power (the
-charger's inverse efficiency, on the plugged rows that draw) and the per-row aging columns are derived from
-those once per run, with the loop's operands, so they are the floats the
-step would compute; a poll computes only the last step's AC power. Runs are
+profile's end. The end times (from the step grid), the pack voltage, the DC
+power, the AC power (the charger's inverse efficiency, on the plugged rows
+that draw) and the per-row aging columns are derived once per run with the
+loop's operations, so they are the floats the step would compute; a poll
+computes only the last step's AC power. Runs are
 purely deterministic: identical inputs give bit-identical trajectories. A failing
 step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
 for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
@@ -135,7 +135,10 @@ TRAJECTORY_HEADER = "t_s,soc,v_cell_v,v_pack_v,i_dc_a,t_pack_c,p_ac_w,p_dc_w,c_n
 
 @dataclass
 class Trajectory:
-    """Per-step simulation record; rows are stamped with the end of each step."""
+    """Per-step simulation record; rows are stamped with the end of each step.
+
+    The columns :func:`read_trajectory` returns are strided views of one table.
+    """
 
     t_s: np.ndarray
     soc: np.ndarray
@@ -169,7 +172,7 @@ class Trajectory:
 FLOAT_COLUMNS = tuple(f.name for f in fields(Trajectory) if f.name != "flags")
 # one trajectory.csv row, as np.loadtxt parses it
 _ROW_DTYPE = np.dtype([(name, np.float64) for name in FLOAT_COLUMNS] + [("flags", object)])
-# rows per block that run_scenario records and emit_report writes at once
+# rows per block that emit_report writes at once
 _BLOCK_ROWS = 1024
 # characters per read of read_trajectory's pass over a file
 _READ_CHARS = 1 << 16
@@ -196,12 +199,11 @@ def run_scenario(
 ) -> Trajectory:
     """Simulate one scenario; see the module docstring for the step order.
 
-    The steps of a block of ``_BLOCK_ROWS`` go into ``rows``, flat, and the
-    block's aging points into ``aging_log``; at the block's end both move
-    into their preallocated tables, ``steps`` (one row per recorded value,
-    one column per step) and ``aging_table`` (one row per aging state), and
-    the lists are cleared. ``k`` counts steps over the whole run, and no
-    step tests a length.
+    Step k stores its soc, v_cell, i_dc and t_pack in column k of the
+    preallocated ``steps`` table, one row per value, through a memoryview
+    bound to each row once. The aging states go the same way into
+    ``aging_table``: the fresh state in column 0, aging point j in column j
+    and the final state in the last.
     """
     records = profile.records
     dt = config.dt_s
@@ -258,129 +260,119 @@ def run_scenario(
     plugged = False
     mode = None
 
-    # (t_s, soc, v_cell, i_dc, t_pack) per step of the current block, flat;
-    # each block ends in one column of `steps` per step
-    rows: list[float] = []
-    steps = np.empty((5, n_steps))
+    # soc, v_cell, i_dc and t_pack, one row each, one column per step
+    steps = np.empty((4, n_steps))
+    soc_col, v_col, i_col, t_col = map(memoryview, steps)
     flags_col: list[str] = []
     # (first row, plugged, charger config) per record change
     spans: list[tuple[int, bool, ChargerConfig]] = []
-    # c_norm, r_norm and eqfc of the current block's aging points, flat; each
-    # block ends in `aging_table`, whose rows hold the fresh state, each aging
-    # point's and, last, the final state
-    aging_log = [aging.c_norm, aging.r_norm, aging.eqfc]
-    aging_table = np.empty((n_whole // aging_every + 2, 3))
-    n_points = 0
+    # c_norm, r_norm and eqfc, one row each; the columns hold the fresh state,
+    # each aging point's and, last, the final state
+    aging_table = np.empty((3, n_whole // aging_every + 2))
+    c_log, r_log, eqfc_log = map(memoryview, aging_table)
+    c_log[0], r_log[0], eqfc_log[0] = aging.c_norm, aging.r_norm, aging.eqfc
 
-    for start in range(0, n_steps, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_steps)
-        for k in range(start, stop):
-            t = t0 + k * dt
-            if k == n_whole:
-                # the tail step: shorter, and no aging point; rest_days books its time
-                dt = tail_dt
-            if t >= next_t:
-                while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
-                    rec_idx += 1
-                next_t = records[rec_idx + 1].t_s if rec_idx + 1 < len(records) else math.inf
-                rec = records[rec_idx]
-                kind_value = rec.kind.value
-                rec_mode = rec.charger_mode or config.charger_mode
-                # a plug-in, or a charger-mode change while plugged, starts a new
-                # charging session; `plugged` and `mode` still hold the last step's
-                session_start = rec.kind is SegmentKind.PLUGGED and (not plugged or rec_mode is not mode)
-                plugged = rec.kind is SegmentKind.PLUGGED
-                driving = rec.kind is SegmentKind.DRIVE
-                ambient = rec.ambient_c
-                mode = rec_mode
-                ch_cfg = charger_cfgs[mode]
-                ch_setpoints = achievable_setpoints(ch_cfg)
-                spans.append((k, plugged, ch_cfg))
-            reason = GATE_OK
-            try:
-                point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
-                if plugged:
-                    if session_start or k % control_every == 0:
-                        if session_start:
-                            session_start = False
-                            ctrl = ChargeControlState()
-                            p_ac_prev = p_dc_settled = 0.0
-                        else:
-                            # the AC power the last step drew: i_dc and v_cell
-                            # still hold its values, the operands of its row's p_ac
-                            p_dc = i_dc * (n_series * v_cell)
-                            p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
-                        # built from a tuple, without the NamedTuple's Python-level __new__
-                        obs = tuple.__new__(
-                            StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
-                        )
-                        try:
-                            target = quantize_setpoint(float(strategy(obs)), ch_cfg)
-                        except Exception as exc:
-                            raise RuntimeError(
-                                f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
-                            ) from exc
-                        if target != ctrl.p_target:
-                            ctrl = command_setpoint(target, p_ac_prev)
-                            t_cmd = 0.0
-                            p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
-                    if t_cmd < ctrl.t_settle:
-                        p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
+    for k in range(n_steps):
+        t = t0 + k * dt
+        if k == n_whole:
+            # the tail step: shorter, and no aging point; rest_days books its time
+            dt = tail_dt
+        if t >= next_t:
+            while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
+                rec_idx += 1
+            next_t = records[rec_idx + 1].t_s if rec_idx + 1 < len(records) else math.inf
+            rec = records[rec_idx]
+            kind_value = rec.kind.value
+            rec_mode = rec.charger_mode or config.charger_mode
+            # a plug-in, or a charger-mode change while plugged, starts a new
+            # charging session; `plugged` and `mode` still hold the last step's
+            session_start = rec.kind is SegmentKind.PLUGGED and (not plugged or rec_mode is not mode)
+            plugged = rec.kind is SegmentKind.PLUGGED
+            driving = rec.kind is SegmentKind.DRIVE
+            ambient = rec.ambient_c
+            mode = rec_mode
+            ch_cfg = charger_cfgs[mode]
+            ch_setpoints = achievable_setpoints(ch_cfg)
+            spans.append((k, plugged, ch_cfg))
+        reason = GATE_OK
+        try:
+            point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
+            if plugged:
+                if session_start or k % control_every == 0:
+                    if session_start:
+                        session_start = False
+                        ctrl = ChargeControlState()
+                        p_ac_prev = p_dc_settled = 0.0
                     else:
-                        p_dc_avail = p_dc_settled
-                    a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
-                    i_cmd = cc_cv_limit(
-                        p_dc_avail,
-                        n_series * v_cell,
-                        v_max_pack,
-                        n_series * a_cell,
-                        n_series * b_cell,
+                        # the AC power the last step drew: i_dc and v_cell
+                        # still hold its values, the operands of its row's p_ac
+                        p_dc = i_dc * (n_series * v_cell)
+                        p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
+                    # built from a tuple, without the NamedTuple's Python-level __new__
+                    obs = tuple.__new__(
+                        StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
                     )
-                    i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
-                    t_cmd += dt
-                elif driving:
-                    i_req = rec.value_w / (n_series * v_cell)
-                    i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
+                    try:
+                        target = quantize_setpoint(float(strategy(obs)), ch_cfg)
+                    except Exception as exc:
+                        raise RuntimeError(
+                            f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+                        ) from exc
+                    if target != ctrl.p_target:
+                        ctrl = command_setpoint(target, p_ac_prev)
+                        t_cmd = 0.0
+                        p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
+                if t_cmd < ctrl.t_settle:
+                    p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
                 else:
-                    i_dc = 0.0
+                    p_dc_avail = p_dc_settled
+                a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
+                i_cmd = cc_cv_limit(
+                    p_dc_avail,
+                    n_series * v_cell,
+                    v_max_pack,
+                    n_series * a_cell,
+                    n_series * b_cell,
+                )
+                i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
+                t_cmd += dt
+            elif driving:
+                i_req = rec.value_w / (n_series * v_cell)
+                i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
+            else:
+                i_dc = 0.0
 
-                ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
-                cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
-                t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
-                # the one finiteness check of the step: a non-finite parameter,
-                # current, RC voltage or heat shows in one of these three
-                if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
-                    raise ValueError(
-                        f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
-                    )
+            ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
+            cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
+            t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
+            # the one finiteness check of the step: a non-finite parameter,
+            # current, RC voltage or heat shows in one of these three
+            if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
+                raise ValueError(
+                    f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
+                )
 
-                if (k + 1) % aging_every == 0 and k < n_whole:
-                    calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
-                    cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
-                    aging_log += (aging.c_norm, aging.r_norm, aging.eqfc)
-            except (ValueError, ArithmeticError) as exc:
-                raise RuntimeError(
-                    f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
-                ) from exc
+            if (k + 1) % aging_every == 0 and k < n_whole:
+                calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
+                cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+                j = (k + 1) // aging_every
+                c_log[j], r_log[j], eqfc_log[j] = aging.c_norm, aging.r_norm, aging.eqfc
+        except (ValueError, ArithmeticError) as exc:
+            raise RuntimeError(
+                f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+            ) from exc
 
-            # the segment kind, then "|reason" for each rare extra flag
-            flags = kind_value
-            if reason is not GATE_OK:
-                flags += "|" + reason.value
-            if soc_clipped:
-                flags += "|soc_clip"
-            if not t_min_c <= t_pack <= t_max_c:
-                flags += "|temp_envelope"
+        # the segment kind, then "|reason" for each rare extra flag
+        flags = kind_value
+        if reason is not GATE_OK:
+            flags += "|" + reason.value
+        if soc_clipped:
+            flags += "|soc_clip"
+        if not t_min_c <= t_pack <= t_max_c:
+            flags += "|temp_envelope"
 
-            rows += (t + dt, ecm_state.soc, v_cell, i_dc, t_pack)
-            flags_col.append(flags)
-        # the block's rows and aging points move into the tables, and the lists start over
-        steps[:, start:stop] = np.fromiter(rows, float, len(rows)).reshape(-1, 5).T
-        rows.clear()
-        points = np.fromiter(aging_log, float, len(aging_log)).reshape(-1, 3)
-        aging_table[n_points : n_points + len(points)] = points
-        n_points += len(points)
-        aging_log.clear()
+        soc_col[k], v_col[k], i_col[k], t_col[k] = ecm_state.soc, v_cell, i_dc, t_pack
+        flags_col.append(flags)
 
     # book the time since the last aging point and the unclosed residual
     # half cycles into the final reported state
@@ -388,8 +380,10 @@ def run_scenario(
         calendar_step(aging, ecm_state.soc, t_pack, rest_days, cal_coeffs)
         cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
-    aging_table[-1] = (aging.c_norm, aging.r_norm, aging.eqfc)
-    return _recorded_trajectory(steps, flags_col, n_series, spans, aging_table, aging_every, records[-1].t_s)
+    c_log[-1], r_log[-1], eqfc_log[-1] = aging.c_norm, aging.r_norm, aging.eqfc
+    return _recorded_trajectory(
+        steps, flags_col, n_series, spans, aging_table, aging_every, t0, config.dt_s, records[-1].t_s
+    )
 
 
 def _recorded_trajectory(
@@ -399,25 +393,29 @@ def _recorded_trajectory(
     spans: list[tuple[int, bool, ChargerConfig]],
     snapshots: np.ndarray,
     aging_every: int,
+    t0: float,
+    dt: float,
     t_end: float,
 ) -> Trajectory:
     """The trajectory of what ``run_scenario``'s steps recorded.
 
-    ``steps`` is a C-order ``(5, n)`` table whose rows are the t_s, soc,
-    v_cell, i_dc and t_pack columns; they become the trajectory's columns
-    without a copy. ``v_pack = n_series * v_cell`` and ``p_dc = i_dc * v_pack``
+    ``steps`` is a C-order ``(4, n)`` table whose rows are the soc, v_cell,
+    i_dc and t_pack columns; they become the trajectory's columns without a
+    copy. Row k of ``t_s`` ends at ``(t0 + k * dt) + dt``, the loop's
+    operations on the whole step, and the last row at ``t_end``, the
+    profile's end. ``v_pack = n_series * v_cell`` and ``p_dc = i_dc * v_pack``
     take the loop's operands. ``spans`` holds (first row, plugged, charger
     config) from each record change on: ``p_ac`` is ``dc_to_ac(p_dc)`` with
     the span's config on a plugged row that draws (``p_dc > 0``), and 0.0 on
     every other row, which is the AC power a strategy poll reads for the
-    step. ``snapshots`` holds one (c_norm, r_norm, eqfc) row for the fresh
-    state, one after each aging point and, last, one for the final state;
-    point j closes on row ``j * aging_every - 1``, which is the first to
-    show it, and the final state is the last row's. The last row ends at
-    ``t_end``, the profile's end.
+    step. The rows of the ``(3, m)`` table ``snapshots`` are c_norm, r_norm
+    and eqfc, and its columns the fresh state, each aging point's and, last,
+    the final state; point j closes on row ``j * aging_every - 1``, which is
+    the first to show it, and the final state is the last row's.
     """
     n = len(flags)
-    t_s, soc, v_cell, i_dc, t_pack = steps
+    soc, v_cell, i_dc, t_pack = steps
+    t_s = t0 + np.arange(n) * dt + dt
     t_s[-1] = t_end
     v_pack = n_series * v_cell
     p_dc = i_dc * v_pack
@@ -428,10 +426,10 @@ def _recorded_trajectory(
             # only the rows that draw are gathered and converted
             drawing = np.flatnonzero(p_dc[start:stop] > 0) + start
             p_ac[drawing] = dc_to_ac_array(p_dc[drawing], ch_cfg)
-    starts = np.arange(len(snapshots)) * aging_every - 1
+    starts = np.arange(snapshots.shape[1]) * aging_every - 1
     starts[0], starts[-1] = 0, n - 1
     counts = np.diff(starts, append=n)
-    c_norm, r_norm, eqfc = (np.repeat(column, counts) for column in snapshots.T)
+    c_norm, r_norm, eqfc = (np.repeat(column, counts) for column in snapshots)
     return Trajectory(t_s, soc, v_cell, v_pack, i_dc, t_pack, p_ac, p_dc, c_norm, r_norm, eqfc, flags)
 
 
@@ -589,7 +587,8 @@ def read_trajectory(path: str | Path) -> Trajectory:
     ``read_csv_rows`` sees. ``loadtxt`` accepts a subset of what ``float``
     does, with the same values; a file it rejects is read row by row. So
     the read holds one block of text and then ``loadtxt``'s table, never
-    the whole text or its lines.
+    the whole text or its lines. The float columns are returned as that
+    table's fields, strided views of one record array, not copies.
     """
     path = Path(path)
     if path.is_file():
@@ -601,8 +600,7 @@ def read_trajectory(path: str | Path) -> Trajectory:
                 except ValueError:
                     pass
                 else:
-                    columns = (np.ascontiguousarray(table[name]) for name in FLOAT_COLUMNS)
-                    return Trajectory(*columns, flags=table["flags"].tolist())
+                    return Trajectory(*(table[name] for name in FLOAT_COLUMNS), flags=table["flags"].tolist())
     rows, flags = [], []
     for n, cells in read_csv_rows(path, "trajectory", TRAJECTORY_HEADER):
         rows.append(float_cells(path, n, cells[:-1]))
