@@ -48,6 +48,8 @@ def resolve_strategy(spec: str | None) -> Strategy | None:
             strategy = getattr(importlib.import_module(module_name), attr)
         except (ImportError, AttributeError, ValueError) as exc:
             raise ValueError(f"cannot load strategy '{spec}': {exc}") from None
+        except Exception as exc:  # importing runs the module's own code
+            raise ValueError(f"cannot load strategy '{spec}': {type(exc).__name__}: {exc}") from None
         if not callable(strategy):
             raise ValueError(f"strategy '{spec}' is not callable")
         return strategy

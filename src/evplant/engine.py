@@ -14,19 +14,19 @@ series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. A run covers and ages its
 whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
-the last aging point is booked at the end. A step records only what it
-decides: its SOC, cell voltage, current, pack temperature and flags, each
-stored in place in a preallocated table; each aging point, and then the
-run's end, records the aging state. So a run holds little more than the
-trajectory it returns. The last row shows the final state and ends at the
-profile's end. The end times (from the step grid), the pack voltage, the DC
-power, the AC power (the charger's inverse efficiency, on the plugged rows
-that draw) and the per-row aging columns are derived once per run with the
-loop's operations, so they are the floats the step would compute; a poll
-computes only the last step's AC power. Runs are
-purely deterministic: identical inputs give bit-identical trajectories. A failing
-step raises ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...``
-for the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
+the last aging point is booked at the end. A step records only its SOC,
+cell voltage, current and pack temperature, in place in a preallocated
+table, and a mark when its gate or its SOC clip adds a flag; each aging
+point, and then the run's end, records the aging state. So a run holds
+little more than the trajectory it returns; its last row shows the final
+state and ends at the profile's end. The end times (from the step grid),
+the pack voltage, the DC and AC power, the aging columns and the flags
+(span kinds, marks, the temperature window) are laid out once per run with
+the loop's operations, so they are what the step would compute; a poll
+computes only the last step's AC power. Runs are purely deterministic:
+identical inputs give bit-identical trajectories. A failing step raises
+``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...`` for
+the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
 The plant layers trust their inputs, which are checked where they enter the
 program; the step checks once that its SOC, cell voltage and pack temperature
 are finite.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
@@ -55,7 +55,7 @@ from .aging import (
     load_calendar_coeffs,
     load_cycle_coeffs,
 )
-from .bms import GATE_OK, gate_current
+from .bms import GATE_OK, GateReason, gate_current
 from .charger import (
     EFFICIENCY_CURVE_FILE,
     RAMP_CURVE_FILE,
@@ -203,7 +203,8 @@ def run_scenario(
     preallocated ``steps`` table, one row per value, through a memoryview
     bound to each row once. The aging states go the same way into
     ``aging_table``: the fresh state in column 0, aging point j in column j
-    and the final state in the last.
+    and the final state in the last. A run whose tables cannot be allocated
+    raises ``ValueError``.
     """
     records = profile.records
     dt = config.dt_s
@@ -237,7 +238,6 @@ def run_scenario(
         for mode in ChargerMode
     }
     limits = config.bms
-    t_min_c, t_max_c = limits.t_min_c, limits.t_max_c
     if strategy is None:
         strategy = make_profile_strategy(profile)
 
@@ -260,16 +260,20 @@ def run_scenario(
     plugged = False
     mode = None
 
-    # soc, v_cell, i_dc and t_pack, one row each, one column per step
-    steps = np.empty((4, n_steps))
+    try:
+        # soc, v_cell, i_dc and t_pack, one row each, one column per step
+        steps = np.empty((4, n_steps))
+        # c_norm, r_norm and eqfc, one row each; the columns hold the fresh
+        # state, each aging point's and, last, the final state
+        aging_table = np.empty((3, n_whole // aging_every + 2))
+    except MemoryError:
+        raise ValueError(f"a run of {n_steps} steps of dt_s = {dt} s is too large to hold in memory") from None
     soc_col, v_col, i_col, t_col = map(memoryview, steps)
-    flags_col: list[str] = []
-    # (first row, plugged, charger config) per record change
-    spans: list[tuple[int, bool, ChargerConfig]] = []
-    # c_norm, r_norm and eqfc, one row each; the columns hold the fresh state,
-    # each aging point's and, last, the final state
-    aging_table = np.empty((3, n_whole // aging_every + 2))
     c_log, r_log, eqfc_log = map(memoryview, aging_table)
+    # (first row, segment kind, charger config) per record change
+    spans: list[tuple[int, SegmentKind, ChargerConfig]] = []
+    # (row, gate reason, soc clipped) per step whose gate gave a reason or whose SOC was clipped
+    marks: list[tuple[int, GateReason, bool]] = []
     c_log[0], r_log[0], eqfc_log[0] = aging.c_norm, aging.r_norm, aging.eqfc
 
     for k in range(n_steps):
@@ -282,7 +286,6 @@ def run_scenario(
                 rec_idx += 1
             next_t = records[rec_idx + 1].t_s if rec_idx + 1 < len(records) else math.inf
             rec = records[rec_idx]
-            kind_value = rec.kind.value
             rec_mode = rec.charger_mode or config.charger_mode
             # a plug-in, or a charger-mode change while plugged, starts a new
             # charging session; `plugged` and `mode` still hold the last step's
@@ -293,7 +296,7 @@ def run_scenario(
             mode = rec_mode
             ch_cfg = charger_cfgs[mode]
             ch_setpoints = achievable_setpoints(ch_cfg)
-            spans.append((k, plugged, ch_cfg))
+            spans.append((k, rec.kind, ch_cfg))
         reason = GATE_OK
         try:
             point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
@@ -362,17 +365,9 @@ def run_scenario(
                 f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
             ) from exc
 
-        # the segment kind, then "|reason" for each rare extra flag
-        flags = kind_value
-        if reason is not GATE_OK:
-            flags += "|" + reason.value
-        if soc_clipped:
-            flags += "|soc_clip"
-        if not t_min_c <= t_pack <= t_max_c:
-            flags += "|temp_envelope"
-
         soc_col[k], v_col[k], i_col[k], t_col[k] = ecm_state.soc, v_cell, i_dc, t_pack
-        flags_col.append(flags)
+        if reason is not GATE_OK or soc_clipped:
+            marks.append((k, reason, soc_clipped))
 
     # book the time since the last aging point and the unclosed residual
     # half cycles into the final reported state
@@ -381,51 +376,62 @@ def run_scenario(
         cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
     c_log[-1], r_log[-1], eqfc_log[-1] = aging.c_norm, aging.r_norm, aging.eqfc
-    return _recorded_trajectory(
-        steps, flags_col, n_series, spans, aging_table, aging_every, t0, config.dt_s, records[-1].t_s
-    )
+    return _recorded_trajectory(steps, n_series, spans, marks, aging_table, aging_every, profile, config)
 
 
 def _recorded_trajectory(
     steps: np.ndarray,
-    flags: list[str],
     n_series: int,
-    spans: list[tuple[int, bool, ChargerConfig]],
+    spans: list[tuple[int, SegmentKind, ChargerConfig]],
+    marks: list[tuple[int, GateReason, bool]],
     snapshots: np.ndarray,
     aging_every: int,
-    t0: float,
-    dt: float,
-    t_end: float,
+    profile: ScenarioProfile,
+    config: ScenarioConfig,
 ) -> Trajectory:
     """The trajectory of what ``run_scenario``'s steps recorded.
 
     ``steps`` is a C-order ``(4, n)`` table whose rows are the soc, v_cell,
     i_dc and t_pack columns; they become the trajectory's columns without a
     copy. Row k of ``t_s`` ends at ``(t0 + k * dt) + dt``, the loop's
-    operations on the whole step, and the last row at ``t_end``, the
-    profile's end. ``v_pack = n_series * v_cell`` and ``p_dc = i_dc * v_pack``
-    take the loop's operands. ``spans`` holds (first row, plugged, charger
-    config) from each record change on: ``p_ac`` is ``dc_to_ac(p_dc)`` with
-    the span's config on a plugged row that draws (``p_dc > 0``), and 0.0 on
+    operations on the first record's time and the whole step, and the last
+    row at the last record's. ``v_pack = n_series * v_cell`` and ``p_dc =
+    i_dc * v_pack`` take the loop's operands. ``spans`` holds (first row,
+    segment kind, charger config) from each record change on: a row's flags
+    start with its span's kind, and ``p_ac`` is ``dc_to_ac(p_dc)`` with the
+    span's config on a plugged row that draws (``p_dc > 0``), and 0.0 on
     every other row, which is the AC power a strategy poll reads for the
-    step. The rows of the ``(3, m)`` table ``snapshots`` are c_norm, r_norm
-    and eqfc, and its columns the fresh state, each aging point's and, last,
-    the final state; point j closes on row ``j * aging_every - 1``, which is
-    the first to show it, and the final state is the last row's.
+    step. ``marks`` adds ``|<reason>`` and ``|soc_clip`` to its rows, and a
+    ``t_pack`` outside ``config.bms``'s ``[t_min_c, t_max_c]`` adds
+    ``|temp_envelope``. The rows of the ``(3, m)`` table ``snapshots`` are
+    c_norm, r_norm and eqfc, and its columns the fresh state, each aging
+    point's and, last, the final state; point j closes on row
+    ``j * aging_every - 1``, which is the first to show it, and the final
+    state is the last row's.
     """
-    n = len(flags)
     soc, v_cell, i_dc, t_pack = steps
-    t_s = t0 + np.arange(n) * dt + dt
-    t_s[-1] = t_end
+    n = len(soc)
+    t_s = profile.records[0].t_s + np.arange(n) * config.dt_s + config.dt_s
+    t_s[-1] = profile.records[-1].t_s
     v_pack = n_series * v_cell
     p_dc = i_dc * v_pack
     p_ac = np.zeros(n)
+    flags: list[str] = []
     stops = [start for start, _, _ in spans[1:]] + [n]
-    for (start, plugged, ch_cfg), stop in zip(spans, stops):
-        if plugged:
+    for (start, kind, ch_cfg), stop in zip(spans, stops):
+        flags.extend(repeat(kind.value, stop - start))
+        if kind is SegmentKind.PLUGGED:
             # only the rows that draw are gathered and converted
             drawing = np.flatnonzero(p_dc[start:stop] > 0) + start
             p_ac[drawing] = dc_to_ac_array(p_dc[drawing], ch_cfg)
+    for k, reason, soc_clipped in marks:
+        if reason is not GATE_OK:
+            flags[k] += "|" + reason.value
+        if soc_clipped:
+            flags[k] += "|soc_clip"
+    inside = (t_pack >= config.bms.t_min_c) & (t_pack <= config.bms.t_max_c)
+    for k in np.flatnonzero(~inside).tolist():
+        flags[k] += "|temp_envelope"
     starts = np.arange(snapshots.shape[1]) * aging_every - 1
     starts[0], starts[-1] = 0, n - 1
     counts = np.diff(starts, append=n)

@@ -318,6 +318,22 @@ def test_bad_dt_is_reported(scenario_files, tmp_path, capsys, dt, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_run_too_large_to_hold_is_reported(tmp_path, capsys):
+    # 1e15 steps, 32 PB of tables: the allocation used to end the command in a MemoryError traceback
+    config = tmp_path / "scenario.cfg"
+    config.write_text("dt_s = 1e-6\ninitial_soc = 0.5\ninitial_temp_c = 20\n")
+    profile = tmp_path / "idle.csv"
+    profile.write_text("t_s,kind,value_w,ambient_c,charger_mode\n0,idle,0,20,\n1e9,idle,0,20,\n")
+    message = "a run of 1000000000000000 steps of dt_s = 1e-06 s is too large to hold in memory"
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"config,profile,out,strategy\n{config.name},{profile.name},big,\n")
+    assert main(["batch", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().out == f"failed {tmp_path / 'big'}: {message}\n"
+
+
 @pytest.mark.parametrize("volts", ["0", "-230"])
 def test_non_positive_grid_voltage_is_reported(scenario_files, tmp_path, capsys, volts):
     # 0 V made every three-phase set-point 0 W; -230 V failed at step 4 without naming it
@@ -389,12 +405,20 @@ BAD_POWER_CONSTANTS = [
         ("math:nosuch", "cannot load strategy 'math:nosuch'"),
         ("math:pi", "strategy 'math:pi' is not callable"),
         ("math:sqrt", "strategy failed at step 0 (t=0.0 s): TypeError"),
+        # a module that fails to import used to end the command in its traceback
+        ("unclosed_strategy:f", "cannot load strategy 'unclosed_strategy:f': SyntaxError: '(' was never closed"),
+        ("keyerror_strategy:f", "cannot load strategy 'keyerror_strategy:f': KeyError: 'k'"),
         *NON_NUMBER_CONSTANTS,
         *BAD_POWER_CONSTANTS,
     ],
 )
-def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, spec, message):
+def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, monkeypatch, spec, message):
     config, profile = scenario_files
+    modules = tmp_path / "modules"
+    modules.mkdir()
+    (modules / "unclosed_strategy.py").write_text("def f(obs:\n    return 0.0\n")
+    (modules / "keyerror_strategy.py").write_text("SETTINGS = {}['k']\n\ndef f(obs):\n    return 0.0\n")
+    monkeypatch.syspath_prepend(modules)
     assert _simulate(config, profile, tmp_path / "o", "--strategy", spec) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -8,6 +8,7 @@ import math
 import re
 import shutil
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -698,8 +699,9 @@ INJECTIONS = [
 
 
 class TestFailureContract:
-    """Bad input fails with a ``ValueError`` when the profile is built; a run
-    fails only with a ``RuntimeError`` that names its step."""
+    """Bad input fails with a ``ValueError`` when the profile is built, and a
+    run too large to hold before its first step; a step fails only with a
+    ``RuntimeError`` that names it."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=profile_rows(), initial_soc=st.floats(0.0, 1.0))
@@ -724,6 +726,16 @@ class TestFailureContract:
             # slack of whole_steps: a rest that small is rounding, not a tail
             end, slack = profile.records[-1].t_s, _WHOLE_STEPS_TOL * config.dt_s
             assert traj.t_s[-1] == pytest.approx(end, abs=slack) if traj.n_rows else profile.duration_s <= slack
+
+    def test_a_run_too_large_to_hold_fails_with_a_message(self):
+        # 1e15 steps, 32 PB of tables: no address space holds them, so the
+        # allocation fails at once; it used to escape as a MemoryError
+        profile = ScenarioProfile(
+            [ProfileRecord(0.0, SegmentKind.IDLE, 0.0, 20.0), ProfileRecord(1e9, SegmentKind.IDLE, 0.0, 20.0)]
+        )
+        message = "a run of 1000000000000000 steps of dt_s = 1e-06 s is too large to hold in memory"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_scenario(ScenarioConfig(dt_s=1e-6), profile)
 
     @pytest.mark.parametrize("table", ["r1", "ocv"])
     def test_zero_table_fails_at_the_first_step(self, data_dir, tmp_path, table):
@@ -838,6 +850,29 @@ PINNED = {
         ),
         "c22b0223faf991c0df7f914026c03bf5136abd5516aba28a224182b1121d8464",
     ),
+    # from day 1 at t = 86,400.3 s in steps of 0.7 s, which round off the
+    # grid (t0 + (k + 1) * dt moves 140 of the 700 end times); a charge from
+    # SOC 0.999 clips SOC, then trips soc_high, and the pack cools below
+    # t_min_c, so the run shows every kind of flag extra, two at once too
+    "off_grid": (
+        ScenarioConfig(
+            dt_s=0.7,
+            control_interval_s=7.0,
+            aging_interval_s=7.0,
+            initial_soc=0.999,
+            initial_temp_c=22.0,
+            c_pack_j_per_k=2000.0,
+            bms=BmsLimits(soc_max=1.0, v_cell_max=5.0, t_min_c=21.0),
+        ),
+        ScenarioProfile(
+            [
+                ProfileRecord(86400.3, SegmentKind.PLUGGED, 11040.0, 20.0, None),
+                ProfileRecord(86820.3, SegmentKind.IDLE, 0.0, 20.0, None),
+                ProfileRecord(86890.3, SegmentKind.IDLE, 0.0, 20.0, None),
+            ]
+        ),
+        "c3c699b55a5c4485b75d7b7100af3ec3ac7641160f031e0aeedd019d57fb419f",
+    ),
 }
 
 # Union cells built and box misses (GridLookup._locate calls) per pinned
@@ -849,6 +884,7 @@ RELOCATIONS = {
     "cold_drive": (14, 14),
     "cold_plugged": (4, 4),
     "mixed": (9, 11),
+    "off_grid": (4, 4),
     "r1_halved": (9, 11),
     "tail_cadence": (4, 5),
 }
@@ -864,6 +900,17 @@ def run_pinned(name: str, r1_halved_dir: Path) -> Trajectory:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trajectory_matches_pinned_digest(name, r1_halved_dir):
     assert trajectory_digest(run_pinned(name, r1_halved_dir)) == PINNED[name][2]
+
+
+def test_the_off_grid_run_shows_every_flag_extra(r1_halved_dir):
+    flags = set(run_pinned("off_grid", r1_halved_dir).flags)
+    assert {
+        "plugged|soc_clip",
+        "plugged|soc_high",
+        "plugged|soc_high|temp_envelope",
+        "plugged|temperature_fault|temp_envelope",
+        "idle|temp_envelope",
+    } <= flags
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -911,11 +958,15 @@ def recorded_runs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(run=recorded_runs())
-def test_recorded_columns_follow_the_plant_state(run):
-    # v_pack and p_dc are products of the step's own values, and the aging
-    # columns move only where an aging interval closes, or on the last row
+@given(run=recorded_runs(), t_min_c=st.floats(0.0, 30.0), width=st.floats(0.0, 15.0))
+def test_recorded_columns_follow_the_plant_state(run, t_min_c, width):
+    # v_pack and p_dc are products of the step's own values, the aging
+    # columns move only where an aging interval closes, or on the last row,
+    # and the flags start with the kind of the segment the step starts in
+    # and end in |temp_envelope exactly when t_pack leaves a window that
+    # some runs cross
     config, profile = run
+    config = dataclasses.replace(config, bms=BmsLimits(t_min_c=t_min_c, t_max_c=t_min_c + width))
     traj = run_scenario(config, profile)
 
     def bits(column):
@@ -931,6 +982,13 @@ def test_recorded_columns_follow_the_plant_state(run):
         column = bits(getattr(traj, name))
         moved = column != np.concatenate((bits([start]), column[:-1]))
         assert not np.any(moved & ~np.array(closes)), name
+    t0, dt = profile.records[0].t_s, config.dt_s
+    record_times = [record.t_s for record in profile.records]
+    for k, flags in enumerate(traj.flags):
+        record = profile.records[bisect_right(record_times, t0 + k * dt) - 1]
+        assert flags.partition("|")[0] == record.kind.value
+        outside = not config.bms.t_min_c <= traj.t_pack[k] <= config.bms.t_max_c
+        assert flags.endswith("|temp_envelope") == outside
 
 
 def grid_run(t0: float, t_end: float, dt: float) -> tuple[ScenarioConfig, ScenarioProfile]:
