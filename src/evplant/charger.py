@@ -80,6 +80,21 @@ def load_curve(path: str | Path) -> PiecewiseLinear:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def check_efficiency_curve(curve: PiecewiseLinear) -> None:
+    """Efficiency anchors lie in (0, 1] and do not fall with power, so :func:`dc_to_ac` has one answer."""
+    etas = [y for _, y in curve.points]
+    if any(not 0.0 < e <= 1.0 for e in etas):
+        raise ValueError("efficiency anchors must lie in (0, 1]")
+    if any(b < a for a, b in zip(etas, etas[1:])):
+        raise ValueError("efficiency must be non-decreasing in power")
+
+
+def check_ramp_curve(curve: PiecewiseLinear) -> None:
+    """The ramp shape rises from 0 at the command to 1 at the end of the ramp-up."""
+    if curve(0.0) != 0.0 or curve(RAMP_UP_DURATION_S) != 1.0:
+        raise ValueError(f"ramp curve must start at 0 and reach 1 at {RAMP_UP_DURATION_S} s")
+
+
 def check_dead_time(dead_time_s: float) -> None:
     """The reaction dead time must end before the ramp-up does."""
     if not 0.0 <= dead_time_s < RAMP_UP_DURATION_S:
@@ -109,15 +124,8 @@ class ChargerConfig:
             raise ValueError(f"mode must be a ChargerMode, got {self.mode!r}")
         if not (math.isfinite(self.grid_voltage) and self.grid_voltage > 0.0):
             raise ValueError(f"grid_voltage must be a positive finite number, got {self.grid_voltage!r}")
-        etas = [y for _, y in self.efficiency.points]
-        if any(not 0.0 < e <= 1.0 for e in etas):
-            raise ValueError("efficiency anchors must lie in (0, 1]")
-        if any(b < a for a, b in zip(etas, etas[1:])):
-            raise ValueError("efficiency must be non-decreasing in power")
-        if self.ramp(0.0) != 0.0 or self.ramp(RAMP_UP_DURATION_S) != 1.0:
-            raise ValueError(
-                f"ramp curve must start at 0 and reach 1 at {RAMP_UP_DURATION_S} s"
-            )
+        check_efficiency_curve(self.efficiency)
+        check_ramp_curve(self.ramp)
         check_dead_time(self.dead_time_s)
         if self.mode is ChargerMode.ONE_PHASE:
             powers = ONE_PHASE_SETPOINTS_W

@@ -1,14 +1,16 @@
 """Fixed-timestep simulation engine coupling plant, charger, BMS, and strategy.
 
-Each step: resolve the active profile segment; when plugged in, poll the
-strategy at the control interval and when a charging session starts (a
-plug-in, or a charger-mode change while plugged, which resets the set-point
-and ramp) with the AC power the last step drew (0 W at a session start),
-quantize the AC set-point, convert the ramped power to DC while
-the ramp still moves and hold the settled set-point's DC power, converted
-once per command, after it, then apply the CV current limit and the BMS
-gate; when driving, convert the requested DC power to current against the
-latest pack voltage and gate it.
+A run lays out its step starts once. A profile record takes effect at the
+first step that starts at or after its time, so one superseded within a
+step never does, and sets the segment of the steps up to the next record's.
+Each step: when plugged in, poll the strategy at the control interval and
+when a charging session starts (a plug-in, or a charger-mode change while
+plugged, which resets the set-point and ramp) with the AC power the last
+step drew (0 W at a session start), quantize the AC set-point, convert the
+ramped power to DC while the ramp still moves and hold the settled
+set-point's DC power, converted once per command, after it, then apply the
+CV current limit and the BMS gate; when driving, convert the requested DC
+power to current against the latest pack voltage and gate it.
 Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
 temperature, and accrue aging at its own cadence. A run covers and ages its
@@ -16,14 +18,13 @@ whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
 the last aging point is booked at the end. A step records only its SOC,
 cell voltage, current and pack temperature, in place in a preallocated
-table, and a mark when its gate or its SOC clip adds a flag; each aging
-point, and then the run's end, records the aging state. So a run holds
-little more than the trajectory it returns; its last row shows the final
-state and ends at the profile's end. The end times (from the step grid),
-the pack voltage, the DC and AC power, the aging columns and the flags
-(span kinds, marks, the temperature window) are laid out once per run with
-the loop's operations, so they are what the step would compute; a poll
-computes only the last step's AC power. Runs are purely deterministic:
+table, and a mark code when its gate or its SOC clip adds a flag; each
+aging point, and then the run's end, records the aging state. So a run
+holds little more than the trajectory it returns; its last row shows the
+final state and ends at the profile's end. The end times (the step starts
+plus dt), the pack voltage, the DC and AC power, the aging columns and the
+flags are laid out once per run, with the operations a step would use; a
+poll computes only the last step's AC power. Runs are purely deterministic:
 identical inputs give bit-identical trajectories. A failing step raises
 ``RuntimeError``: ``strategy failed at step k (t=... s): <Type>: ...`` for
 the strategy, ``plant step failed at ...`` for a plant ValueError or ArithmeticError.
@@ -62,9 +63,12 @@ from .charger import (
     ChargeControlState,
     ChargerConfig,
     ChargerMode,
+    PiecewiseLinear,
     ac_to_dc,
     achievable_setpoints,
     cc_cv_limit,
+    check_efficiency_curve,
+    check_ramp_curve,
     command_setpoint,
     dc_to_ac,
     dc_to_ac_array,
@@ -81,6 +85,11 @@ SECONDS_PER_DAY = 86400.0
 
 # CV target sits this far below the cell voltage limit (see module docstring)
 CV_MARGIN_V_PER_CELL = 1e-4
+
+# a marked step's code: twice its gate reason's index, plus 1 if its SOC was
+# clipped; code c adds _MARK_FLAGS[c] to the step's flags, and code 0 nothing
+_MARK_CODES = {reason: 2 * i for i, reason in enumerate(GateReason)}
+_MARK_FLAGS = [("" if r is GATE_OK else "|" + r.value) + clip for r in GateReason for clip in ("", "|soc_clip")]
 
 
 class StrategyObservation(NamedTuple):
@@ -199,9 +208,12 @@ def run_scenario(
 ) -> Trajectory:
     """Simulate one scenario; see the module docstring for the step order.
 
-    Step k stores its soc, v_cell, i_dc and t_pack in column k of the
-    preallocated ``steps`` table, one row per value, through a memoryview
-    bound to each row once. The aging states go the same way into
+    ``starts`` holds each step's start, ``t0 + k * dt``: each record's
+    first step is found in it, each step reads its time from it, and it
+    becomes ``t_s``. Step k stores its soc, v_cell, i_dc and t_pack in
+    column k of the preallocated ``steps`` table, one row per value, through
+    a memoryview bound to each row once, and a marked step its
+    ``_MARK_CODES`` code in ``marks``. The aging states go the same way into
     ``aging_table``: the fresh state in column 0, aging point j in column j
     and the final state in the last. A run whose tables cannot be allocated
     raises ``ValueError``.
@@ -225,8 +237,8 @@ def run_scenario(
     cal_coeffs = load_calendar_coeffs(aging_dir)
     cyc_coeffs = load_cycle_coeffs(aging_dir)
     th_params = ThermalParams.for_mode(config.thermal_mode, c_pack=config.c_pack_j_per_k)
-    ramp_curve = load_curve(config.ramp_curve or default_data_dir() / RAMP_CURVE_FILE)
-    eff_curve = load_curve(config.efficiency_curve or default_data_dir() / EFFICIENCY_CURVE_FILE)
+    ramp_curve = _charger_curve(config.ramp_curve, RAMP_CURVE_FILE, check_ramp_curve)
+    eff_curve = _charger_curve(config.efficiency_curve, EFFICIENCY_CURVE_FILE, check_efficiency_curve)
     charger_cfgs = {
         mode: ChargerConfig(
             mode=mode,
@@ -254,120 +266,119 @@ def run_scenario(
     t_cmd = 0.0  # time since the last command
     # DC power of the settled set-point, held until the next command
     p_dc_settled = 0.0
-    # segment state, resolved when the step time reaches the next record
-    rec_idx = -1
-    next_t = t0
+    # the last segment's state, which a session start compares with
     plugged = False
     mode = None
 
     try:
+        starts = t0 + np.arange(n_steps) * dt
         # soc, v_cell, i_dc and t_pack, one row each, one column per step
         steps = np.empty((4, n_steps))
         # c_norm, r_norm and eqfc, one row each; the columns hold the fresh
         # state, each aging point's and, last, the final state
         aging_table = np.empty((3, n_whole // aging_every + 2))
+        marks = np.zeros(n_steps, np.uint8)
     except MemoryError:
         raise ValueError(f"a run of {n_steps} steps of dt_s = {dt} s is too large to hold in memory") from None
     soc_col, v_col, i_col, t_col = map(memoryview, steps)
     c_log, r_log, eqfc_log = map(memoryview, aging_table)
-    # (first row, segment kind, charger config) per record change
-    spans: list[tuple[int, SegmentKind, ChargerConfig]] = []
-    # (row, gate reason, soc clipped) per step whose gate gave a reason or whose SOC was clipped
-    marks: list[tuple[int, GateReason, bool]] = []
+    start_col, mark_col = memoryview(starts), memoryview(marks)
+    # a record takes effect at the first step that starts at or after its time
+    firsts = np.searchsorted(starts, [r.t_s for r in records]).tolist()
+    # (first row, stop row, segment kind, charger config) per record that takes effect
+    spans: list[tuple[int, int, SegmentKind, ChargerConfig]] = []
     c_log[0], r_log[0], eqfc_log[0] = aging.c_norm, aging.r_norm, aging.eqfc
 
-    for k in range(n_steps):
-        t = t0 + k * dt
-        if k == n_whole:
-            # the tail step: shorter, and no aging point; rest_days books its time
-            dt = tail_dt
-        if t >= next_t:
-            while rec_idx + 1 < len(records) and records[rec_idx + 1].t_s <= t:
-                rec_idx += 1
-            next_t = records[rec_idx + 1].t_s if rec_idx + 1 < len(records) else math.inf
-            rec = records[rec_idx]
-            rec_mode = rec.charger_mode or config.charger_mode
-            # a plug-in, or a charger-mode change while plugged, starts a new
-            # charging session; `plugged` and `mode` still hold the last step's
-            session_start = rec.kind is SegmentKind.PLUGGED and (not plugged or rec_mode is not mode)
-            plugged = rec.kind is SegmentKind.PLUGGED
-            driving = rec.kind is SegmentKind.DRIVE
-            ambient = rec.ambient_c
-            mode = rec_mode
-            ch_cfg = charger_cfgs[mode]
-            ch_setpoints = achievable_setpoints(ch_cfg)
-            spans.append((k, rec.kind, ch_cfg))
-        reason = GATE_OK
-        try:
-            point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
-            if plugged:
-                if session_start or k % control_every == 0:
-                    if session_start:
-                        session_start = False
-                        ctrl = ChargeControlState()
-                        p_ac_prev = p_dc_settled = 0.0
+    for rec, first, stop in zip(records, firsts, firsts[1:]):
+        if first == stop:
+            # a later record in the same step supersedes it
+            continue
+        rec_mode = rec.charger_mode or config.charger_mode
+        # a plug-in, or a charger-mode change while plugged, starts a new
+        # charging session; `plugged` and `mode` still hold the last segment's
+        session_start = rec.kind is SegmentKind.PLUGGED and (not plugged or rec_mode is not mode)
+        plugged = rec.kind is SegmentKind.PLUGGED
+        driving = rec.kind is SegmentKind.DRIVE
+        ambient = rec.ambient_c
+        mode = rec_mode
+        ch_cfg = charger_cfgs[mode]
+        ch_setpoints = achievable_setpoints(ch_cfg)
+        spans.append((first, stop, rec.kind, ch_cfg))
+        for k, t in enumerate(start_col[first:stop], first):
+            if k == n_whole:
+                # the tail step: shorter, and no aging point; rest_days books its time
+                dt = tail_dt
+            reason = GATE_OK
+            try:
+                point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
+                if plugged:
+                    if session_start or k % control_every == 0:
+                        if session_start:
+                            session_start = False
+                            ctrl = ChargeControlState()
+                            p_ac_prev = p_dc_settled = 0.0
+                        else:
+                            # the AC power the last step drew: i_dc and v_cell
+                            # still hold its values, the operands of its row's p_ac
+                            p_dc = i_dc * (n_series * v_cell)
+                            p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
+                        # built from a tuple, without the NamedTuple's Python-level __new__
+                        obs = tuple.__new__(
+                            StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
+                        )
+                        try:
+                            target = quantize_setpoint(float(strategy(obs)), ch_cfg)
+                        except Exception as exc:
+                            raise RuntimeError(
+                                f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+                            ) from exc
+                        if target != ctrl.p_target:
+                            ctrl = command_setpoint(target, p_ac_prev)
+                            t_cmd = 0.0
+                            p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
+                    if t_cmd < ctrl.t_settle:
+                        p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
                     else:
-                        # the AC power the last step drew: i_dc and v_cell
-                        # still hold its values, the operands of its row's p_ac
-                        p_dc = i_dc * (n_series * v_cell)
-                        p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
-                    # built from a tuple, without the NamedTuple's Python-level __new__
-                    obs = tuple.__new__(
-                        StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
+                        p_dc_avail = p_dc_settled
+                    a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
+                    i_cmd = cc_cv_limit(
+                        p_dc_avail,
+                        n_series * v_cell,
+                        v_max_pack,
+                        n_series * a_cell,
+                        n_series * b_cell,
                     )
-                    try:
-                        target = quantize_setpoint(float(strategy(obs)), ch_cfg)
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
-                        ) from exc
-                    if target != ctrl.p_target:
-                        ctrl = command_setpoint(target, p_ac_prev)
-                        t_cmd = 0.0
-                        p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
-                if t_cmd < ctrl.t_settle:
-                    p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
+                    i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
+                    t_cmd += dt
+                elif driving:
+                    i_req = rec.value_w / (n_series * v_cell)
+                    i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
                 else:
-                    p_dc_avail = p_dc_settled
-                a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
-                i_cmd = cc_cv_limit(
-                    p_dc_avail,
-                    n_series * v_cell,
-                    v_max_pack,
-                    n_series * a_cell,
-                    n_series * b_cell,
-                )
-                i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
-                t_cmd += dt
-            elif driving:
-                i_req = rec.value_w / (n_series * v_cell)
-                i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
-            else:
-                i_dc = 0.0
+                    i_dc = 0.0
 
-            ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
-            cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
-            t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
-            # the one finiteness check of the step: a non-finite parameter,
-            # current, RC voltage or heat shows in one of these three
-            if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
-                raise ValueError(
-                    f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
-                )
+                ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
+                cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
+                t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
+                # the one finiteness check of the step: a non-finite parameter,
+                # current, RC voltage or heat shows in one of these three
+                if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
+                    raise ValueError(
+                        f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
+                    )
 
-            if (k + 1) % aging_every == 0 and k < n_whole:
-                calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
-                cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
-                j = (k + 1) // aging_every
-                c_log[j], r_log[j], eqfc_log[j] = aging.c_norm, aging.r_norm, aging.eqfc
-        except (ValueError, ArithmeticError) as exc:
-            raise RuntimeError(
-                f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
-            ) from exc
+                if (k + 1) % aging_every == 0 and k < n_whole:
+                    calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
+                    cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+                    j = (k + 1) // aging_every
+                    c_log[j], r_log[j], eqfc_log[j] = aging.c_norm, aging.r_norm, aging.eqfc
+            except (ValueError, ArithmeticError) as exc:
+                raise RuntimeError(
+                    f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+                ) from exc
 
-        soc_col[k], v_col[k], i_col[k], t_col[k] = ecm_state.soc, v_cell, i_dc, t_pack
-        if reason is not GATE_OK or soc_clipped:
-            marks.append((k, reason, soc_clipped))
+            soc_col[k], v_col[k], i_col[k], t_col[k] = ecm_state.soc, v_cell, i_dc, t_pack
+            if reason is not GATE_OK or soc_clipped:
+                mark_col[k] = _MARK_CODES[reason] + soc_clipped
 
     # book the time since the last aging point and the unclosed residual
     # half cycles into the final reported state
@@ -376,14 +387,26 @@ def run_scenario(
         cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
     c_log[-1], r_log[-1], eqfc_log[-1] = aging.c_norm, aging.r_norm, aging.eqfc
-    return _recorded_trajectory(steps, n_series, spans, marks, aging_table, aging_every, profile, config)
+    return _recorded_trajectory(starts, steps, n_series, spans, marks, aging_table, aging_every, profile, config)
+
+
+def _charger_curve(path: Path | None, default_file: str, check: Callable) -> PiecewiseLinear:
+    """The curve in ``path``, or in the packaged ``default_file``; a ``check`` that refuses it names the file."""
+    path = path or default_data_dir() / default_file
+    curve = load_curve(path)
+    try:
+        check(curve)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return curve
 
 
 def _recorded_trajectory(
+    starts: np.ndarray,
     steps: np.ndarray,
     n_series: int,
-    spans: list[tuple[int, SegmentKind, ChargerConfig]],
-    marks: list[tuple[int, GateReason, bool]],
+    spans: list[tuple[int, int, SegmentKind, ChargerConfig]],
+    marks: np.ndarray,
     snapshots: np.ndarray,
     aging_every: int,
     profile: ScenarioProfile,
@@ -393,48 +416,46 @@ def _recorded_trajectory(
 
     ``steps`` is a C-order ``(4, n)`` table whose rows are the soc, v_cell,
     i_dc and t_pack columns; they become the trajectory's columns without a
-    copy. Row k of ``t_s`` ends at ``(t0 + k * dt) + dt``, the loop's
-    operations on the first record's time and the whole step, and the last
-    row at the last record's. ``v_pack = n_series * v_cell`` and ``p_dc =
-    i_dc * v_pack`` take the loop's operands. ``spans`` holds (first row,
-    segment kind, charger config) from each record change on: a row's flags
-    start with its span's kind, and ``p_ac`` is ``dc_to_ac(p_dc)`` with the
-    span's config on a plugged row that draws (``p_dc > 0``), and 0.0 on
-    every other row, which is the AC power a strategy poll reads for the
-    step. ``marks`` adds ``|<reason>`` and ``|soc_clip`` to its rows, and a
-    ``t_pack`` outside ``config.bms``'s ``[t_min_c, t_max_c]`` adds
-    ``|temp_envelope``. The rows of the ``(3, m)`` table ``snapshots`` are
-    c_norm, r_norm and eqfc, and its columns the fresh state, each aging
-    point's and, last, the final state; point j closes on row
-    ``j * aging_every - 1``, which is the first to show it, and the final
-    state is the last row's.
+    copy. ``starts`` holds the run's step starts and becomes ``t_s`` in
+    place: row k ends at ``starts[k] + dt``, and the last row at the last
+    record's time. ``v_pack = n_series * v_cell`` and ``p_dc = i_dc *
+    v_pack`` take the loop's operands. ``spans`` holds (first row, stop row,
+    segment kind, charger config) per record that takes effect: a row's
+    flags start with its span's kind, and ``p_ac`` is ``dc_to_ac(p_dc)``
+    with the span's config on a plugged row that draws (``p_dc > 0``), and
+    0.0 on every other row, which is the AC power a strategy poll reads for
+    the step. A row's ``marks`` code adds its ``_MARK_FLAGS`` (``|<reason>``
+    and ``|soc_clip``), and a ``t_pack`` outside ``config.bms``'s
+    ``[t_min_c, t_max_c]`` adds ``|temp_envelope``. The rows of the ``(3,
+    m)`` table ``snapshots`` are c_norm, r_norm and eqfc, and its columns
+    the fresh state, each aging point's and, last, the final state; point j
+    closes on row ``j * aging_every - 1``, which is the first to show it,
+    and the final state is the last row's.
     """
     soc, v_cell, i_dc, t_pack = steps
     n = len(soc)
-    t_s = profile.records[0].t_s + np.arange(n) * config.dt_s + config.dt_s
+    t_s = starts
+    t_s += config.dt_s
     t_s[-1] = profile.records[-1].t_s
     v_pack = n_series * v_cell
     p_dc = i_dc * v_pack
     p_ac = np.zeros(n)
     flags: list[str] = []
-    stops = [start for start, _, _ in spans[1:]] + [n]
-    for (start, kind, ch_cfg), stop in zip(spans, stops):
+    for start, stop, kind, ch_cfg in spans:
         flags.extend(repeat(kind.value, stop - start))
         if kind is SegmentKind.PLUGGED:
             # only the rows that draw are gathered and converted
             drawing = np.flatnonzero(p_dc[start:stop] > 0) + start
             p_ac[drawing] = dc_to_ac_array(p_dc[drawing], ch_cfg)
-    for k, reason, soc_clipped in marks:
-        if reason is not GATE_OK:
-            flags[k] += "|" + reason.value
-        if soc_clipped:
-            flags[k] += "|soc_clip"
+    marked = np.flatnonzero(marks)
+    for k, code in zip(marked.tolist(), marks[marked].tolist()):
+        flags[k] += _MARK_FLAGS[code]
     inside = (t_pack >= config.bms.t_min_c) & (t_pack <= config.bms.t_max_c)
     for k in np.flatnonzero(~inside).tolist():
         flags[k] += "|temp_envelope"
-    starts = np.arange(snapshots.shape[1]) * aging_every - 1
-    starts[0], starts[-1] = 0, n - 1
-    counts = np.diff(starts, append=n)
+    points = np.arange(snapshots.shape[1]) * aging_every - 1
+    points[0], points[-1] = 0, n - 1
+    counts = np.diff(points, append=n)
     c_norm, r_norm, eqfc = (np.repeat(column, counts) for column in snapshots)
     return Trajectory(t_s, soc, v_cell, v_pack, i_dc, t_pack, p_ac, p_dc, c_norm, r_norm, eqfc, flags)
 

@@ -75,11 +75,13 @@ class ProfileRecord:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioProfile:
-    records: list[ProfileRecord]
+    records: tuple[ProfileRecord, ...]
 
     def __post_init__(self) -> None:
+        # a list passed in is held as a tuple, so the records checked here are the records a run reads
+        object.__setattr__(self, "records", tuple(self.records))
         for k in range(1, len(self.records)):
             t, before = self.records[k].t_s, self.records[k - 1].t_s
             if t <= before:

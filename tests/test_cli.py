@@ -348,6 +348,25 @@ def test_non_positive_grid_voltage_is_reported(scenario_files, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("ramp_curve", "t_s,p_norm\n0,0\n52,0.9\n", "ramp curve must start at 0 and reach 1 at 52.0 s"),
+        ("efficiency_curve", "p_ac_w,efficiency\n1800,0.9\n11040,1.2\n", "efficiency anchors must lie in (0, 1]"),
+    ],
+    ids=["ramp", "efficiency"],
+)
+def test_a_curve_the_charger_refuses_is_named(scenario_files, tmp_path, capsys, key, text, message):
+    # the error said what was wrong with the curve, but not which file held it
+    config, profile = scenario_files
+    curve = tmp_path / f"bad_{key}.csv"
+    curve.write_text(text)
+    config.write_text(config.read_text() + f"{key} = {curve.name}\n")
+    assert _simulate(config, profile, tmp_path / "o") == 2
+    assert capsys.readouterr() == ("", f"error: {curve}: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "lines, message",
     [
         # the first two failed only when the run started, naming neither key nor file

@@ -81,6 +81,22 @@ class TestProfile:
             ScenarioProfile.from_csv(path)
         assert str(info.value) == f"{path}: t_s must increase, but row 5 has t_s = 30.0 after 60.0"
 
+    def test_a_profile_cannot_be_changed_after_its_check(self):
+        # a 200 s drive record inserted before the 100 s end record passed no
+        # check, and the run gave 100 idle rows with no drive and no error
+        records = [ProfileRecord(t, SegmentKind.IDLE, 0.0, 20.0) for t in (0.0, 100.0)]
+        profile = ScenarioProfile(records)
+        drive = ProfileRecord(200.0, SegmentKind.DRIVE, -10000.0, 20.0)
+        with pytest.raises(FrozenInstanceError):
+            profile.records = [records[0], drive, records[1]]
+        with pytest.raises(AttributeError):
+            profile.records.append(drive)
+        with pytest.raises(AttributeError):
+            profile.records.insert(1, drive)
+        # the list passed in is copied: changing it leaves the profile as checked
+        records.insert(1, drive)
+        assert profile.records == (records[0], records[2])
+
     def test_drive_power_bounded_by_motor_rating(self, tmp_path):
         with pytest.raises(ValueError, match="motor rating"):
             ScenarioProfile([ProfileRecord(0.0, SegmentKind.DRIVE, -60000.0, 20.0)])
