@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import GridLookup, ParamGrid, load_grid
+from .params import GridLookup, ParamGrid, load_grid, reuse
 from .rainflow import HalfCycle, RainflowCounter
 
 # end-of-life thresholds
@@ -33,13 +33,16 @@ class EolStatus(Enum):
     BOTH = "both_eol"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CalendarCoeffGrid:
-    """Calendar fade/growth rates in 1/day over (storage SOC, temperature)."""
+    """Calendar fade/growth rates in 1/day over (storage SOC, temperature).
+
+    Frozen, since a loaded grid is shared.
+    """
 
     alpha_c: ParamGrid
     alpha_r: ParamGrid
-    # rates(soc, temp): (alpha_c, alpha_r) at one storage point
+    # rates.at(soc, temp): (alpha_c, alpha_r) at one storage point
     rates: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -50,16 +53,19 @@ class CalendarCoeffGrid:
         diffs = np.diff(self.alpha_c.values, axis=1)
         if np.any(diffs <= 0):
             raise ValueError("calendar_alpha_c: rate must increase with temperature")
-        self.rates = GridLookup("calendar rates", (self.alpha_c, self.alpha_r))
+        object.__setattr__(self, "rates", GridLookup("calendar rates", (self.alpha_c, self.alpha_r)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CycleCoeffGrid:
-    """Cycle fade/growth per equivalent full cycle over (depth, mean SOC)."""
+    """Cycle fade/growth per equivalent full cycle over (depth, mean SOC).
+
+    Frozen, since a loaded grid is shared.
+    """
 
     beta_c: ParamGrid
     beta_r: ParamGrid
-    # rates(depth, mean_soc): (beta_c, beta_r) of one half cycle
+    # rates.at(depth, mean_soc): (beta_c, beta_r) of one half cycle
     rates: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -68,31 +74,42 @@ class CycleCoeffGrid:
                 raise ValueError(f"{grid.name}: cycle rates must be >= 0")
         if np.any(np.diff(self.beta_c.values, axis=0) < 0):
             raise ValueError("cycle_beta_c: rate must not decrease with cycle depth")
-        self.rates = GridLookup("cycle rates", (self.beta_c, self.beta_r))
+        object.__setattr__(self, "rates", GridLookup("cycle rates", (self.beta_c, self.beta_r)))
 
 
-def _load_fraction_grid(path: Path, name: str) -> ParamGrid:
+def _load_fraction_grid(path: Path, name: str, data: bytes | None) -> ParamGrid:
     """Like the electrical loader, but the column axis is also percent."""
-    grid = load_grid(path, name)
+    grid = load_grid(path, name, data)
     return replace(grid, temp_breakpoints=tuple(t / 100.0 for t in grid.temp_breakpoints))
 
 
 def load_calendar_coeffs(directory: str | Path) -> CalendarCoeffGrid:
-    """Load calendar_alpha_c.csv / calendar_alpha_r.csv from ``directory``."""
-    directory = Path(directory)
-    c, r = (load_grid(directory / f"{n}.csv", n) for n in CALENDAR_FILES)
-    return CalendarCoeffGrid(alpha_c=c, alpha_r=r)
+    """Load calendar_alpha_c.csv / calendar_alpha_r.csv from ``directory``.
+
+    While both files hold the same bytes, the grid built from them is
+    returned again (see :func:`~evplant.params.reuse`).
+    """
+    paths = [Path(directory) / f"{n}.csv" for n in CALENDAR_FILES]
+
+    def build(sources) -> CalendarCoeffGrid:
+        return CalendarCoeffGrid(*map(load_grid, paths, CALENDAR_FILES, sources))
+
+    return reuse("calendar rates", paths, build)
 
 
 def load_cycle_coeffs(directory: str | Path) -> CycleCoeffGrid:
     """Load cycle_beta_c.csv / cycle_beta_r.csv from ``directory``.
 
     Rows are cycle depth in percent, columns mean SOC in percent; both axes
-    are converted to fractions.
+    are converted to fractions. While both files hold the same bytes, the
+    grid built from them is returned again (see :func:`~evplant.params.reuse`).
     """
-    directory = Path(directory)
-    c, r = (_load_fraction_grid(directory / f"{n}.csv", n) for n in CYCLE_FILES)
-    return CycleCoeffGrid(beta_c=c, beta_r=r)
+    paths = [Path(directory) / f"{n}.csv" for n in CYCLE_FILES]
+
+    def build(sources) -> CycleCoeffGrid:
+        return CycleCoeffGrid(*map(_load_fraction_grid, paths, CYCLE_FILES, sources))
+
+    return reuse("cycle rates", paths, build)
 
 
 @dataclass
@@ -120,7 +137,7 @@ def calendar_step(
     """Accrue storage aging for ``dt_days`` at the given operating point."""
     if not dt_days >= 0:
         raise ValueError(f"dt_days must be >= 0, got {dt_days}")
-    alpha_c, alpha_r = coeffs.rates(soc, temp)
+    alpha_c, alpha_r = coeffs.rates.at(soc, temp)
     state.c_norm -= alpha_c * dt_days
     state.r_norm += alpha_r * dt_days
     state.elapsed_days += dt_days
@@ -130,7 +147,7 @@ def calendar_step(
 def _apply_half_cycle(state: AgingState, half: HalfCycle, coeffs: CycleCoeffGrid) -> None:
     weight = 0.5 * half.depth  # equivalent full cycles of this half cycle
     state.eqfc += weight
-    beta_c, beta_r = coeffs.rates(half.depth, half.mean)
+    beta_c, beta_r = coeffs.rates.at(half.depth, half.mean)
     state.c_norm -= weight * beta_c
     state.r_norm += weight * beta_r
 

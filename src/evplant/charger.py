@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .params import default_data_dir, float_cells, read_csv_rows
+from .params import default_data_dir, float_cells, read_csv_rows, reuse
 
 # ramp dynamics after a new set-point command
 RAMP_UP_DURATION_S = 52.0  # upward target reached after at most this
@@ -42,18 +42,27 @@ class ChargerMode(Enum):
     THREE_PHASE = "three_phase"
 
 
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
-    """y(x) through anchor points, clamped to the end values outside their span."""
+    """y(x) through anchor points, clamped to the end values outside their span.
 
-    def __init__(self, points: Sequence[tuple[float, float]]):
-        if len(points) < 2:
+    Frozen, since a loaded curve is shared.
+    """
+
+    points: Sequence[tuple[float, float]]
+    _xs: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if len(self.points) < 2:
             raise ValueError("need at least two anchor points")
-        self.points = tuple((float(x), float(y)) for x, y in points)
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in self.points):
+        points = tuple((float(x), float(y)) for x, y in self.points)
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in points):
             raise ValueError("non-finite anchor point")
-        self._xs = tuple(x for x, _ in self.points)
-        if any(b <= a for a, b in zip(self._xs, self._xs[1:])):
+        xs = tuple(x for x, _ in points)
+        if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("anchor abscissae must be strictly increasing")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_xs", xs)
 
     def __call__(self, x: float) -> float:
         pts = self.points
@@ -68,16 +77,24 @@ class PiecewiseLinear:
 
 
 def load_curve(path: str | Path) -> PiecewiseLinear:
-    """Two-column comma-separated curve file (header row, then abscissa,value)."""
-    rows = read_csv_rows(path, "curve", None)
-    n, head = next(rows)
-    if len(head) != 2:
-        raise ValueError(f"{path} row {n}: expected 2 cells, got {len(head)}")
-    points = [float_cells(path, n, cells) for n, cells in rows]
-    try:
-        return PiecewiseLinear(points)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Two-column comma-separated curve file (header row, then abscissa,value).
+
+    While the file holds the same bytes, the curve built from it is returned
+    again (see :func:`~evplant.params.reuse`).
+    """
+
+    def build(sources) -> PiecewiseLinear:
+        rows = read_csv_rows(path, "curve", None, sources[0])
+        n, head = next(rows)
+        if len(head) != 2:
+            raise ValueError(f"{path} row {n}: expected 2 cells, got {len(head)}")
+        points = [float_cells(path, n, cells) for n, cells in rows]
+        try:
+            return PiecewiseLinear(points)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    return reuse("curve", [Path(path)], build)
 
 
 def check_efficiency_curve(curve: PiecewiseLinear) -> None:

@@ -50,7 +50,7 @@ def operating_point(
     ``soc`` and ``temp`` and ``dt > 0``; a NaN ``soc`` or ``temp`` makes the
     lookup raise.
     """
-    ocv, r_ser, r1, r2, c1, c2 = params.lookup(soc, temp)
+    ocv, r_ser, r1, r2, c1, c2 = params.lookup.at(soc, temp)
     r_norm = aging.r_norm
     r_ser, r1, r2 = r_ser * r_norm, r1 * r_norm, r2 * r_norm
     k1 = math.exp(-dt / (r1 * c1))

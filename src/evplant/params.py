@@ -12,19 +12,27 @@ the union of their breakpoints: one union cell per point, one set of
 weights per run of tables whose cells share a geometry, and a memo of the
 last clamped point, its values and its cell. :meth:`ParamGrid.interpolate`
 is their cache-free reference.
+
+The loaders (:func:`load_parameter_set`, the aging coefficient loaders and
+``load_curve``) reuse what they built: while the files they read hold the
+same bytes, they return the same object, memo and cells included, so a
+repeated run on one data set pays only for its steps. What they hand out is
+frozen, since every later run shares it.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import struct
 import sys
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import groupby, product
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +52,15 @@ _OUTLIER_RATIO = 0.1
 # OCV columns may only decrease by this much along SOC before being reported
 _OCV_MONOTONE_TOL_V = 1e-3
 
+# objects the loaders built, least recently used first (see reuse); a run
+# loads five, the parameter set, two aging grids and two curves, so a sweep
+# over many data sets keeps the last three in full
+REUSE_LIMIT = 16
+_built: dict[tuple, object] = {}
+_built_lock = threading.Lock()
+
+T = TypeVar("T")
+
 
 def check_finite(record) -> None:
     """Raise ``ValueError`` naming the first real-number field of a dataclass that is no finite float.
@@ -62,15 +79,53 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def read_text(path: Path) -> str:
-    """The text of the file at ``path``; text that does not decode raises ``ValueError`` naming the path."""
+def read_text(path: Path, data: bytes | None = None) -> str:
+    """The text of the file at ``path``, or of ``data``, its bytes read before.
+
+    Decoded as ``open`` decodes a text file, line ends included; text that
+    does not decode raises ``ValueError`` naming the path.
+    """
+    if data is None:
+        data = path.read_bytes()
     try:
-        return path.read_text()
+        return io.TextIOWrapper(io.BytesIO(data)).read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: cannot decode the file as text ({exc})") from None
 
 
-def read_csv_rows(path: str | Path, what: str, header: str | None) -> Iterator[tuple[int, list[str]]]:
+def reuse(kind: str, paths: Sequence[Path], build: Callable[[tuple[bytes | None, ...]], T]) -> T:
+    """``build(sources)`` for the bytes of the files at ``paths``, or what it returned for the same bytes before.
+
+    ``sources`` holds each file's bytes, and ``build`` parses those, not
+    the files again, so what is kept was built from the bytes of its key,
+    even if a file is rewritten during the build. The key is ``kind``,
+    which names the loader, and the bytes, not the paths: copies of a file
+    share one object, which holds nothing of their paths. If a file cannot
+    be read, ``sources`` is all None and ``build`` reads the files itself,
+    so it raises the loader's own error for the first bad one. Nothing is
+    kept when a file cannot be read or ``build`` raises, and at most
+    :data:`REUSE_LIMIT` objects are kept, the least recently used dropped
+    first.
+    """
+    try:
+        sources = tuple(path.read_bytes() for path in paths)
+    except OSError:
+        return build((None,) * len(paths))
+    key = (kind, sources)
+    with _built_lock:
+        built = _built.pop(key, None)
+    if built is None:
+        built = build(sources)
+    with _built_lock:
+        _built[key] = built
+        while len(_built) > REUSE_LIMIT:
+            del _built[next(iter(_built))]
+    return built
+
+
+def read_csv_rows(
+    path: str | Path, what: str, header: str | None, data: bytes | None = None
+) -> Iterator[tuple[int, list[str]]]:
     """Rows of a comma-separated file as (line number, cells), read lazily.
 
     Blank lines are skipped, and line numbers count from 1 at the top of the
@@ -80,13 +135,14 @@ def read_csv_rows(path: str | Path, what: str, header: str | None) -> Iterator[t
     as many cells as the header. A missing or empty file, a wrong header and
     a row of the wrong width raise ``ValueError`` naming the path (``what``
     names the kind of file) and the row, and text that does not decode one
-    naming the path. Cells are not stripped.
+    naming the path. Cells are not stripped. ``data``, when given, holds
+    the file's bytes, read before, and the file is not read again.
     """
     path = Path(path)
-    if not path.is_file():
+    if data is None and not path.is_file():
         raise ValueError(f"missing {what} file: {path}")
     width = 0
-    for n, line in enumerate(read_text(path).splitlines(), start=1):
+    for n, line in enumerate(read_text(path, data).splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -151,7 +207,8 @@ class GridLookup:
 
     ``grids`` are :class:`ParamGrid`-like tables (``soc_breakpoints``,
     ``temp_breakpoints``, ``values``), on one breakpoint grid or on several.
-    A query is clamped onto ``hull``, the hull of the union grid whose axes
+    A query, ``lookup.at(soc, temp)`` or ``lookup(soc, temp)``, is
+    clamped onto ``hull``, the hull of the union grid whose axes
     ``s_axis`` and ``t_axis`` hold every table's breakpoints, and evaluated
     in one union cell (see :meth:`_build`). A union cell lies inside one
     cell of every table, or past its hull, where that table is fixed at
@@ -187,7 +244,7 @@ class GridLookup:
         # an empty box, so the first query builds its cell
         self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, ()))
 
-    def __call__(self, soc: float, temp: float) -> tuple[float, ...]:
+    def at(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
         s_min, s_max, t_min, t_max = self.hull
         s = s_min if soc < s_min else s_max if soc > s_max else soc
@@ -211,6 +268,10 @@ class GridLookup:
         values = tuple(members)
         self.memo = (s, t, values, cell)
         return values
+
+    # the step calls at() by name: on CPython 3.11 a call through __call__
+    # costs about three times a plain method call
+    __call__ = at
 
     def _locate(self, s: float, t: float) -> tuple:
         """The union cell holding the clamped point (s, t), built on its first visit.
@@ -304,9 +365,9 @@ class ParamGrid:
         return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CellParameterSet:
-    """All electrical grids of one cell plus its ratings."""
+    """All electrical grids of one cell plus its ratings; frozen, since a loaded set is shared."""
 
     ocv: ParamGrid  # V
     r_ser: ParamGrid  # Ohm
@@ -317,19 +378,23 @@ class CellParameterSet:
     nominal_capacity_ah: float = NOMINAL_CAPACITY_AH
     n_series: int = N_SERIES
 
-    # lookup(soc, temp): the six unaged parameters at one point, in PARAM_NAMES order
+    # lookup.at(soc, temp): the six unaged parameters at one point, in PARAM_NAMES order
     lookup: GridLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.lookup = GridLookup("cell parameters", [self.grid(name) for name in PARAM_NAMES])
+        lookup = GridLookup("cell parameters", [self.grid(name) for name in PARAM_NAMES])
+        object.__setattr__(self, "lookup", lookup)
 
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)
 
 
-def load_grid(path: Path, name: str) -> ParamGrid:
-    """One table file: column breakpoints in the header row, SOC in percent in the first column."""
-    rows = read_csv_rows(path, "parameter", None)
+def load_grid(path: Path, name: str, data: bytes | None = None) -> ParamGrid:
+    """One table file: column breakpoints in the header row, SOC in percent in the first column.
+
+    ``data``, when given, holds the file's bytes, read before.
+    """
+    rows = read_csv_rows(path, "parameter", None, data)
     n, head = next(rows)
     temps = tuple(float_cells(path, n, head[1:]))
     body = [float_cells(path, n, cells) for n, cells in rows]
@@ -343,11 +408,16 @@ def load_parameter_set(directory: str | Path) -> CellParameterSet:
     Raises ``ValueError`` naming the file, and the row where
     there is one, for any missing file, malformed row, non-numeric cell, or
     non-monotone breakpoint axis. Value-level findings (sign, time-constant
-    ordering) are the job of :func:`validate_parameter_set`.
+    ordering) are the job of :func:`validate_parameter_set`. While the six
+    files hold the same bytes, the set built from them is returned again
+    (see :func:`reuse`).
     """
-    directory = Path(directory)
-    grids = {name: load_grid(directory / f"{name}.csv", name) for name in PARAM_NAMES}
-    return CellParameterSet(**grids)
+    paths = [Path(directory) / f"{name}.csv" for name in PARAM_NAMES]
+
+    def build(sources) -> CellParameterSet:
+        return CellParameterSet(*map(load_grid, paths, PARAM_NAMES, sources))
+
+    return reuse("parameter set", paths, build)
 
 
 @dataclass

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from evplant import params
 from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
 from evplant.params import PARAM_NAMES, default_data_dir, load_parameter_set
 
@@ -31,6 +32,17 @@ def cal_coeffs(data_dir):
 @pytest.fixture(scope="session")
 def cyc_coeffs(data_dir):
     return load_cycle_coeffs(data_dir)
+
+
+@pytest.fixture
+def cold_loaders(monkeypatch):
+    """Loaders that reuse nothing an earlier test built: every table a test loads is built in it.
+
+    Returns the emptied store of built objects, which a test may empty again.
+    """
+    built: dict = {}
+    monkeypatch.setattr(params, "_built", built)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
 import re
 import shutil
 import sys
@@ -18,7 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evplant.aging
+import evplant.charger
 import evplant.engine
+import evplant.params
 from evplant.bms import BmsLimits
 from evplant.charger import ChargerMode
 from evplant.ecm import POINT_ORDER
@@ -443,9 +447,9 @@ class TestRunScenario:
         assert np.all(traj.i_dc == 0.0)
         assert np.all(traj.p_ac == 0.0)
 
-    def test_plugged_step_looks_up_parameters_once(self, monkeypatch):
+    def test_plugged_step_looks_up_parameters_once(self, monkeypatch, cold_loaders):
         grids, points = [], []
-        interpolate, lookup = ParamGrid.interpolate, GridLookup.__call__
+        interpolate, lookup = ParamGrid.interpolate, GridLookup.at
 
         def counting_interpolate(grid, soc, temp):
             grids.append(grid.name)
@@ -457,7 +461,7 @@ class TestRunScenario:
             return lookup(grid_lookup, soc, temp)
 
         monkeypatch.setattr(ParamGrid, "interpolate", counting_interpolate)
-        monkeypatch.setattr(GridLookup, "__call__", counting_lookup)
+        monkeypatch.setattr(GridLookup, "at", counting_lookup)
         config = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0)
         traj = run_scenario(config, charge_profile(duration=300.0))
         assert traj.n_rows == 300 and traj.p_ac.max() > 0
@@ -935,7 +939,7 @@ def test_the_off_grid_run_shows_every_flag_extra(r1_halved_dir):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, monkeypatch):
+def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, monkeypatch, cold_loaders):
     locate, build = GridLookup._locate, GridLookup._build
     misses, built = [], []
 
@@ -952,6 +956,78 @@ def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, 
     run_pinned(name, r1_halved_dir)
     assert len(set(built)) == len(built), "a union cell was built twice"
     assert (len(built), len(misses)) == RELOCATIONS[name]
+
+
+def test_runs_alternating_two_data_sets_keep_their_digests(r1_halved_dir):
+    # the shipped tables and r1_halved_dir's share every file but r1.csv
+    for name in ("mixed", "r1_halved", "mixed", "r1_halved"):
+        assert trajectory_digest(run_pinned(name, r1_halved_dir)) == PINNED[name][2], name
+
+
+def test_a_table_rewritten_between_two_runs_is_read_again(tmp_path, cold_loaders):
+    # the rewrite keeps the file's size and time stamp: only its bytes tell
+    data = tmp_path / "data"
+    shutil.copytree(default_data_dir(), data)
+    config, profile, digest = PINNED["mixed"]
+    config = dataclasses.replace(config, data_dir=data)
+    assert trajectory_digest(run_scenario(config, profile)) == digest
+    r1 = data / "r1.csv"
+    stat = r1.stat()
+    r1.write_text(r1.read_text().replace("0.0020704", "0.0030704"))
+    os.utime(r1, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert r1.stat().st_size == stat.st_size
+    rewritten = trajectory_digest(run_scenario(config, profile))
+    cold_loaders.clear()
+    assert rewritten == trajectory_digest(run_scenario(config, profile)) != digest
+
+
+def test_a_second_run_on_unchanged_files_parses_no_table(monkeypatch, cold_loaders):
+    parsed = []
+    load_grid, read_csv_rows = evplant.params.load_grid, evplant.charger.read_csv_rows
+
+    def counting_load_grid(path, name, *data):
+        parsed.append(name)
+        return load_grid(path, name, *data)
+
+    def counting_read_csv_rows(path, *args):
+        parsed.append(Path(path).stem)
+        return read_csv_rows(path, *args)
+
+    monkeypatch.setattr(evplant.params, "load_grid", counting_load_grid)
+    monkeypatch.setattr(evplant.aging, "load_grid", counting_load_grid)
+    monkeypatch.setattr(evplant.charger, "read_csv_rows", counting_read_csv_rows)
+    config, profile, digest = PINNED["aging_day"]
+    assert trajectory_digest(run_scenario(config, profile)) == digest
+    assert len(parsed) == 12
+    parsed.clear()
+    assert trajectory_digest(run_scenario(config, profile)) == digest
+    assert parsed == []
+
+
+def test_runs_on_copies_of_one_data_set_keep_one_set(tmp_path, traced_peak, cold_loaders):
+    # the loaders key what they keep on the files' bytes, so runs on five
+    # copies keep what runs on one do: one object per loader. The slack,
+    # 8 KiB, is under a third of what each further copy would keep with
+    # objects of its own (about 27 kB)
+    copies = []
+    for k in range(5):
+        copies.append(tmp_path / f"copy{k}")
+        shutil.copytree(default_data_dir(), copies[-1])
+    config, profile = ScenarioConfig(initial_soc=0.5, initial_temp_c=20.0), charge_profile(duration=60.0)
+
+    def kept_after_runs_on(directories):
+        cold_loaders.clear()
+
+        def runs():
+            for directory in directories:
+                run_scenario(dataclasses.replace(config, data_dir=directory), profile)
+
+        return traced_peak(runs)[2]
+
+    one = kept_after_runs_on(copies[:1] * 5)
+    five = kept_after_runs_on(copies)
+    assert len(cold_loaders) == 5
+    assert five < one + 8 * 1024, (one, five)
 
 
 @st.composite

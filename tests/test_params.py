@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import re
 import shutil
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from hypothesis import strategies as st
 
 from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
 from evplant.bms import BmsLimits
+from evplant.charger import RAMP_CURVE_FILE, load_curve
 from evplant.params import (
     PARAM_NAMES,
+    REUSE_LIMIT,
     V_CELL_MAX,
     V_CELL_MIN,
     CellParameterSet,
@@ -126,6 +132,115 @@ class TestLoading:
         grid = ParamGrid("x", (0.0, 1.0), (0.0, 10.0), table)
         table[0, 0] = 5.0
         assert (grid.values[0, 0], grid.interpolate(0.0, 0.0)) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "load, field",
+        [
+            (load_parameter_set, "r1"),
+            (load_parameter_set, "lookup"),
+            (load_parameter_set, "nominal_capacity_ah"),
+            (load_calendar_coeffs, "alpha_c"),
+            (load_calendar_coeffs, "rates"),
+            (load_cycle_coeffs, "beta_r"),
+            (load_cycle_coeffs, "rates"),
+            (lambda directory: load_curve(directory / RAMP_CURVE_FILE), "points"),
+        ],
+    )
+    def test_a_loaded_object_cannot_be_rebound(self, data_dir, load, field):
+        # a loader hands one object to every later call on the same bytes,
+        # so a rebound field would change every later run
+        loaded = load(data_dir)
+        before = getattr(loaded, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(loaded, field, before)
+        assert load(data_dir) is loaded
+
+
+def _copy_tables(data_dir, directory):
+    directory.mkdir()
+    for name in PARAM_NAMES:
+        shutil.copy(data_dir / f"{name}.csv", directory / f"{name}.csv")
+    return directory
+
+
+class TestReuse:
+    def test_files_of_the_same_bytes_give_the_same_set(self, data_dir, tmp_path, cold_loaders):
+        pset = load_parameter_set(data_dir)
+        assert load_parameter_set(data_dir) is pset
+        assert load_parameter_set(_copy_tables(data_dir, tmp_path / "copy")) is pset
+        assert len(cold_loaders) == 1
+
+    def test_a_changed_file_is_read_again(self, data_dir, tmp_path, cold_loaders):
+        directory = _copy_tables(data_dir, tmp_path / "copy")
+        pset = load_parameter_set(directory)
+        text = (directory / "r1.csv").read_text()
+        (directory / "r1.csv").write_text(text.replace("0.0020704", "0.0020705"))
+        changed = load_parameter_set(directory)
+        assert changed is not pset and changed.r1.values.tolist() != pset.r1.values.tolist()
+        (directory / "r1.csv").write_text(text)
+        assert load_parameter_set(directory) is pset
+
+    def test_a_bad_or_missing_file_raises_on_every_call_and_is_not_kept(self, data_dir, tmp_path, cold_loaders):
+        directory = _copy_tables(data_dir, tmp_path / "copy")
+        good = (directory / "r1.csv").read_text()
+        (directory / "r1.csv").write_text(good.replace("0.0020704", "oops"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(directory / 'r1.csv'))} row .*: non-numeric"):
+                load_parameter_set(directory)
+        (directory / "r1.csv").unlink()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^missing parameter file: {re.escape(str(directory / 'r1.csv'))}$"):
+                load_parameter_set(directory)
+        assert not cold_loaders
+        (directory / "r1.csv").write_text(good)
+        assert load_parameter_set(directory) is load_parameter_set(data_dir)
+
+    def test_the_least_recently_used_set_is_dropped(self, data_dir, tmp_path, cold_loaders):
+        # REUSE_LIMIT sets of distinct bytes: r1.csv ends in k blank lines
+        first = weakref.ref(load_parameter_set(data_dir))
+        text = (data_dir / "r1.csv").read_text()
+        for k in range(1, REUSE_LIMIT + 1):
+            directory = _copy_tables(data_dir, tmp_path / f"copy{k}")
+            (directory / "r1.csv").write_text(text + "\n" * k)
+            load_parameter_set(directory)
+        gc.collect()
+        assert first() is None and len(cold_loaders) == REUSE_LIMIT
+
+    def test_threads_sharing_the_loaders_get_each_directory_its_own_set(self, data_dir, tmp_path, cold_loaders):
+        # more directories of distinct bytes than are kept, so the threads
+        # build, reuse and drop sets at once; r1 at 50 % SOC tells them apart
+        text = (data_dir / "r1.csv").read_text()
+        directories = {}
+        for k in range(REUSE_LIMIT + 4):
+            value = f"{0.002 + k * 1e-5:.5f}"
+            directory = _copy_tables(data_dir, tmp_path / f"copy{k}")
+            (directory / "r1.csv").write_text(text.replace("0.0020704", value))
+            directories[directory] = float(value)
+        names = list(directories)
+        wrong = []
+
+        def load_each(order):
+            try:
+                for directory in order:
+                    if load_parameter_set(directory).r1.interpolate(0.5, 15.0) != directories[directory]:
+                        wrong.append(directory)
+            except Exception as exc:  # reported by the assertion below, not lost with the thread
+                wrong.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=load_each, args=((names[k:] + names[:k]) * 2,), daemon=True) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and len(cold_loaders) == REUSE_LIMIT
 
 
 class TestInterpolation:
