@@ -13,7 +13,10 @@ CV current limit and the BMS gate; when driving, convert the requested DC
 power to current against the latest pack voltage and gate it.
 Then advance the cell electrics, scale the cell voltage and heat by the
 series count (the one place the pack scaling lives), advance the pack
-temperature, and accrue aging at its own cadence. A run covers and ages its
+temperature, and accrue aging at its own cadence: an aging point books
+calendar aging and feeds the rainflow counter its SOC, but only a SOC that
+moved since the last one fed, since the counter ignores a repeat.
+A run covers and ages its
 whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
 the last aging point is booked at the end. A step records only its SOC,
@@ -269,6 +272,9 @@ def run_scenario(
     # the last segment's state, which a session start compares with
     plugged = False
     mode = None
+    # the SOC the rainflow counter was last fed; NaN, so the first aging point feeds
+    soc_fed = math.nan
+    isfinite = math.isfinite
 
     try:
         starts = t0 + np.arange(n_steps) * dt
@@ -357,18 +363,23 @@ def run_scenario(
                     i_dc = 0.0
 
                 ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
+                soc = ecm_state.soc
                 cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
                 t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
                 # the one finiteness check of the step: a non-finite parameter,
                 # current, RC voltage or heat shows in one of these three
-                if not (math.isfinite(ecm_state.soc) and math.isfinite(v_cell) and math.isfinite(t_pack)):
-                    raise ValueError(
-                        f"non-finite plant state: soc={ecm_state.soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}"
-                    )
+                if not (isfinite(soc) and isfinite(v_cell) and isfinite(t_pack)):
+                    raise ValueError(f"non-finite plant state: soc={soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}")
 
                 if (k + 1) % aging_every == 0 and k < n_whole:
-                    calendar_step(aging, ecm_state.soc, t_pack, aging_dt_days, cal_coeffs)
-                    cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+                    calendar_step(aging, soc, t_pack, aging_dt_days, cal_coeffs)
+                    # the counter ignores a sample equal to its last one
+                    # (RainflowCounter.feed returns () and keeps its state),
+                    # so a SOC that has not moved since the last one fed is
+                    # not fed at all
+                    if soc != soc_fed:
+                        cycle_accumulate(aging, soc, cyc_coeffs)
+                        soc_fed = soc
                     j = (k + 1) // aging_every
                     c_log[j], r_log[j], eqfc_log[j] = aging.c_norm, aging.r_norm, aging.eqfc
             except (ValueError, ArithmeticError) as exc:
@@ -376,7 +387,7 @@ def run_scenario(
                     f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
                 ) from exc
 
-            soc_col[k], v_col[k], i_col[k], t_col[k] = ecm_state.soc, v_cell, i_dc, t_pack
+            soc_col[k], v_col[k], i_col[k], t_col[k] = soc, v_cell, i_dc, t_pack
             if reason is not GATE_OK or soc_clipped:
                 mark_col[k] = _MARK_CODES[reason] + soc_clipped
 

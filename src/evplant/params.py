@@ -8,9 +8,11 @@ profile, table, curve or trajectory parsed by :func:`float_cells`; bad data
 raises a plain ``ValueError`` naming the file and row, or the table. The
 engine looks tables up through :class:`GridLookup` objects
 (``CellParameterSet.lookup``, the aging ``rates``). Each reads its tables on
-the union of their breakpoints: one union cell per point, one set of
-weights per run of tables whose cells share a geometry, and a memo of the
-last clamped point, its values and its cell. :meth:`ParamGrid.interpolate`
+the union of their breakpoints: one union cell per point, whose
+evaluator computes every value in straight-line code, one set of weights
+per run of tables whose cells share a geometry, and a memo of the last
+clamped point, its values and its cell. The evaluators come from factories
+compiled from source once per cell layout. :meth:`ParamGrid.interpolate`
 is their cache-free reference.
 
 The loaders (:func:`load_parameter_set`, the aging coefficient loaders and
@@ -30,7 +32,7 @@ import sys
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -218,7 +220,9 @@ class GridLookup:
     coordinate raises ``ValueError`` naming ``label``.
 
     ``cells`` keeps each union cell from the first time a point lands in
-    it, keyed by its (SOC, temperature) index. ``memo`` is one tuple, read
+    it, keyed by its (SOC, temperature) index, as the tuple ``(s_in, s_out,
+    t_in, t_out, runs, evaluate)``: its box, its runs of tables and the
+    straight-line evaluator of its values. ``memo`` is one tuple, read
     once per call and replaced whole, so the lookup may be shared between
     threads and concurrent runs: ``(s, t, values, cell)``, the last query
     clamped onto ``hull``, the values there and its union cell. An exact
@@ -242,7 +246,7 @@ class GridLookup:
         )
         self.cells: dict[tuple[int, int], tuple] = {}
         # an empty box, so the first query builds its cell
-        self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, ()))
+        self.memo = (math.nan, math.nan, (), (math.inf, -math.inf, math.inf, -math.inf, (), None))
 
     def at(self, soc: float, temp: float) -> tuple[float, ...]:
         """Every table's value at (soc, temp), in the order of ``grids``."""
@@ -253,19 +257,11 @@ class GridLookup:
         # == takes -0.0 for 0.0, so a repeat at a zero coordinate compares the signs too
         if last_s == s and last_t == t and (s and t or _signs(s, t) == _signs(last_s, last_t)):
             return values
-        s_in, s_out, t_in, t_out, runs = cell
+        s_in, s_out, t_in, t_out, _, evaluate = cell
         if not (s_in <= s < s_out and t_in <= t < t_out):
             cell = self._locate(s, t)
-            runs = cell[4]
-        # loops in this frame, not comprehensions with frames of their own
-        members = []
-        for s_lo, ds, t_lo, dt, corners in runs:
-            fs = (s - s_lo) / ds if ds else s_lo
-            ft = (t - t_lo) / dt if dt else t_lo
-            w00, w10, w01, w11 = (1.0 - fs) * (1.0 - ft), fs * (1.0 - ft), (1.0 - fs) * ft, fs * ft
-            for v00, v10, v01, v11 in corners:
-                members.append(w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11)
-        values = tuple(members)
+            evaluate = cell[5]
+        values = evaluate(s, t)
         self.memo = (s, t, values, cell)
         return values
 
@@ -290,7 +286,7 @@ class GridLookup:
         return cell
 
     def _build(self, i: int, j: int) -> tuple:
-        """Union cell (i, j) as the tuple the lookup unpacks: ``(s_in, s_out, t_in, t_out, runs)``.
+        """Union cell (i, j) as the tuple the lookup unpacks: ``(s_in, s_out, t_in, t_out, runs, evaluate)``.
 
         The box is half-open like the bisect (``lo <= x < hi``) and
         open-ended past the hull's upper edges, which a clamped point may
@@ -298,7 +294,10 @@ class GridLookup:
         consecutive tables whose cells have the same origin and width per
         axis as :func:`_cell_of` gives them (width 0.0 on an axis where the
         run is fixed), bit for bit, so an origin of ``-0.0`` and one of
-        ``0.0`` start two runs, with ``corners`` (v00, v10, v01, v11) per table.
+        ``0.0`` start two runs, with ``corners`` (v00, v10, v01, v11) per
+        table. ``evaluate(s, t)`` returns every table's value at a point in
+        the box, from the evaluator :func:`_evaluator` makes for the cell's
+        layout, over these origins, widths and corners.
         """
         s_axis, t_axis = self.s_axis, self.t_axis
         s_lo, s_hi, t_lo, t_hi = s_axis[i], s_axis[i + 1], t_axis[j], t_axis[j + 1]
@@ -312,9 +311,61 @@ class GridLookup:
         for _, run in groupby(located, key=lambda entry: struct.pack("4d", *entry[0])):
             geometries, corners = zip(*run)
             runs.append((*geometries[0], corners))
+        args = [x for *geometry, corners in runs for x in chain(geometry, *corners)]
+        evaluate = _evaluator(tuple(len(run[4]) for run in runs))(*args)
         s_out = s_hi if i < len(s_axis) - 2 else math.inf
         t_out = t_hi if j < len(t_axis) - 2 else math.inf
-        return s_lo, s_out, t_lo, t_out, tuple(runs)
+        return s_lo, s_out, t_lo, t_out, tuple(runs), evaluate
+
+
+# evaluator factories, one per cell layout (the number of tables per run)
+_evaluators: dict[tuple[int, ...], Callable] = {}
+
+# the source of _evaluator's code, formatted with the run r and the table k:
+# the arguments of a run and of a table, a run's weights and a table's value
+_RUN_ARGS = "s{r}, ds{r}, t{r}, dt{r}"
+_TABLE_ARGS = "a{r}_{k}, b{r}_{k}, c{r}_{k}, d{r}_{k}"
+_RUN_WEIGHTS = """
+        fs = (s - s{r}) / ds{r} if ds{r} else s{r}
+        ft = (t - t{r}) / dt{r} if dt{r} else t{r}
+        gs = 1.0 - fs
+        gt = 1.0 - ft
+        w00_{r} = gs * gt
+        w10_{r} = fs * gt
+        w01_{r} = gs * ft
+        w11_{r} = fs * ft"""
+_TABLE_VALUE = "w00_{r} * a{r}_{k} + w10_{r} * b{r}_{k} + w01_{r} * c{r}_{k} + w11_{r} * d{r}_{k}"
+
+
+def _evaluator(layout: tuple[int, ...]) -> Callable:
+    """The factory of union-cell evaluators for ``layout``, the number of tables in each run.
+
+    ``factory(*args)`` takes, per run, its ``s_lo, ds, t_lo, dt`` and then
+    each table's corners ``v00, v10, v01, v11``, and returns ``evaluate(s,
+    t)``: every table's value in straight-line code, with the weights,
+    operands and term order of :meth:`ParamGrid.interpolate`, so bit for
+    bit the same. The factory is compiled from source once per layout, as
+    :mod:`dataclasses` builds its methods; the source holds names only,
+    and every number arrives as an argument, so none is formatted into
+    code and a ``-0.0`` keeps its sign.
+    """
+    factory = _evaluators.get(layout)
+    if factory is not None:
+        return factory
+    args, body, values = [], [], []
+    for r, n_tables in enumerate(layout):
+        args.append(_RUN_ARGS.format(r=r))
+        body.append(_RUN_WEIGHTS.format(r=r))
+        for k in range(n_tables):
+            args.append(_TABLE_ARGS.format(r=r, k=k))
+            values.append(_TABLE_VALUE.format(r=r, k=k))
+    source = (
+        f"def factory({', '.join(args)}):\n    def evaluate(s, t):{''.join(body)}\n"
+        f"        return ({', '.join(values)},)\n    return evaluate\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return _evaluators.setdefault(layout, namespace["factory"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -542,9 +542,12 @@ class TestRunScenario:
     def test_step_stays_within_its_python_call_budget(self):
         # Python-level calls per step of a day of drives, charging and idle,
         # with aging and rainflow on every step: one frame per layer, an
-        # observation built straight from a tuple and a charge command with
-        # no __post_init__ make 10.03 on CPython 3.11. Run set-up is not
-        # counted: counting starts at the first operating point.
+        # observation built straight from a tuple, a charge command with no
+        # __post_init__, one straight-line evaluator call per lookup that
+        # leaves its memo and no rainflow feed while the SOC stands still
+        # make 8.88 on CPython 3.11 with every union cell built in the run.
+        # Run set-up is not counted: counting starts at the first operating
+        # point.
         config = ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.0, initial_soc=0.7)
         first_step = evplant.engine.operating_point.__code__
         counted = [0, False]
@@ -561,7 +564,28 @@ class TestRunScenario:
         finally:
             sys.setprofile(previous)
         assert traj.n_rows == 1440
-        assert counted[0] / traj.n_rows <= 10.2
+        assert counted[0] / traj.n_rows <= 9.1
+
+    def test_an_aging_point_feeds_the_rainflow_counter_only_a_soc_that_moved(self, monkeypatch):
+        # the counter ignores a sample equal to its last one, so a run feeds
+        # it the first aging point's SOC and after that only a SOC that
+        # moved: the idle stretches and the evening plugged at soc_high with
+        # 0 A feed nothing
+        original = evplant.engine.cycle_accumulate
+        fed = []
+
+        def cycle_accumulate(state, soc_sample, coeffs):
+            fed.append(soc_sample)
+            return original(state, soc_sample, coeffs)
+
+        monkeypatch.setattr(evplant.engine, "cycle_accumulate", cycle_accumulate)
+        config = ScenarioConfig(dt_s=60.0, control_interval_s=60.0, aging_interval_s=60.0, initial_soc=0.7)
+        traj = run_scenario(config, aging_day_profile())
+        # an aging point on every step, and no time left to book after the last
+        assert traj.n_rows == 1440
+        moved = np.flatnonzero(np.diff(traj.soc)) + 1
+        assert fed == [traj.soc[0], *traj.soc[moved]]
+        assert len(fed) < traj.n_rows / 10
 
     def test_charger_path_runs_only_while_the_ramp_moves(self, monkeypatch):
         # commands at 0 s (up from 0 W), 300 s (down), 600 s (off) and 900 s (up again)
@@ -956,6 +980,21 @@ def test_pinned_run_relocates_its_grid_cells_no_more_often(name, r1_halved_dir, 
     run_pinned(name, r1_halved_dir)
     assert len(set(built)) == len(built), "a union cell was built twice"
     assert (len(built), len(misses)) == RELOCATIONS[name]
+
+
+def test_pinned_runs_compile_one_evaluator_factory_per_layout(r1_halved_dir, monkeypatch, cold_loaders):
+    monkeypatch.setattr(evplant.params, "_evaluators", {})
+    for name in sorted(PINNED):
+        run_pinned(name, r1_halved_dir)
+    lookups = [getattr(built, "lookup", None) or getattr(built, "rates", None) for built in cold_loaders.values()]
+    layouts = [
+        tuple(len(run[4]) for run in cell[4]) for lookup in filter(None, lookups) for cell in lookup.cells.values()
+    ]
+    # 45 union cells of four layouts: the six shipped tables in one run, ocv
+    # fixed at its -5 degC edge apart from the R/C run, r1_halved's r1 apart
+    # between ocv, r_ser and r2, c1, c2, and each aging grid's two tables
+    assert len(layouts) == 45
+    assert sorted(evplant.params._evaluators) == sorted(set(layouts)) == [(1, 5), (2,), (2, 1, 3), (6,)]
 
 
 def test_runs_alternating_two_data_sets_keep_their_digests(r1_halved_dir):

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from evplant import params
 from evplant.aging import CalendarCoeffGrid, CycleCoeffGrid, load_calendar_coeffs, load_cycle_coeffs
 from evplant.params import (
     PARAM_NAMES,
@@ -388,3 +389,26 @@ def test_lookup_on_signed_zero_axes_equals_interpolate(data, n_tables):
     for soc, temp in data.draw(queries):
         expected = [grid.interpolate(soc, temp) for grid in grids]
         assert _bits(GridLookup("signed zeros", grids)(soc, temp)) == _bits(expected), (soc, temp)
+
+
+def test_lookups_of_one_layout_share_one_evaluator_factory(monkeypatch):
+    # two lookups of two tables on one grid, one table a copy of the other
+    # with its signs flipped: -0.0 where the other holds 0.0
+    monkeypatch.setattr(params, "_evaluators", {})
+    values = np.array([[0.0, 1.5, -2.0], [0.25, 0.0, 3.0], [-1.0, 0.5, 0.0]])
+    axes = ((-1.0, 0.0, 1.0), (-0.0, 10.0, 20.0))
+    lookups = [
+        GridLookup(f"sign {sign}", [ParamGrid("a", *axes, sign * values), ParamGrid("b", *axes, sign * values.T)])
+        for sign in (1.0, -1.0)
+    ]
+    returned = []
+    for soc, temp in [(-2.0, -5.0), (0.0, 10.0), (-0.0, 10.0), (0.5, 15.0), (1.0, 20.0), (-0.5, 30.0)]:
+        for lookup in lookups:
+            expected = [grid.interpolate(soc, temp) for grid in lookup.grids]
+            returned += lookup(soc, temp)
+            assert _bits(returned[-2:]) == _bits(expected), (lookup.label, soc, temp)
+    assert _bits([-0.0]) in {_bits([v]) for v in returned}, "no lookup returned -0.0"
+    assert list(params._evaluators) == [(2,)]
+    # one closure per cell, all over the code of the one factory
+    evaluators = [cell[5] for lookup in lookups for cell in lookup.cells.values()]
+    assert len(evaluators) == 6 and len({evaluate.__code__ for evaluate in evaluators}) == 1
