@@ -89,15 +89,15 @@ def gate_current(
             return _SOC_HIGH
         if v_cell >= limits.v_cell_max:
             return _VOLTAGE_HIGH
+        if requested_current > limits.max_current_a:
+            return GateResult(limits.max_current_a, GateReason.CURRENT_LIMITED)
     elif requested_current < 0:
         if soc <= limits.soc_min:
             return _SOC_LOW
         if v_cell <= limits.v_cell_min:
             return _VOLTAGE_LOW
-
-    if abs(requested_current) > limits.max_current_a:
-        clamped = limits.max_current_a if requested_current > 0 else -limits.max_current_a
-        return GateResult(clamped, GateReason.CURRENT_LIMITED)
+        if requested_current < -limits.max_current_a:
+            return GateResult(-limits.max_current_a, GateReason.CURRENT_LIMITED)
 
     return _new_tuple(GateResult, (requested_current, GATE_OK))
 

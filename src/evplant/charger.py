@@ -216,11 +216,8 @@ def ramp_power(state: ChargeControlState, t: float, config: ChargerConfig) -> fl
         return state.p_at_command
     t_eff = t
     if state.p_at_command == 0.0 and config.dead_time_s > 0.0:
-        t_eff = (
-            max(0.0, t - config.dead_time_s)
-            * RAMP_UP_DURATION_S
-            / (RAMP_UP_DURATION_S - config.dead_time_s)
-        )
+        t_eff = t - config.dead_time_s
+        t_eff = (t_eff if t_eff > 0.0 else 0.0) * RAMP_UP_DURATION_S / (RAMP_UP_DURATION_S - config.dead_time_s)
     return state.p_at_command + (state.p_target - state.p_at_command) * config.ramp(t_eff)
 
 
@@ -303,4 +300,5 @@ def cc_cv_limit(
         return 0.0
     i_cc = p_dc_request / pack_voltage
     i_cv = (v_max_pack - v_pred_offset) / v_pred_slope
-    return max(0.0, min(i_cc, i_cv))
+    i_dc = i_cv if i_cv < i_cc else i_cc
+    return i_dc if i_dc > 0.0 else 0.0

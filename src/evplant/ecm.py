@@ -73,14 +73,15 @@ def step_ecm(
     once per step.
     """
     ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah = point
+    soc, u1, u2 = state
 
-    u1 = state.u1 * k1 + r1 * current * (1.0 - k1)
-    u2 = state.u2 * k2 + r2 * current * (1.0 - k2)
+    u1 = u1 * k1 + r1 * current * (1.0 - k1)
+    u2 = u2 * k2 + r2 * current * (1.0 - k2)
 
-    soc = state.soc + current * dt / (SECONDS_PER_HOUR * c_eff_ah)
+    soc = soc + current * dt / (SECONDS_PER_HOUR * c_eff_ah)
     clipped = soc < 0.0 or soc > 1.0
     if clipped:
-        soc = min(max(soc, 0.0), 1.0)
+        soc = 0.0 if soc < 0.0 else 1.0
 
     v_cell = ocv + current * r_ser + u1 + u2
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
@@ -100,6 +101,7 @@ def voltage_prediction_coeffs(state: EcmState, point: tuple[float, ...]) -> tupl
     stays at or under a ceiling.
     """
     ocv, r_ser, r1, r2, k1, k2, _, _ = point
-    a = ocv + state.u1 * k1 + state.u2 * k2
+    _, u1, u2 = state
+    a = ocv + u1 * k1 + u2 * k2
     b = r_ser + r1 * (1.0 - k1) + r2 * (1.0 - k2)
     return a, b

@@ -89,10 +89,10 @@ SECONDS_PER_DAY = 86400.0
 # CV target sits this far below the cell voltage limit (see module docstring)
 CV_MARGIN_V_PER_CELL = 1e-4
 
-# a marked step's code: twice its gate reason's index, plus 1 if its SOC was
-# clipped; code c adds _MARK_FLAGS[c] to the step's flags, and code 0 nothing
-_MARK_CODES = {reason: 2 * i for i, reason in enumerate(GateReason)}
-_MARK_FLAGS = [("" if r is GATE_OK else "|" + r.value) + clip for r in GateReason for clip in ("", "|soc_clip")]
+# a marked step's code: twice its reason's index in _MARK_REASONS (found by identity, with
+# no Enum __hash__ frame), plus 1 if its SOC was clipped; code c adds _MARK_FLAGS[c] to flags
+_MARK_REASONS = list(GateReason)
+_MARK_FLAGS = [("" if r is GATE_OK else "|" + r.value) + clip for r in _MARK_REASONS for clip in ("", "|soc_clip")]
 
 
 class StrategyObservation(NamedTuple):
@@ -131,12 +131,12 @@ def make_constant_strategy(watts: float) -> Strategy:
 
 def make_profile_strategy(profile: ScenarioProfile) -> Strategy:
     """Request the profile record's ``value_w`` while plugged in (the default)."""
-    ts = [r.t_s for r in profile.records]
     records = profile.records
+    later_ts = [r.t_s for r in records[1:]]  # a time before the second record takes the first
+    requests = [r.value_w if r.value_w > 0.0 else 0.0 for r in records]
 
     def strategy(obs: StrategyObservation) -> float:
-        idx = max(bisect_right(ts, obs.t_s) - 1, 0)
-        return max(0.0, records[idx].value_w)
+        return requests[bisect_right(later_ts, obs.t_s)]
 
     return strategy
 
@@ -215,11 +215,12 @@ def run_scenario(
     first step is found in it, each step reads its time from it, and it
     becomes ``t_s``. Step k stores its soc, v_cell, i_dc and t_pack in
     column k of the preallocated ``steps`` table, one row per value, through
-    a memoryview bound to each row once, and a marked step its
-    ``_MARK_CODES`` code in ``marks``. The aging states go the same way into
-    ``aging_table``: the fresh state in column 0, aging point j in column j
-    and the final state in the last. A run whose tables cannot be allocated
-    raises ``ValueError``.
+    a memoryview bound to each row once, and a marked step its mark code
+    (see ``_MARK_REASONS``) in ``marks``. The aging states go the same way
+    into ``aging_table``: the fresh state in column 0, aging point j in
+    column j and the final state in the last; the steps of the next aging
+    point and poll are counted ahead, with no modulo of k. A run whose
+    tables cannot be allocated raises ``ValueError``.
     """
     records = profile.records
     dt = config.dt_s
@@ -256,7 +257,8 @@ def run_scenario(
     if strategy is None:
         strategy = make_profile_strategy(profile)
 
-    ecm_state = EcmState(soc=config.initial_soc)
+    soc = config.initial_soc
+    ecm_state = EcmState(soc)
     aging = AgingState()
     t0 = records[0].t_s
     t_pack = config.initial_temp_c if config.initial_temp_c is not None else records[0].ambient_c
@@ -274,6 +276,9 @@ def run_scenario(
     mode = None
     # the SOC the rainflow counter was last fed; NaN, so the first aging point feeds
     soc_fed = math.nan
+    # the step of the next poll on the control grid, set at each poll; the
+    # step that closes the next aging point, and that point's column
+    next_poll, next_aging, j = 0, aging_every - 1, 1
     isfinite = math.isfinite
 
     try:
@@ -314,11 +319,13 @@ def run_scenario(
             if k == n_whole:
                 # the tail step: shorter, and no aging point; rest_days books its time
                 dt = tail_dt
+                next_aging = -1
             reason = GATE_OK
             try:
-                point = operating_point(params, aging, ecm_state.soc, t_pack, dt)
+                point = operating_point(params, aging, soc, t_pack, dt)
                 if plugged:
-                    if session_start or k % control_every == 0:
+                    if session_start or k == next_poll:
+                        next_poll = k - k % control_every + control_every
                         if session_start:
                             session_start = False
                             ctrl = ChargeControlState()
@@ -330,7 +337,7 @@ def run_scenario(
                             p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
                         # built from a tuple, without the NamedTuple's Python-level __new__
                         obs = tuple.__new__(
-                            StrategyObservation, (t, ecm_state.soc, t_pack, True, p_ac_prev, ch_setpoints)
+                            StrategyObservation, (t, soc, t_pack, True, p_ac_prev, ch_setpoints)
                         )
                         try:
                             target = quantize_setpoint(float(strategy(obs)), ch_cfg)
@@ -354,11 +361,11 @@ def run_scenario(
                         n_series * a_cell,
                         n_series * b_cell,
                     )
-                    i_dc, reason = gate_current(i_cmd, ecm_state.soc, v_cell, t_pack, limits)
+                    i_dc, reason = gate_current(i_cmd, soc, v_cell, t_pack, limits)
                     t_cmd += dt
                 elif driving:
                     i_req = rec.value_w / (n_series * v_cell)
-                    i_dc, reason = gate_current(i_req, ecm_state.soc, v_cell, t_pack, limits)
+                    i_dc, reason = gate_current(i_req, soc, v_cell, t_pack, limits)
                 else:
                     i_dc = 0.0
 
@@ -371,7 +378,7 @@ def run_scenario(
                 if not (isfinite(soc) and isfinite(v_cell) and isfinite(t_pack)):
                     raise ValueError(f"non-finite plant state: soc={soc!r}, v_cell={v_cell!r}, t_pack={t_pack!r}")
 
-                if (k + 1) % aging_every == 0 and k < n_whole:
+                if k == next_aging:
                     calendar_step(aging, soc, t_pack, aging_dt_days, cal_coeffs)
                     # the counter ignores a sample equal to its last one
                     # (RainflowCounter.feed returns () and keeps its state),
@@ -380,8 +387,9 @@ def run_scenario(
                     if soc != soc_fed:
                         cycle_accumulate(aging, soc, cyc_coeffs)
                         soc_fed = soc
-                    j = (k + 1) // aging_every
                     c_log[j], r_log[j], eqfc_log[j] = aging.c_norm, aging.r_norm, aging.eqfc
+                    next_aging += aging_every
+                    j += 1
             except (ValueError, ArithmeticError) as exc:
                 raise RuntimeError(
                     f"plant step failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
@@ -389,13 +397,13 @@ def run_scenario(
 
             soc_col[k], v_col[k], i_col[k], t_col[k] = soc, v_cell, i_dc, t_pack
             if reason is not GATE_OK or soc_clipped:
-                mark_col[k] = _MARK_CODES[reason] + soc_clipped
+                mark_col[k] = 2 * _MARK_REASONS.index(reason) + soc_clipped
 
     # book the time since the last aging point and the unclosed residual
     # half cycles into the final reported state
     if rest_days:
-        calendar_step(aging, ecm_state.soc, t_pack, rest_days, cal_coeffs)
-        cycle_accumulate(aging, ecm_state.soc, cyc_coeffs)
+        calendar_step(aging, soc, t_pack, rest_days, cal_coeffs)
+        cycle_accumulate(aging, soc, cyc_coeffs)
     flush_cycles(aging, cyc_coeffs)
     c_log[-1], r_log[-1], eqfc_log[-1] = aging.c_norm, aging.r_norm, aging.eqfc
     return _recorded_trajectory(starts, steps, n_series, spans, marks, aging_table, aging_every, profile, config)

@@ -21,6 +21,7 @@ from .params import check_finite
 # coolant: water/glycol mixture
 RHO_COOLANT = 1080.0  # kg/m^3
 C_COOLANT = 3320.0  # J/(kg K)
+RHO_C_COOLANT = RHO_COOLANT * C_COOLANT  # J/(m^3 K)
 
 # flow-rate law: |T_pack / 45 degC| * this slope
 FLOW_RATE_SLOPE = 1.513e-5  # m^3/s at 45 degC
@@ -86,7 +87,8 @@ def step_thermal(
     """
     conductance = params.alpha_sum
     if cooling_active:
-        conductance += RHO_COOLANT * C_COOLANT * abs(t_pack / FLOW_RATE_REF_TEMP * FLOW_RATE_SLOPE)
+        flow = t_pack / FLOW_RATE_REF_TEMP * FLOW_RATE_SLOPE
+        conductance += RHO_C_COOLANT * (-flow if flow < 0.0 else flow)
     approach = -math.expm1(-conductance * dt / params.c_pack)  # 1 - exp(-G dt / C)
     t_new = t_pack + (t_ambient + q_gen / conductance - t_pack) * approach
     if charging and t_new < HEATER_FLOOR_C:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evplant.aging import AgingState
@@ -88,6 +89,26 @@ class TestGate:
 
     def test_zero_request_passes(self, limits):
         assert gate_current(0.0, 0.5, 3.7, 25.0, limits).allowed_current == 0.0
+
+    @given(
+        requested=st.floats() | st.sampled_from([0.0, -0.0]),
+        max_current_a=st.floats(0.0, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+    )
+    @example(requested=-0.0, max_current_a=0.0)
+    @example(requested=0.0, max_current_a=-0.0)
+    @example(requested=104.0, max_current_a=104.0)
+    @example(requested=-104.0, max_current_a=104.0)
+    def test_current_cap_is_the_builtin_abs(self, requested, max_current_a):
+        # inside the envelope, the gate is the cap: the magnitude against the
+        # limit with abs, and the limit with the request's sign
+        limits = BmsLimits(max_current_a=max_current_a)
+        if abs(requested) > max_current_a:
+            expected = (max_current_a if requested > 0 else -max_current_a, GateReason.CURRENT_LIMITED)
+        else:
+            expected = (requested, GateReason.OK)
+        allowed, reason = gate_current(requested, 0.5, 3.7, 25.0, limits)
+        assert reason is expected[1]
+        assert struct.pack("<d", allowed) == struct.pack("<d", expected[0])
 
 
 class TestUsableCapacity:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evplant.charger import (
@@ -56,6 +58,25 @@ def scanned_dc_to_ac(p_dc: float, config: ChargerConfig) -> float:
             b = y0 - slope * x0
             return (-b + math.sqrt(b * b + 4.0 * slope * p_dc)) / (2.0 * slope)
     raise AssertionError("dc power not bracketed")
+
+
+# every float a clamp can meet: signed zeros, infinities and the generated rest
+ANY_FLOAT = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
+def outcome(call, *args):
+    """``call(*args)`` as its float's bit pattern, so -0.0 and 0.0 differ, or the type of what it raised."""
+    try:
+        return struct.pack("<d", call(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def builtin_cv_limit(p_dc_request, pack_voltage, v_max_pack, v_pred_offset, v_pred_slope):
+    """cc_cv_limit with the builtin clamp: the form the step's comparisons replace."""
+    if p_dc_request <= 0:
+        return 0.0
+    return max(0.0, min(p_dc_request / pack_voltage, (v_max_pack - v_pred_offset) / v_pred_slope))
 
 
 def assert_same_floats(actual: np.ndarray, expected: list[float]) -> None:
@@ -154,6 +175,21 @@ class TestRamp:
         assert ramp_power(state, RAMP_UP_DURATION_S, three_phase) == 6900.0
         mid = ramp_power(state, 10.0, three_phase)
         assert 0.0 < mid < 6900.0
+
+    @given(
+        target=st.floats(0.0, 22080.0, exclude_min=True),
+        dead_time=st.floats(0.0, RAMP_UP_DURATION_S, exclude_max=True) | st.sampled_from([0.0, 3.0]),
+        t=st.floats(0.0, RAMP_UP_DURATION_S, exclude_max=True) | st.sampled_from([0.0, -0.0, 3.0]),
+    )
+    def test_dead_time_clamp_is_the_builtin_max(self, target, dead_time, t):
+        # up from 0 W, the ramp runs on max(0.0, t - dead_time) stretched to end at 52 s
+        config = dataclasses.replace(CONFIGS["shipped"], dead_time_s=dead_time)
+        state = command_setpoint(target, 0.0)
+        t_eff = t
+        if dead_time > 0.0:
+            t_eff = max(0.0, t - dead_time) * RAMP_UP_DURATION_S / (RAMP_UP_DURATION_S - dead_time)
+        expected = 0.0 + (target - 0.0) * config.ramp(t_eff)
+        assert struct.pack("<d", ramp_power(state, t, config)) == struct.pack("<d", expected)
 
     def test_up_monotone_and_continuous(self, three_phase):
         rng = random.Random(5)
@@ -276,6 +312,22 @@ class TestCvLimit:
     def test_invalid_pack_voltage(self):
         with pytest.raises(ValueError):
             cc_cv_limit(100.0, 0.0, 390.6, 344.0, 0.4)
+
+    @given(
+        p_dc=ANY_FLOAT,
+        pack_voltage=st.floats(0.0, exclude_min=True) | st.just(math.inf),
+        v_max=ANY_FLOAT,
+        offset=ANY_FLOAT,
+        slope=ANY_FLOAT,
+    )
+    @example(p_dc=1000.0, pack_voltage=350.0, v_max=390.0, offset=390.0, slope=0.4)  # i_cv = 0.0
+    @example(p_dc=1000.0, pack_voltage=350.0, v_max=390.0, offset=390.0, slope=-0.4)  # i_cv = -0.0
+    @example(p_dc=1000.0, pack_voltage=350.0, v_max=math.inf, offset=math.inf, slope=0.4)  # i_cv = nan
+    @example(p_dc=math.inf, pack_voltage=math.inf, v_max=390.0, offset=380.0, slope=0.4)  # i_cc = nan
+    @example(p_dc=1000.0, pack_voltage=350.0, v_max=390.0, offset=380.0, slope=0.0)  # i_cv divides by 0
+    def test_clamp_is_the_builtin_min_and_max(self, p_dc, pack_voltage, v_max, offset, slope):
+        args = (p_dc, pack_voltage, v_max, offset, slope)
+        assert outcome(cc_cv_limit, *args) == outcome(builtin_cv_limit, *args)
 
 
 @pytest.mark.parametrize(

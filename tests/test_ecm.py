@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evplant.aging import AgingState
 from evplant.ecm import (
     POINT_ORDER,
+    SECONDS_PER_HOUR,
     EcmState,
     operating_point,
     rest_voltage,
@@ -99,6 +103,25 @@ class TestStep:
         low, _, _, clipped = step(EcmState(soc=0.0001), pset, fresh, -104.0, 25.0, 60.0)
         assert clipped
         assert low.soc == 0.0
+
+    @given(
+        soc=st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]),
+        current=st.floats() | st.sampled_from([0.0, -0.0]),
+        dt=st.sampled_from([0.5, 1.0, 60.0, 3600.0]),
+        capacity_ah=st.floats(0.5, 60.0),
+    )
+    @example(soc=0.0, current=-1.0, dt=1.0, capacity_ah=52.0)
+    @example(soc=1.0, current=1.0, dt=1.0, capacity_ah=52.0)
+    @example(soc=-0.0, current=-0.0, dt=1.0, capacity_ah=52.0)
+    def test_soc_clip_is_the_builtin_min_and_max(self, soc, current, dt, capacity_ah):
+        point = (3.7, 1e-3, 5e-4, 8e-4, math.exp(-dt / 30.0), math.exp(-dt / 900.0), dt, capacity_ah)
+        expected = soc + current * dt / (SECONDS_PER_HOUR * capacity_ah)
+        clipped = expected < 0.0 or expected > 1.0
+        if clipped:
+            expected = min(max(expected, 0.0), 1.0)
+        new, _, _, new_clipped = step_ecm(EcmState(soc, 0.01, -0.02), point, current)
+        assert new_clipped is clipped
+        assert struct.pack("<d", new.soc) == struct.pack("<d", expected)
 
     def test_non_finite_input_is_hard_error(self, pset, fresh):
         # the parameter lookup rejects a NaN coordinate; any other non-finite

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evplant.thermal import (
     _ALPHAS,
@@ -112,6 +115,26 @@ class TestStep:
             expected = t_pack + (20.0 + 800.0 / conductance - t_pack) * approach
             cooled = step_thermal(t_pack, 800.0, 20.0, dt, ev_params, cooling_active=True)
             assert cooled.hex() == expected.hex(), t_pack
+
+    @given(
+        t_pack=st.floats(-60.0, 80.0) | st.sampled_from([0.0, -0.0]),
+        q_gen=st.floats(0.0, 5000.0),
+        t_ambient=st.floats(-40.0, 50.0),
+        dt=st.sampled_from([0.5, 1.0, 60.0, 3600.0]),
+        charging=st.booleans(),
+    )
+    @example(t_pack=-0.0, q_gen=0.0, t_ambient=-10.0, dt=1.0, charging=False)
+    @example(t_pack=-12.5, q_gen=100.0, t_ambient=-20.0, dt=60.0, charging=False)
+    def test_cooled_step_is_the_builtin_abs_law(self, t_pack, q_gen, t_ambient, dt, charging):
+        # the cooling flow's magnitude, taken with abs, at negative, zero and positive pack temperatures
+        params = ThermalParams.for_mode(ThermalMode.EV_OPERATION)
+        conductance = params.alpha_sum + cooling_conductance(t_pack)
+        approach = -math.expm1(-conductance * dt / params.c_pack)
+        expected = t_pack + (t_ambient + q_gen / conductance - t_pack) * approach
+        if charging and expected < 0.0:
+            expected = 0.0
+        cooled = step_thermal(t_pack, q_gen, t_ambient, dt, params, cooling_active=True, charging=charging)
+        assert struct.pack("<d", cooled) == struct.pack("<d", expected)
 
 
 def test_mode_coefficients_differ():
