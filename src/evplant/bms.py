@@ -62,9 +62,11 @@ class GateResult(NamedTuple):
 
 
 # Bound once: an enum member lookup and a NamedTuple build each cost more
-# than the gate's comparisons, and the trip results never change. The pass
-# result is built from a tuple, without the NamedTuple's Python-level __new__.
+# than the gate's comparisons, and the trip results never change. The pass and
+# current-limited results are built from a tuple, without the NamedTuple's
+# Python-level __new__.
 GATE_OK = GateReason.OK
+_CURRENT_LIMITED = GateReason.CURRENT_LIMITED
 _new_tuple = tuple.__new__
 _TEMPERATURE_FAULT = GateResult(0.0, GateReason.TEMPERATURE_FAULT)
 _SOC_HIGH = GateResult(0.0, GateReason.SOC_HIGH)
@@ -90,14 +92,14 @@ def gate_current(
         if v_cell >= limits.v_cell_max:
             return _VOLTAGE_HIGH
         if requested_current > limits.max_current_a:
-            return GateResult(limits.max_current_a, GateReason.CURRENT_LIMITED)
+            return _new_tuple(GateResult, (limits.max_current_a, _CURRENT_LIMITED))
     elif requested_current < 0:
         if soc <= limits.soc_min:
             return _SOC_LOW
         if v_cell <= limits.v_cell_min:
             return _VOLTAGE_LOW
         if requested_current < -limits.max_current_a:
-            return GateResult(-limits.max_current_a, GateReason.CURRENT_LIMITED)
+            return _new_tuple(GateResult, (-limits.max_current_a, _CURRENT_LIMITED))
 
     return _new_tuple(GateResult, (requested_current, GATE_OK))
 

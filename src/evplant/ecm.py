@@ -7,8 +7,10 @@ looked up once per step, at the state at the start of the step (see
 :func:`operating_point`); aged resistance applies as a uniform multiplier on
 r_ser, r1 and r2, and SOC is counted against the aged (effective) capacity.
 Every value here is per cell; the engine scales voltage and heat to the pack.
-The step functions take their inputs as given: the engine checks once per
-step that the SOC and voltage they return are finite.
+A cell state is an :class:`EcmState` or the plain ``(soc, u1, u2)`` tuple that
+:func:`step_ecm` returns; every function here reads it by position, so both
+give the same bits. The step functions take their inputs as given: the engine
+checks once per step that the SOC and voltage they return are finite.
 """
 
 from __future__ import annotations
@@ -23,15 +25,11 @@ SECONDS_PER_HOUR = 3600.0
 
 
 class EcmState(NamedTuple):
-    """Cell electrical state: SOC plus the two RC overpotentials (V)."""
+    """Cell state by name: SOC and the two RC overpotentials (V), in step_ecm's tuple order."""
 
     soc: float
     u1: float = 0.0
     u2: float = 0.0
-
-
-# builds an EcmState from a tuple without the NamedTuple's Python-level __new__
-_new_tuple = tuple.__new__
 
 
 # order of the values in the tuple returned by operating_point: the aged cell
@@ -60,17 +58,17 @@ def operating_point(
 
 
 def step_ecm(
-    state: EcmState, point: tuple[float, ...], current: float
-) -> tuple[EcmState, float, float, bool]:
+    state: tuple[float, float, float], point: tuple[float, ...], current: float
+) -> tuple[tuple[float, float, float], float, float, bool]:
     """Advance the cell by one step at constant ``current`` (A).
 
-    ``point`` is the :func:`operating_point` at ``state.soc``. Returns the new
-    state, the end-of-step terminal voltage (V), the irreversible heat (W,
-    >= 0) and whether SOC was clipped: SOC leaving [0, 1] saturates, and
-    keeping it inside the window is the charge controller's job, not the
-    plant's. Expects a finite state and current; a non-finite input or
-    parameter shows in the returned SOC or voltage, which the engine checks
-    once per step.
+    ``point`` is the :func:`operating_point` at the state's SOC. Returns the
+    new state as a plain ``(soc, u1, u2)`` tuple, the end-of-step terminal
+    voltage (V), the irreversible heat (W, >= 0) and whether SOC was clipped:
+    SOC leaving [0, 1] saturates, and keeping it inside the window is the
+    charge controller's job, not the plant's. Expects a finite state and
+    current; a non-finite input or parameter shows in the returned SOC or
+    voltage, which the engine checks once per step.
     """
     ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah = point
     soc, u1, u2 = state
@@ -85,15 +83,18 @@ def step_ecm(
 
     v_cell = ocv + current * r_ser + u1 + u2
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
-    return _new_tuple(EcmState, (soc, u1, u2)), v_cell, heat, clipped
+    return (soc, u1, u2), v_cell, heat, clipped
 
 
-def rest_voltage(state: EcmState, params: CellParameterSet, temp: float) -> float:
+def rest_voltage(state: tuple[float, float, float], params: CellParameterSet, temp: float) -> float:
     """Terminal cell voltage at zero current: OCV plus the RC overpotentials."""
-    return params.ocv.interpolate(state.soc, temp) + state.u1 + state.u2
+    soc, u1, u2 = state
+    return params.ocv.interpolate(soc, temp) + u1 + u2
 
 
-def voltage_prediction_coeffs(state: EcmState, point: tuple[float, ...]) -> tuple[float, float]:
+def voltage_prediction_coeffs(
+    state: tuple[float, float, float], point: tuple[float, ...]
+) -> tuple[float, float]:
     """Affine coefficients (a, b) with predicted end-of-step cell voltage a + b*I.
 
     Mirrors :func:`step_ecm` exactly for constant current over one step, which

@@ -370,7 +370,7 @@ def run_scenario(
                     i_dc = 0.0
 
                 ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
-                soc = ecm_state.soc
+                soc = ecm_state[0]
                 cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
                 t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)
                 # the one finiteness check of the step: a non-finite parameter,

@@ -28,7 +28,9 @@ def fresh():
 
 
 def step(state, pset, aging, current, temp, dt):
-    return step_ecm(state, operating_point(pset, aging, state.soc, temp, dt), current)
+    # step_ecm returns the new state as a plain tuple; named again, the cases read its fields
+    new, v_cell, heat, clipped = step_ecm(state, operating_point(pset, aging, state[0], temp, dt), current)
+    return EcmState(*new), v_cell, heat, clipped
 
 
 def tau2_at(pset, soc, temp):
@@ -121,7 +123,7 @@ class TestStep:
             expected = min(max(expected, 0.0), 1.0)
         new, _, _, new_clipped = step_ecm(EcmState(soc, 0.01, -0.02), point, current)
         assert new_clipped is clipped
-        assert struct.pack("<d", new.soc) == struct.pack("<d", expected)
+        assert struct.pack("<d", new[0]) == struct.pack("<d", expected)
 
     def test_non_finite_input_is_hard_error(self, pset, fresh):
         # the parameter lookup rejects a NaN coordinate; any other non-finite
@@ -151,6 +153,45 @@ class TestStep:
         new, *_ = step(EcmState(soc=0.5), pset, aged, 52.0, 25.0, 36.0)
         dsoc = new.soc - 0.5
         assert dsoc == pytest.approx(52.0 * 36.0 / (3600.0 * 52.0 * 0.8), rel=1e-12)
+
+
+def bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+finite = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+class TestPlainState:
+    """step_ecm returns a plain (soc, u1, u2) tuple, and a state reads the same bits in either form."""
+
+    @given(
+        state=st.tuples(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1.0]), finite, finite),
+        point=st.tuples(
+            st.floats(2.5, 4.5),
+            *[st.floats(1e-5, 1e-2)] * 3,
+            *[st.floats(0.0, 1.0, exclude_max=True) | st.just(-0.0)] * 2,
+            st.sampled_from([0.5, 1.0, 60.0, 3600.0]),
+            st.floats(0.5, 60.0),
+        ),
+        current=finite,
+    )
+    @example(state=(-0.0, -0.0, -0.0), point=(3.7, 1e-3, 5e-4, 8e-4, -0.0, -0.0, 1.0, 52.0), current=-0.0)
+    def test_a_step_returns_a_plain_tuple_with_the_same_bits_from_either_form(self, state, point, current):
+        new, v_cell, heat, clipped = step_ecm(state, point, current)
+        named, v_named, heat_named, clipped_named = step_ecm(EcmState(*state), point, current)
+        assert type(new) is tuple and len(new) == 3 and all(type(x) is float for x in new)
+        assert type(named) is tuple
+        assert bits(*new, v_cell, heat) == bits(*named, v_named, heat_named)
+        assert clipped is clipped_named
+        assert bits(*EcmState(*new)) == bits(*new) and EcmState(*new) == new
+        for plain in (state, new):
+            coeffs = voltage_prediction_coeffs(plain, point)
+            assert bits(*coeffs) == bits(*voltage_prediction_coeffs(EcmState(*plain), point))
+
+    @given(state=st.tuples(st.floats(0.0, 1.0) | st.just(-0.0), finite, finite), temp=st.floats(-20.0, 50.0))
+    def test_rest_voltage_reads_the_same_bits_from_either_form(self, pset, state, temp):
+        assert bits(rest_voltage(state, pset, temp)) == bits(rest_voltage(EcmState(*state), pset, temp))
 
 
 class TestRestVoltage:
