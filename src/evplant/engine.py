@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
@@ -466,12 +467,13 @@ def _recorded_trajectory(
             # only the rows that draw are gathered and converted
             drawing = np.flatnonzero(p_dc[start:stop] > 0) + start
             p_ac[drawing] = dc_to_ac_array(p_dc[drawing], ch_cfg)
+    join = cache(str.__add__)  # one string per distinct flag value, not one per row
     marked = np.flatnonzero(marks)
     for k, code in zip(marked.tolist(), marks[marked].tolist()):
-        flags[k] += _MARK_FLAGS[code]
+        flags[k] = join(flags[k], _MARK_FLAGS[code])
     inside = (t_pack >= config.bms.t_min_c) & (t_pack <= config.bms.t_max_c)
     for k in np.flatnonzero(~inside).tolist():
-        flags[k] += "|temp_envelope"
+        flags[k] = join(flags[k], "|temp_envelope")
     points = np.arange(snapshots.shape[1]) * aging_every - 1
     points[0], points[-1] = 0, n - 1
     counts = np.diff(points, append=n)
@@ -553,10 +555,10 @@ def _write_trajectory(trajectory: Trajectory, path: Path) -> None:
 
     Rows go out in blocks of ``_BLOCK_ROWS``, and only one block's strings
     are held at a time, so the memory the write takes does not grow with the
-    trajectory. ``repr`` dominates the cost, and columns repeat values, so it
-    runs once per distinct value of a column within a block; values are told
-    apart by their float64 bit patterns, which keeps ``-0.0`` and ``0.0``
-    apart. A value that recurs in later blocks is formatted again there.
+    trajectory. ``repr`` dominates the cost, and columns repeat values in
+    runs, so it runs once per run of equal float64 bit patterns of a column
+    in a block, which keeps ``-0.0`` and ``0.0`` apart, and the run's text
+    is repeated over its rows. A value that recurs apart is formatted again.
     """
     with open(path, "w") as f:
         f.write(TRAJECTORY_HEADER + "\n")
@@ -564,11 +566,14 @@ def _write_trajectory(trajectory: Trajectory, path: Path) -> None:
             stop = start + _BLOCK_ROWS
             cells = []
             for name in FLOAT_COLUMNS:
-                block = getattr(trajectory, name)[start:stop]
-                bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
-                distinct, inverse = np.unique(bits, return_inverse=True)
-                texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-                cells.append(texts[inverse].tolist())
+                block = np.ascontiguousarray(getattr(trajectory, name)[start:stop], dtype=np.float64)
+                bits = block.view(np.int64)
+                heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+                if len(heads) == len(block):  # no two neighbours alike, as in t_s
+                    cells.append(list(map(repr, block.tolist())))
+                else:
+                    texts = np.array(list(map(repr, block[heads].tolist())), dtype=object)
+                    cells.append(np.repeat(texts, np.diff(heads, append=len(block))).tolist())
             rows = zip(*cells, trajectory.flags[start:stop])
             f.write("\n".join(map(",".join, rows)) + "\n")
 

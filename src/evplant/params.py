@@ -63,14 +63,21 @@ _built_lock = threading.Lock()
 
 T = TypeVar("T")
 
+# what check_finite lets a field hold, by its annotation (a string under postponed annotations)
+_NUMBER_FIELDS = {"float": numbers.Real, "float | None": (numbers.Real, type(None))}
+
 
 def check_finite(record) -> None:
-    """Raise ``ValueError`` naming the first real-number field of a dataclass that is no finite float.
+    """Raise ``ValueError`` naming the first number field of a dataclass that holds no finite number.
 
-    That is a NaN, an infinity or a number beyond the float range, such as ``10**400``.
+    A ``float`` field takes a ``numbers.Real`` but no ``bool`` (``float | None`` also ``None``); no
+    number may be a NaN, an infinity or beyond the float range, such as ``10**400``.
     """
     for f in fields(record):
         value = getattr(record, f.name)
+        kinds = _NUMBER_FIELDS.get(f.type)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
         # False for NaN; compared exactly, so a huge int never converts and overflows
         if isinstance(value, numbers.Real) and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")

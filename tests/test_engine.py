@@ -385,6 +385,23 @@ class TestRunScenario:
         assert traj.n_rows == n
         assert peak < 2 * kept, (peak, kept)
 
+    def test_rows_with_equal_flags_share_one_string(self, traced_peak):
+        # plugged above soc_max in 40 degC air: every step's gate trips, and
+        # the pack leaves a 25 degC envelope after 880 steps. A new
+        # string per marked or out-of-envelope row kept 183 B per row and
+        # peaked at 205 B; one per distinct value keeps 100 B and peaks at 134 B
+        n = 4096
+        profile = charge_profile(duration=float(n), ambient=40.0)
+        config = ScenarioConfig(initial_soc=0.96, initial_temp_c=20.0, bms=BmsLimits(t_max_c=25.0))
+        run_scenario(config, profile)
+        traj, peak, kept = traced_peak(lambda: run_scenario(config, profile))
+        counts = Counter(traj.flags)
+        assert sum(count for flags, count in counts.items() if flags != "plugged") >= 4000, counts
+        assert sum(count for flags, count in counts.items() if flags.endswith("|temp_envelope")) >= 3000, counts
+        assert len({id(flags) for flags in traj.flags}) == len(counts)
+        assert kept < 140 * n, kept
+        assert peak < 170 * n, peak
+
     def test_a_run_leaves_nothing_for_a_full_collection_to_free(self, traced_peak):
         # plugged above soc_max, every step's gate says soc_high. A tuple per
         # marked step went to CPython's tuple free list when the run returned
@@ -1421,21 +1438,33 @@ EDGE_FLOATS = [0.0, -0.0, 1e-310, 5e-324, 1e300, -1e300, math.inf, -math.inf, ma
 
 @st.composite
 def report_trajectory(draw):
-    """A trajectory over a few write blocks whose columns repeat a few values.
+    """A trajectory over a few write blocks, each column in one of three shapes.
 
-    One column holds -0.0 next to 0.0, one is int-typed and one is a
+    A column is drawn from a pool of a few values, so values recur apart;
+    or it is runs of pool values with drawn lengths, which may cross a
+    block edge; or it holds random bit patterns, so no two neighbours are
+    alike. One column holds -0.0 next to 0.0, one is int-typed and one is a
     strided view.
     """
     n = draw(st.integers(0, 2100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(pool: np.ndarray) -> np.ndarray:
+        shape = draw(st.sampled_from(["pool", "runs", "distinct"]))
+        if shape == "distinct":
+            # random bit patterns, NaN payloads and subnormals among them
+            return rng.integers(-(2**63), 2**63, n, dtype=np.int64).view(pool.dtype)
+        picks = rng.integers(0, len(pool), n + 1)
+        if shape == "runs":
+            # a run starts on a row with this chance: runs of 2 rows to 2,000 on average
+            picks = picks[np.cumsum(rng.random(n) < draw(st.sampled_from([0.5, 0.05, 0.0005])))]
+        return pool[picks[:n]]
+
     value = st.floats() | st.sampled_from(EDGE_FLOATS)
-    columns = {}
-    for name in FLOAT_COLUMNS:
-        pool = np.array(draw(st.lists(value, min_size=1, max_size=6)))
-        columns[name] = pool[rng.integers(0, len(pool), n)]
+    columns = {name: column(np.array(draw(st.lists(value, min_size=1, max_size=6)))) for name in FLOAT_COLUMNS}
     columns["p_ac"][n // 2 : n // 2 + 2] = [-0.0, 0.0][: n - n // 2]
     ints = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4)), dtype=np.int64)
-    columns["eqfc"] = ints[rng.integers(0, len(ints), n)]
+    columns["eqfc"] = column(ints)
     strided = np.empty(2 * n)
     strided[::2] = columns["v_pack"]
     columns["v_pack"] = strided[::2]
@@ -1459,6 +1488,14 @@ def block_edge_trajectory() -> Trajectory:
     return Trajectory(*table.T.copy(), flags=["plugged"] * n)
 
 
+def one_value_trajectory() -> Trajectory:
+    """Three write blocks and seven rows, with soc at one value on every row."""
+    n = 3 * evplant.engine._BLOCK_ROWS + 7
+    traj = Trajectory(*np.random.default_rng(3).standard_normal((len(FLOAT_COLUMNS), n)), flags=["idle"] * n)
+    traj.soc = np.full(n, 0.9)
+    return traj
+
+
 def ragged_trajectory(short: str | None) -> Trajectory:
     """Four rows, with the column or ``flags`` named ``short``, if any, one row short."""
     n = 4
@@ -1473,6 +1510,7 @@ class TestReports:
     @settings(max_examples=40, deadline=None)
     @given(traj=report_trajectory())
     @example(traj=block_edge_trajectory())
+    @example(traj=one_value_trajectory())
     def test_writer_matches_the_row_by_row_writer(self, traj, tmp_path_factory):
         # the writer itself: emit_report refuses the unordered and NaN times drawn here
         path = tmp_path_factory.mktemp("out") / "trajectory.csv"
@@ -1607,6 +1645,10 @@ class TestRegressionFixture:
         metrics = compute_metrics(fixture_run(), reference)
         assert metrics.rmse_cell_voltage_mv == 0.0
         assert metrics.rmse_pack_temp_k == 0.0
+
+    def test_report_writes_the_pinned_fixture(self, tmp_path):
+        path = emit_report(fixture_run(), None, tmp_path)[0]
+        assert path.read_bytes() == (REGRESSION_DIR / "trajectory.csv").read_bytes()
 
     def test_replay_stays_near_the_seed_fixture(self):
         # the seed fixture was written with an explicit-Euler thermal step;

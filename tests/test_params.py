@@ -13,13 +13,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
 from evplant.bms import BmsLimits
 from evplant.charger import RAMP_CURVE_FILE, load_curve
 from evplant.params import (
+    _NUMBER_FIELDS,
     PARAM_NAMES,
     REUSE_LIMIT,
     V_CELL_MAX,
@@ -30,6 +31,8 @@ from evplant.params import (
     load_parameter_set,
     validate_parameter_set,
 )
+from evplant.scenario import ProfileRecord, ScenarioConfig, SegmentKind
+from evplant.thermal import ThermalParams
 
 # hand-checked spot values straight from the shipped tables: (soc, temp) -> value
 SPOT_VALUES = {
@@ -513,3 +516,31 @@ def test_validation_matches_the_cell_by_cell_scan(pset):
         findings["notes"] += len(oracle.notes)
     # every rule fired, so the comparison covered each of them
     assert findings["errors"] > 200 and findings["notes"] > 200, findings
+
+
+# a valid record of each input type that check_finite checks, by the arguments that build it
+VALID_RECORDS = {
+    ProfileRecord: dict(t_s=0.0, kind=SegmentKind.IDLE, value_w=0.0, ambient_c=20.0),
+    ScenarioConfig: {},
+    BmsLimits: {},
+    ThermalParams: {},
+}
+NUMBER_FIELDS = [(cls, f) for cls in VALID_RECORDS for f in dataclasses.fields(cls) if f.type in _NUMBER_FIELDS]
+
+
+@given(field=st.sampled_from(NUMBER_FIELDS), value=st.booleans() | st.text(max_size=4) | st.none())
+def test_a_number_field_refuses_a_bool_a_string_or_a_missing_number(field, value):
+    # a bool is a numbers.Real, so True ran as 1; a string or None built the
+    # record, or failed in a comparison with a bare TypeError
+    # the check reads postponed (string) annotations; each record still has number fields under them
+    assert {cls for cls, _ in NUMBER_FIELDS} == set(VALID_RECORDS)
+    cls, f = field
+    assume(value is not None or f.type == "float")
+    with pytest.raises(ValueError, match=f"^{f.name} must be a number, got {re.escape(repr(value))}$"):
+        cls(**{**VALID_RECORDS[cls], f.name: value})
+    # a NumPy float and an int that compare equal to a valid value still build the record
+    valid = getattr(cls(**VALID_RECORDS[cls]), f.name)
+    if valid is not None:
+        assert getattr(cls(**{**VALID_RECORDS[cls], f.name: np.float64(valid)}), f.name) == valid
+        if valid == int(valid):
+            assert getattr(cls(**{**VALID_RECORDS[cls], f.name: int(valid)}), f.name) == valid
