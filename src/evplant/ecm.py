@@ -4,8 +4,9 @@ Sign convention: charging current is positive. The RC overpotentials use the
 exact zero-order-hold update, so the discrete trajectory reproduces the
 continuous solution exactly for piecewise-constant current. Parameters are
 looked up once per step, at the state at the start of the step (see
-:func:`operating_point`); aged resistance applies as a uniform multiplier on
-r_ser, r1 and r2, and SOC is counted against the aged (effective) capacity.
+:func:`operating_point`), except at rest (:func:`rest_step`); aged resistance
+applies as a uniform multiplier on r_ser, r1 and r2, and SOC is counted
+against the aged (effective) capacity.
 Every value here is per cell; the engine scales voltage and heat to the pack.
 A cell state is an :class:`EcmState` or the plain ``(soc, u1, u2)`` tuple that
 :func:`step_ecm` returns; every function here reads it by position, so both
@@ -84,6 +85,17 @@ def step_ecm(
     v_cell = ocv + current * r_ser + u1 + u2
     heat = current * current * r_ser + u1 * u1 / r1 + u2 * u2 / r2
     return (soc, u1, u2), v_cell, heat, clipped
+
+
+def rest_step(state: tuple[float, float, float], ocv: float, dt: float, c_eff_ah: float) -> tuple:
+    """:func:`step_ecm` at zero current from a state whose u1 and u2 are zero, bit for bit.
+
+    With positive, finite aged R and C, the RC voltages stay 0.0, the voltage is ``ocv + 0.0``
+    and the heat 0.0; the SOC update keeps step_ecm's expression, so a zero ``c_eff_ah`` raises.
+    """
+    soc = state[0] + 0.0 * dt / (SECONDS_PER_HOUR * c_eff_ah)
+    clipped = soc < 0.0 or soc > 1.0
+    return ((0.0 if soc < 0.0 else 1.0) if clipped else soc, 0.0, 0.0), ocv + 0.0, 0.0, clipped
 
 
 def rest_voltage(state: tuple[float, float, float], params: CellParameterSet, temp: float) -> float:

@@ -11,12 +11,12 @@ ramped power to DC while the ramp still moves and hold the settled
 set-point's DC power, converted once per command, after it, then apply the
 CV current limit and the BMS gate; when driving, convert the requested DC
 power to current against the latest pack voltage and gate it.
-Then advance the cell electrics, scale the cell voltage and heat by the
-series count (the one place the pack scaling lives), advance the pack
-temperature, and accrue aging at its own cadence: an aging point books
-calendar aging and feeds the rainflow counter its SOC, but only a SOC that
-moved since the last one fed, since the counter ignores a repeat.
-A run covers and ages its
+Then advance the cell electrics (an idle cell at rest on its OCV alone),
+scale the cell voltage and heat by the series count (the one place the pack
+scaling lives), advance the pack temperature, and accrue aging at its own
+cadence: an aging point books calendar aging and feeds the rainflow counter
+its SOC, but only a SOC that moved since the last one fed, since the counter
+ignores a repeat. A run covers and ages its
 whole profile: :func:`evplant.scenario.whole_steps` splits its span into
 whole steps and a tail, which is one last, shorter step, and the time since
 the last aging point is booked at the end. A step records only its SOC,
@@ -80,7 +80,7 @@ from .charger import (
     quantize_setpoint,
     ramp_power,
 )
-from .ecm import EcmState, operating_point, rest_voltage, step_ecm, voltage_prediction_coeffs
+from .ecm import EcmState, operating_point, rest_step, rest_voltage, step_ecm, voltage_prediction_coeffs
 from .params import default_data_dir, float_cells, load_parameter_set, read_csv_rows
 from .scenario import ScenarioConfig, ScenarioProfile, SegmentKind, whole_steps
 from .thermal import ThermalMode, ThermalParams, step_thermal
@@ -281,6 +281,7 @@ def run_scenario(
     # step that closes the next aging point, and that point's column
     next_poll, next_aging, j = 0, aging_every - 1, 1
     isfinite = math.isfinite
+    ocv_at, capacity_ah, r_norm_rest = params.ocv_lookup.at, params.nominal_capacity_ah, params.rest_r_norm_max
 
     try:
         starts = t0 + np.arange(n_steps) * dt
@@ -311,6 +312,7 @@ def run_scenario(
         session_start = rec.kind is SegmentKind.PLUGGED and (not plugged or rec_mode is not mode)
         plugged = rec.kind is SegmentKind.PLUGGED
         driving = rec.kind is SegmentKind.DRIVE
+        idle = not (plugged or driving)
         ambient = rec.ambient_c
         mode = rec_mode
         ch_cfg = charger_cfgs[mode]
@@ -323,54 +325,60 @@ def run_scenario(
                 next_aging = -1
             reason = GATE_OK
             try:
-                point = operating_point(params, aging, soc, t_pack, dt)
-                if plugged:
-                    if session_start or k == next_poll:
-                        next_poll = k - k % control_every + control_every
-                        if session_start:
-                            session_start = False
-                            ctrl = ChargeControlState()
-                            p_ac_prev = p_dc_settled = 0.0
-                        else:
-                            # the AC power the last step drew: i_dc and v_cell
-                            # still hold its values, the operands of its row's p_ac
-                            p_dc = i_dc * (n_series * v_cell)
-                            p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
-                        # built from a tuple, without the NamedTuple's Python-level __new__
-                        obs = tuple.__new__(
-                            StrategyObservation, (t, soc, t_pack, True, p_ac_prev, ch_setpoints)
-                        )
-                        try:
-                            target = quantize_setpoint(float(strategy(obs)), ch_cfg)
-                        except Exception as exc:
-                            raise RuntimeError(
-                                f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
-                            ) from exc
-                        if target != ctrl.p_target:
-                            ctrl = command_setpoint(target, p_ac_prev)
-                            t_cmd = 0.0
-                            p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
-                    if t_cmd < ctrl.t_settle:
-                        p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
-                    else:
-                        p_dc_avail = p_dc_settled
-                    a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
-                    i_cmd = cc_cv_limit(
-                        p_dc_avail,
-                        n_series * v_cell,
-                        v_max_pack,
-                        n_series * a_cell,
-                        n_series * b_cell,
-                    )
-                    i_dc, reason = gate_current(i_cmd, soc, v_cell, t_pack, limits)
-                    t_cmd += dt
-                elif driving:
-                    i_req = rec.value_w / (n_series * v_cell)
-                    i_dc, reason = gate_current(i_req, soc, v_cell, t_pack, limits)
-                else:
+                if idle and not (ecm_state[2] or ecm_state[1]) and aging.r_norm <= r_norm_rest:
+                    # an idle cell at rest: step_ecm at zero current would only read the OCV
                     i_dc = 0.0
+                    c_eff_ah = capacity_ah * aging.c_norm
+                    ecm_state, v_cell, heat, soc_clipped = rest_step(ecm_state, ocv_at(soc, t_pack)[0], dt, c_eff_ah)
+                else:
+                    point = operating_point(params, aging, soc, t_pack, dt)
+                    if plugged:
+                        if session_start or k == next_poll:
+                            next_poll = k - k % control_every + control_every
+                            if session_start:
+                                session_start = False
+                                ctrl = ChargeControlState()
+                                p_ac_prev = p_dc_settled = 0.0
+                            else:
+                                # the AC power the last step drew: i_dc and v_cell
+                                # still hold its values, the operands of its row's p_ac
+                                p_dc = i_dc * (n_series * v_cell)
+                                p_ac_prev = dc_to_ac(p_dc, ch_cfg) if p_dc > 0 else 0.0
+                            # built from a tuple, without the NamedTuple's Python-level __new__
+                            obs = tuple.__new__(
+                                StrategyObservation, (t, soc, t_pack, True, p_ac_prev, ch_setpoints)
+                            )
+                            try:
+                                target = quantize_setpoint(float(strategy(obs)), ch_cfg)
+                            except Exception as exc:
+                                raise RuntimeError(
+                                    f"strategy failed at step {k} (t={t} s): {type(exc).__name__}: {exc}"
+                                ) from exc
+                            if target != ctrl.p_target:
+                                ctrl = command_setpoint(target, p_ac_prev)
+                                t_cmd = 0.0
+                                p_dc_settled = ac_to_dc(ctrl.p_target, ch_cfg)
+                        if t_cmd < ctrl.t_settle:
+                            p_dc_avail = ac_to_dc(ramp_power(ctrl, t_cmd, ch_cfg), ch_cfg)
+                        else:
+                            p_dc_avail = p_dc_settled
+                        a_cell, b_cell = voltage_prediction_coeffs(ecm_state, point)
+                        i_cmd = cc_cv_limit(
+                            p_dc_avail,
+                            n_series * v_cell,
+                            v_max_pack,
+                            n_series * a_cell,
+                            n_series * b_cell,
+                        )
+                        i_dc, reason = gate_current(i_cmd, soc, v_cell, t_pack, limits)
+                        t_cmd += dt
+                    elif driving:
+                        i_req = rec.value_w / (n_series * v_cell)
+                        i_dc, reason = gate_current(i_req, soc, v_cell, t_pack, limits)
+                    else:
+                        i_dc = 0.0
 
-                ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
+                    ecm_state, v_cell, heat, soc_clipped = step_ecm(ecm_state, point, i_dc)
                 soc = ecm_state[0]
                 cooling = ev_operation and (driving or (plugged and i_dc > 0)) and t_pack > ambient
                 t_pack = step_thermal(t_pack, heat * n_series, ambient, dt, th_params, cooling, plugged)

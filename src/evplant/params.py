@@ -436,12 +436,22 @@ class CellParameterSet:
     nominal_capacity_ah: float = NOMINAL_CAPACITY_AH
     n_series: int = N_SERIES
 
-    # lookup.at(soc, temp): the six unaged parameters at one point, in PARAM_NAMES order
+    # lookup.at(soc, temp): the six unaged parameters at one point, in PARAM_NAMES order, and
+    # ocv_lookup the OCV alone. Up to rest_r_norm_max, AgingState.r_norm (from 1.0 up) leaves
+    # every aged R and C positive and finite and no aged r * c at 0.0, so ecm.rest_step is exact:
+    # entries and branch products are normal and R * r_norm < max / 2 (0.0 if the tables fail)
     lookup: GridLookup = field(init=False, repr=False)
+    ocv_lookup: GridLookup = field(init=False, repr=False)
+    rest_r_norm_max: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lookup = GridLookup("cell parameters", [self.grid(name) for name in PARAM_NAMES])
         object.__setattr__(self, "lookup", lookup)
+        object.__setattr__(self, "ocv_lookup", GridLookup("open-circuit voltage", [self.ocv]))
+        low = {name: float(self.grid(name).values.min()) for name in PARAM_NAMES[1:]}
+        exact = min(*low.values(), low["r1"] * low["c1"], low["r2"] * low["c2"]) >= sys.float_info.min
+        r_max = max(float(self.grid(name).values.max()) for name in PARAM_NAMES[1:4])
+        object.__setattr__(self, "rest_r_norm_max", sys.float_info.max / max(2.0 * r_max, 1.0) if exact else 0.0)
 
     def grid(self, name: str) -> ParamGrid:
         return getattr(self, name)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evplant.cli
 from evplant.cli import main, resolve_strategy
@@ -13,7 +17,8 @@ from evplant.engine import strategy_max_power, strategy_off
 from evplant.params import PARAM_NAMES, default_data_dir
 from evplant.scenario import load_config
 
-PROFILE = """t_s,kind,value_w,ambient_c,charger_mode
+PROFILE_HEADER = "t_s,kind,value_w,ambient_c,charger_mode"
+PROFILE = f"""{PROFILE_HEADER}
 0,plugged,11040,20,
 600,idle,0,20,
 """
@@ -463,3 +468,149 @@ def test_non_number_constant_strategy_fails_its_batch_line(scenario_files, tmp_p
     manifest.write_text(f"config,profile,out,strategy\n{config.name},{profile.name},bad,{spec}\n")
     assert main(["batch", "--manifest", str(manifest)]) == 2
     assert capsys.readouterr().out == f"failed {tmp_path / 'bad'}: {message}\n"
+
+
+# Fuzzing of the two files `simulate` reads. A valid profile and config are
+# generated and then broken in one place: a cell, a row, the header (the
+# config's first key), or bytes that do not decode. Every mutation is
+# invalid by construction, so `simulate` must refuse it with exit 2 and one
+# stderr line, `error: ...`, that names the file, and never a traceback.
+
+# per profile column, texts that no row may hold there
+BAD_PROFILE_CELLS = {
+    0: ["", "abc", "nan", "inf", "-inf", "1e999", "0x10"],
+    1: ["", "parked", "drive_", "1"],
+    2: ["abc", "nan", "inf", "-1e999", "1e6e"],
+    3: ["", "hot", "nan", "-inf"],
+    4: ["single_phase", "x", "3"],
+}
+# per config key, values it may not take
+BAD_CONFIG_VALUES = {
+    "initial_soc": ["", "abc", "nan", "inf", "1.5", "-0.5"],
+    "initial_temp_c": ["", "warm", "inf", "-nan"],
+    "dt_s": ["0", "-1", "abc", "nan", "7"],
+    "thermal_mode": ["", "ev", "lab"],
+}
+# bytes that UTF-8, the encoding a text file is read in here, cannot decode
+BAD_BYTES = [b"\xff", b"\xfe\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
+
+
+@st.composite
+def valid_profile(draw):
+    """Rows of a valid profile CSV: 2-4 records at rising times, each within its kind's limits."""
+    n = draw(st.integers(2, 4))
+    times = sorted(draw(st.lists(st.integers(0, 300), min_size=n, max_size=n, unique=True)))
+    rows = []
+    for t in times:
+        kind = draw(st.sampled_from(["drive", "idle", "plugged"]))
+        value = {"drive": -5000, "idle": 0, "plugged": 11040}[kind]
+        mode = draw(st.sampled_from(["", "three_phase", "one_phase"])) if kind == "plugged" else ""
+        rows.append([str(float(t)), kind, str(value), str(draw(st.integers(-10, 35))), mode])
+    return rows
+
+
+@st.composite
+def broken_profile(draw):
+    """A valid profile's bytes, broken in one cell, row, the header or its encoding."""
+    rows = draw(valid_profile())
+    header = PROFILE_HEADER
+    where = draw(st.sampled_from(["cell", "row", "header", "bytes"]))
+    if where == "cell":
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.sampled_from(sorted(BAD_PROFILE_CELLS)))
+        rows[r][c] = draw(st.sampled_from(BAD_PROFILE_CELLS[c]))
+    elif where == "row":
+        r = draw(st.integers(0, len(rows) - 1))
+        change = draw(st.sampled_from(["drop a cell", "add a cell", "repeat", "move back"]))
+        if change == "drop a cell":
+            del rows[r][draw(st.integers(0, 4))]
+        elif change == "add a cell":
+            rows[r].insert(draw(st.integers(0, 5)), draw(st.sampled_from(["", "0", "idle"])))
+        elif change == "repeat":
+            rows.insert(r, list(rows[r]))
+        else:
+            rows.insert(0, rows.pop(draw(st.integers(1, len(rows) - 1))))
+    elif where == "header":
+        at = draw(st.integers(0, len(header)))
+        header = header[:at] + draw(st.sampled_from(["x", ",", "_", "T"])) + header[at:]
+    data = profile_bytes(header, rows)
+    if where == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+def profile_bytes(header: str, rows: list[list[str]]) -> bytes:
+    return "\n".join([header, *(",".join(row) for row in rows)]).encode() + b"\n"
+
+
+@st.composite
+def valid_config(draw):
+    """(key, value) lines of a valid config."""
+    return [
+        ["initial_soc", str(draw(st.floats(0.0, 1.0)))],
+        ["initial_temp_c", str(draw(st.integers(-10, 35)))],
+        ["dt_s", draw(st.sampled_from(["1", "2", "5"]))],
+        ["thermal_mode", draw(st.sampled_from(["ev_operation", "lab_pack_test"]))],
+    ]
+
+
+def config_bytes(lines: list[list[str]]) -> bytes:
+    return "\n".join(f"{key} = {value}" for key, value in lines).encode() + b"\n"
+
+
+@st.composite
+def broken_config(draw):
+    """A valid config's bytes, broken in one value, one line, its first key or its encoding."""
+    lines = draw(valid_config())
+    where = draw(st.sampled_from(["value", "line", "header", "bytes"]))
+    if where == "value":
+        line = draw(st.sampled_from(lines))
+        line[1] = draw(st.sampled_from(BAD_CONFIG_VALUES[line[0]]))
+    elif where == "line":
+        r = draw(st.integers(0, len(lines) - 1))
+        change = draw(st.sampled_from(["no =", "repeat", "unknown key"]))
+        if change == "repeat":
+            lines.insert(r, list(lines[r]))
+        elif change == "unknown key":
+            lines[r][0] += draw(st.sampled_from(["_", "x", "2"]))
+    elif where == "header":
+        lines[0][0] = lines[0][0].upper()
+    data = config_bytes(lines)
+    if where == "line" and change == "no =":
+        data = data.replace(f"{lines[r][0]} =".encode(), lines[r][0].encode(), 1)
+    if where == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=valid_profile(), lines=valid_config())
+def test_the_unbroken_profile_and_config_run(tmp_path_factory, rows, lines):
+    # the files the fuzzing below breaks are valid as generated
+    directory = tmp_path_factory.mktemp("valid")
+    (directory / "scenario.cfg").write_bytes(config_bytes(lines))
+    (directory / "profile.csv").write_bytes(profile_bytes(PROFILE_HEADER, rows))
+    args = ["--config", str(directory / "scenario.cfg"), "--profile", str(directory / "profile.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", *args, "--out", str(directory / "out")]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken=st.one_of(st.tuples(st.just("profile"), broken_profile()), st.tuples(st.just("config"), broken_config())))
+def test_a_broken_profile_or_config_fails_with_one_line_naming_the_file(tmp_path_factory, broken):
+    which, data = broken
+    directory = tmp_path_factory.mktemp("fuzz")
+    paths = {"config": directory / "scenario.cfg", "profile": directory / "profile.csv"}
+    paths["config"].write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
+    paths["profile"].write_text(PROFILE)
+    paths[which].write_bytes(data)
+    args = ["simulate", "--config", str(paths["config"]), "--profile", str(paths["profile"])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(args + ["--out", str(directory / "out")])
+    lines = err.getvalue().splitlines()
+    assert (rc, out.getvalue(), len(lines)) == (2, "", 1), (data, err.getvalue())
+    assert lines[0].startswith("error: ") and str(paths[which]) in lines[0], lines[0]
+    assert "Traceback" not in err.getvalue()

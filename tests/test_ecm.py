@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from evplant.aging import AgingState
@@ -16,6 +17,7 @@ from evplant.ecm import (
     SECONDS_PER_HOUR,
     EcmState,
     operating_point,
+    rest_step,
     rest_voltage,
     step_ecm,
     voltage_prediction_coeffs,
@@ -192,6 +194,57 @@ class TestPlainState:
     @given(state=st.tuples(st.floats(0.0, 1.0) | st.just(-0.0), finite, finite), temp=st.floats(-20.0, 50.0))
     def test_rest_voltage_reads_the_same_bits_from_either_form(self, pset, state, temp):
         assert bits(rest_voltage(state, pset, temp)) == bits(rest_voltage(EcmState(*state), pset, temp))
+
+
+# positive, finite resistances and capacitances, from the smallest normal float up
+positive = st.floats(sys.float_info.min, 1e6) | st.sampled_from([sys.float_info.min, 1e-3, 1e300])
+
+
+@st.composite
+def rest_cases(draw):
+    """A state at rest, the point of a step from it and that point's ``c_eff_ah``.
+
+    The SOC runs past both ends of [0, 1], ``dt`` takes tail sizes, the RC
+    time constants make ``k`` anything from 0.0 (underflow) to 1.0, and
+    ``c_eff_ah`` is positive, zero or negative.
+    """
+    soc = draw(st.floats(-0.5, 1.5) | st.sampled_from([0.0, -0.0, 1.0]))
+    u1, u2 = draw(st.tuples(*[st.sampled_from([0.0, -0.0])] * 2))
+    r_ser, r1, r2, c1, c2 = draw(st.tuples(*[positive] * 5))
+    dt = draw(st.sampled_from([1.0, 60.0, 3600.0, 0.3, 1e-7, 59.999999]) | st.floats(1e-9, 1e5))
+    c_eff_ah = draw(st.floats(0.5, 60.0) | st.floats(-60.0, -1e-3) | st.sampled_from([0.0, -0.0, 52.0]))
+    ocv = draw(st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0, 3.7]))
+    # an r * c at 0.0 divides in operating_point; rest_r_norm_max rules it out
+    assume(r1 * c1 > 0.0 and r2 * c2 > 0.0)
+    k1, k2 = math.exp(-dt / (r1 * c1)), math.exp(-dt / (r2 * c2))
+    return (soc, u1, u2), (ocv, r_ser, r1, r2, k1, k2, dt, c_eff_ah)
+
+
+class TestRestStep:
+    """rest_step is step_ecm at zero current from a state at rest, bit for bit."""
+
+    @given(case=rest_cases())
+    @example(case=((-0.0, -0.0, -0.0), (-0.0, 1e-3, 5e-4, 8e-4, 0.0, 1.0, 1.0, 52.0)))
+    @example(case=((1.0, 0.0, -0.0), (3.7, 1e-3, 5e-4, 8e-4, 0.5, 0.9, 60.0, -52.0)))
+    @example(case=((0.5, 0.0, 0.0), (3.7, 1e-3, 5e-4, 8e-4, 0.5, 0.9, 60.0, 0.0)))
+    @example(case=((1.2, -0.0, 0.0), (3.7, 1e-3, 5e-4, 8e-4, 0.5, 0.9, 0.3, 52.0)))
+    def test_rest_step_is_step_ecm_at_zero_current(self, case):
+        state, point = case
+        ocv, dt, c_eff_ah = point[0], point[6], point[7]
+        if c_eff_ah == 0.0:
+            with pytest.raises(ZeroDivisionError):
+                step_ecm(state, point, 0.0)
+            with pytest.raises(ZeroDivisionError):
+                rest_step(state, ocv, dt, c_eff_ah)
+            return
+        new, v_cell, heat, clipped = step_ecm(state, point, 0.0)
+        rested, v_rest, heat_rest, clipped_rest = rest_step(state, ocv, dt, c_eff_ah)
+        assert type(rested) is tuple
+        assert bits(*rested, v_rest, heat_rest) == bits(*new, v_cell, heat)
+        assert clipped_rest is clipped
+
+    def test_rest_step_reads_a_named_state(self):
+        assert rest_step(EcmState(0.25, -0.0, 0.0), 3.5, 60.0, 52.0) == ((0.25, 0.0, 0.0), 3.5, 0.0, False)
 
 
 class TestRestVoltage:

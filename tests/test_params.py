@@ -7,13 +7,14 @@ import gc
 import math
 import re
 import shutil
+import struct
 import sys
 import threading
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
@@ -333,6 +334,76 @@ class TestFusedLookup:
         assert _runs(pset.lookup, 0.5, -10.0) == [1, 5]
         assert _runs(load_calendar_coeffs(data_dir).rates, 0.5, 30.0) == [2]
         assert _runs(load_cycle_coeffs(data_dir).rates, 0.5, 0.5) == [2]
+
+
+def _with(pset: CellParameterSet, name: str, row: int, col: int, value: float) -> CellParameterSet:
+    """``pset`` with entry (row, col) of table ``name`` set to ``value``."""
+    grid = pset.grid(name)
+    values = grid.values.copy()
+    values[row, col] = value
+    return dataclasses.replace(pset, **{name: ParamGrid(name, grid.soc_breakpoints, grid.temp_breakpoints, values)})
+
+
+def _ocv_points(pset):
+    """Points on and past every edge of the OCV grid's hull, its -5 degC edge included."""
+    socs, temps = pset.ocv.soc_breakpoints, pset.ocv.temp_breakpoints
+    return st.tuples(
+        st.floats(socs[0] - 1.0, socs[-1] + 1.0) | st.sampled_from(socs) | st.sampled_from([0.0, -0.0, 1.0]),
+        st.floats(temps[0] - 30.0, temps[-1] + 30.0)
+        | st.sampled_from(temps)
+        | st.builds(math.nextafter, st.sampled_from(temps), st.sampled_from([-math.inf, math.inf])),
+    )
+
+
+class TestOcvLookup:
+    """The one-table OCV lookup, which an idle step at rest reads, equals ``ocv.interpolate``."""
+
+    @staticmethod
+    def _walk(pset, points):
+        # a fresh set, so each walk starts on a cold memo
+        lookup = dataclasses.replace(pset).ocv_lookup
+        assert lookup.grids == (pset.ocv,)
+        for soc, temp in points:
+            (value,) = lookup.at(soc, temp)
+            assert struct.pack("<d", value) == struct.pack("<d", pset.ocv.interpolate(soc, temp)), (soc, temp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_ocv_interpolate_bit_for_bit(self, pset, data):
+        self._walk(pset, data.draw(st.lists(_ocv_points(pset), min_size=1, max_size=30)))
+
+    def test_equals_ocv_interpolate_past_every_hull_edge(self, pset):
+        below_edge = math.nextafter(-5.0, -math.inf)
+        self._walk(pset, [(-0.05, -5.0), (1.05, 35.0), (-1.0, -20.0), (2.0, 60.0), (-0.0, below_edge), (0.5, -5.0)])
+
+    def test_nan_input_rejected(self, pset):
+        with pytest.raises(ValueError, match="NaN"):
+            pset.ocv_lookup.at(0.5, float("nan"))
+
+
+class TestRestBound:
+    """``rest_r_norm_max``: how far ``r_norm`` may grow with a rest step still exact; 0.0 where it never is."""
+
+    def test_shipped_tables_allow_the_whole_float_range(self, pset):
+        # every resistance is under 0.5 Ohm, so any finite r_norm keeps R * r_norm finite
+        assert pset.rest_r_norm_max == sys.float_info.max
+
+    def test_a_large_resistance_lowers_the_bound(self, pset):
+        assert _with(pset, "r2", 3, 2, 1e300).rest_r_norm_max == sys.float_info.max / 2e300
+
+    @pytest.mark.parametrize("name", ["r_ser", "r1", "r2", "c1", "c2"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-3, 5e-324])
+    def test_a_non_positive_or_subnormal_entry_rules_rest_out(self, pset, name, value):
+        assert _with(pset, name, 0, 0, value).rest_r_norm_max == 0.0
+
+    def test_a_branch_whose_time_constant_may_round_to_zero_rules_rest_out(self, pset):
+        # both entries normal, but their product is not
+        tiny = _with(_with(pset, "r1", 0, 0, 1e-160), "c1", 5, 5, 1e-160)
+        assert tiny.rest_r_norm_max == 0.0
+        assert _with(_with(pset, "r1", 0, 0, 1e-150), "c1", 5, 5, 1e-150).rest_r_norm_max > 0.0
+
+    def test_the_ocv_table_does_not_enter(self, pset):
+        assert _with(pset, "ocv", 0, 0, 0.0).rest_r_norm_max == pset.rest_r_norm_max
 
 
 class TestValidation:
