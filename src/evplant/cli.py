@@ -41,19 +41,19 @@ def resolve_strategy(spec: str | None) -> Strategy | None:
         try:
             return make_constant_strategy(float(spec.split(":", 1)[1]))
         except ValueError as exc:
-            raise ValueError(f"cannot load strategy '{spec}': {exc}") from None
+            raise ValueError(f"cannot load strategy {spec!r}: {exc}") from None
     if ":" in spec:
         module_name, attr = spec.split(":", 1)
         try:
             strategy = getattr(importlib.import_module(module_name), attr)
         except (ImportError, AttributeError, ValueError) as exc:
-            raise ValueError(f"cannot load strategy '{spec}': {exc}") from None
-        except Exception as exc:  # importing runs the module's own code
-            raise ValueError(f"cannot load strategy '{spec}': {type(exc).__name__}: {exc}") from None
+            raise ValueError(f"cannot load strategy {spec!r}: {exc}") from None
+        except (Exception, SystemExit) as exc:  # importing runs the module's own code
+            raise ValueError(f"cannot load strategy {spec!r}: {type(exc).__name__}: {exc}") from None
         if not callable(strategy):
-            raise ValueError(f"strategy '{spec}' is not callable")
+            raise ValueError(f"strategy {spec!r} is not callable")
         return strategy
-    raise ValueError(f"unknown strategy '{spec}'")
+    raise ValueError(f"unknown strategy {spec!r}")
 
 
 def _simulate(

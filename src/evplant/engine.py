@@ -189,9 +189,9 @@ _ROW_DTYPE = np.dtype([(name, np.float64) for name in FLOAT_COLUMNS] + [("flags"
 _BLOCK_ROWS = 1024
 # characters per read of read_trajectory's pass over a file
 _READ_CHARS = 1 << 16
-# characters at which str.splitlines breaks a line but a text-mode file does
-# not, and the unit separator, which np.loadtxt strips as whitespace
-_ROUTED_CHARS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x1f"
+# the four separators \x1c-\x1f, which np.loadtxt skips around a number but
+# float refuses; no other character makes the two readers part
+_ROUTED_CHARS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -638,16 +638,16 @@ def emit_report(
 def read_trajectory(path: str | Path) -> Trajectory:
     """Read back a trajectory CSV written by :func:`emit_report`.
 
-    A well-formed file is parsed by one ``np.loadtxt`` call on the open
-    file, which checks the row width too; any other file goes through
-    :func:`read_csv_rows`, whose errors name the row. A file is well formed
-    when :func:`_loadtxt_reads_alike` finds, in one pass over it in
-    blocks of ``_READ_CHARS`` characters, that ``loadtxt`` sees the rows
-    ``read_csv_rows`` sees. ``loadtxt`` accepts a subset of what ``float``
-    does, with the same values; a file it rejects is read row by row. So
-    the read holds one block of text and then ``loadtxt``'s table, never
-    the whole text or its lines. The float columns are returned as that
-    table's fields, strided views of one record array, not copies.
+    A well-formed file is parsed by one ``np.loadtxt`` call on the open file, which checks
+    the row width too; any other file goes through :func:`read_csv_rows`, whose errors name
+    the row. Both end a line where a text-mode file does. A file is well formed when
+    :func:`_loadtxt_reads_alike` finds, in one pass over it in blocks of ``_READ_CHARS``
+    characters, the header as the first line, a row after it and none of ``_ROUTED_CHARS``,
+    which ``loadtxt`` skips around a number and ``float`` refuses. Else ``loadtxt`` accepts a
+    subset of what ``float`` does, with the same values; a file it rejects (``1_0``, a
+    fullwidth digit, a line of spaces) is read row by row. So the read holds one block of
+    text and then ``loadtxt``'s table, never the whole text or its lines. The float columns
+    are returned as that table's fields, strided views of one record array, not copies.
     """
     path = Path(path)
     if path.is_file():
@@ -670,22 +670,19 @@ def read_trajectory(path: str | Path) -> Trajectory:
 def _loadtxt_reads_alike(f: TextIO) -> bool:
     """Whether ``np.loadtxt`` sees the rows of the open file that :func:`read_csv_rows` sees.
 
-    That needs the header as the first line, a non-empty line after it (on
-    a file without one ``loadtxt`` warns), and none of ``_ROUTED_CHARS``.
+    That needs the header as the first line, a non-empty line after it (on a file without one
+    ``loadtxt`` warns), and none of ``_ROUTED_CHARS``, which ``loadtxt`` skips and ``float`` refuses.
     Text that does not decode is left to ``read_csv_rows``, which names the file.
     """
     head = TRAJECTORY_HEADER + "\n"
     try:
-        chunk = f.read(_READ_CHARS)
-        if not chunk.startswith(head):
+        if f.readline(len(head)) != head:
             return False
-        chunk = chunk[len(head) :]
         has_row = False
-        while chunk:
+        while chunk := f.read(_READ_CHARS):
             if any(c in chunk for c in _ROUTED_CHARS):
                 return False
             has_row = has_row or chunk.lstrip("\n") != ""
-            chunk = f.read(_READ_CHARS)
     except UnicodeDecodeError:
         return False
     return has_row

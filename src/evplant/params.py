@@ -88,16 +88,19 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def read_text(path: Path, data: bytes | None = None) -> str:
-    """The text of the file at ``path``, or of ``data``, its bytes read before.
+def read_lines(path: Path, what: str, data: bytes | None = None) -> list[str]:
+    """The lines of the file at ``path``, or of ``data``, its bytes read before.
 
-    Decoded as ``open`` decodes a text file, line ends included; text that
-    does not decode raises ``ValueError`` naming the path.
+    Decoded as ``open`` decodes a text file, so a line ends at ``\\n``, ``\\r\\n``
+    or ``\\r`` and nowhere else. A missing file (``what`` names its kind) and
+    text that does not decode raise ``ValueError`` naming the path.
     """
     if data is None:
+        if not path.is_file():
+            raise ValueError(f"missing {what} file: {path}")
         data = path.read_bytes()
     try:
-        return io.TextIOWrapper(io.BytesIO(data)).read()
+        return io.TextIOWrapper(io.BytesIO(data)).read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: cannot decode the file as text ({exc})") from None
 
@@ -148,10 +151,8 @@ def read_csv_rows(
     the file's bytes, read before, and the file is not read again.
     """
     path = Path(path)
-    if data is None and not path.is_file():
-        raise ValueError(f"missing {what} file: {path}")
     width = 0
-    for n, line in enumerate(read_text(path, data).splitlines(), start=1):
+    for n, line in enumerate(read_lines(path, what, data), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -467,7 +468,10 @@ def load_grid(path: Path, name: str, data: bytes | None = None) -> ParamGrid:
     temps = tuple(float_cells(path, n, head[1:]))
     body = [float_cells(path, n, cells) for n, cells in rows]
     socs = tuple(row[0] / 100.0 for row in body)  # percent -> fraction
-    return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
+    try:
+        return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_parameter_set(directory: str | Path) -> CellParameterSet:

@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 
 from .bms import BmsLimits
 from .charger import DEFAULT_DEAD_TIME_S, DEFAULT_GRID_VOLTAGE_V, ChargerMode, check_dead_time
-from .params import check_finite, default_data_dir, float_cells, read_csv_rows, read_text
+from .params import check_finite, default_data_dir, float_cells, read_csv_rows, read_lines
 from .thermal import PACK_HEAT_CAPACITY, ThermalMode
 
 MOTOR_POWER_LIMIT_W = 55_000.0  # drive power beyond the motor rating is rejected
@@ -195,13 +195,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     the line and key of a bad line), text that does not decode too.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"missing config file: {path}")
     base = path.parent
 
     values: dict = {ScenarioConfig: {}, BmsLimits: {}}
     first_line: dict[str, int] = {}
-    for idx, raw in enumerate(read_text(path).splitlines(), start=1):
+    for idx, raw in enumerate(read_lines(path, "config"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -6,12 +6,14 @@ import contextlib
 import io
 import re
 import shutil
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import evplant.cli
+from evplant.aging import CALENDAR_FILES, CYCLE_FILES
 from evplant.cli import main, resolve_strategy
 from evplant.engine import strategy_max_power, strategy_off
 from evplant.params import PARAM_NAMES, default_data_dir
@@ -54,7 +56,7 @@ def test_validate_params_names_a_non_finite_breakpoint(tmp_path, capsys):
     lines[3] = "nan" + lines[3][lines[3].index(",") :]
     (tmp_path / "r1.csv").write_text("\n".join(lines) + "\n")
     assert main(["validate-params", "--data", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: r1: non-finite breakpoint\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'r1.csv'}: r1: non-finite breakpoint\n"
 
 
 def test_simulate_writes_report(scenario_files, tmp_path, capsys):
@@ -607,10 +609,220 @@ def test_a_broken_profile_or_config_fails_with_one_line_naming_the_file(tmp_path
     paths["profile"].write_text(PROFILE)
     paths[which].write_bytes(data)
     args = ["simulate", "--config", str(paths["config"]), "--profile", str(paths["profile"])]
+    assert_refused_in_one_line(args + ["--out", str(directory / "out")], str(paths[which]))
+
+
+def assert_refused_in_one_line(argv: list[str], name: str) -> None:
+    """``main(argv)`` exits 2 with no output but one ``error:`` line that holds ``name``, and no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(args + ["--out", str(directory / "out")])
-    lines = err.getvalue().splitlines()
-    assert (rc, out.getvalue(), len(lines)) == (2, "", 1), (data, err.getvalue())
-    assert lines[0].startswith("error: ") and str(paths[which]) in lines[0], lines[0]
-    assert "Traceback" not in err.getvalue()
+        rc = main(argv)
+    text = err.getvalue()
+    assert (rc, out.getvalue(), text.count("\n")) == (2, "", 1), text
+    assert text.startswith("error: ") and text.endswith("\n") and name in text, text
+    assert "Traceback" not in text
+
+
+# Fuzzing of the three other inputs: a batch manifest, a --strategy spec and
+# the tables of a data directory, each broken in one place and each refused
+# in one line that names it.
+
+MANIFEST_HEADER = "config,profile,out,strategy"
+
+
+@st.composite
+def valid_manifest(draw):
+    """Rows of a valid manifest: 1-3 runs of one scenario, each into its own directory."""
+    strategy = st.sampled_from(["", "off", "max_power", "constant:5000"])
+    return [["scenario.cfg", "profile.csv", f"out{i}", draw(strategy)] for i in range(draw(st.integers(1, 3)))]
+
+
+def manifest_bytes(header: str, rows: list[list[str]]) -> bytes:
+    return "\n".join([header, *(",".join(row) for row in rows)]).encode() + b"\n"
+
+
+@st.composite
+def broken_manifest(draw):
+    """A valid manifest's bytes, broken in one cell, row, the header or its encoding."""
+    rows = draw(valid_manifest())
+    n = len(rows)
+    header = MANIFEST_HEADER
+    where = draw(st.sampled_from(["cell", "row", "header", "bytes"]))
+    r = draw(st.integers(0, n - 1))
+    if where == "cell":
+        if n > 1 and draw(st.booleans()):
+            # the output of another row, as written there or by another path
+            rows[r][2] = draw(st.sampled_from(["", "./", "out9/../"])) + rows[r - 1][2]
+        else:
+            c = draw(st.integers(0, 3))
+            at = draw(st.integers(0, len(rows[r][c])))
+            rows[r][c] = rows[r][c][:at] + "," + rows[r][c][at:]
+    elif where == "row":
+        change = draw(st.sampled_from(["drop a cell", "add a cell", "repeat"]))
+        if change == "drop a cell":
+            del rows[r][draw(st.integers(0, 3))]
+        elif change == "add a cell":
+            rows[r].insert(draw(st.integers(0, 4)), draw(st.sampled_from(["", "off", "out9"])))
+        else:
+            rows.insert(r, list(rows[r]))
+    elif where == "header":
+        at = draw(st.integers(0, len(header)))
+        header = header[:at] + draw(st.sampled_from(["x", ",", "_", "T"])) + header[at:]
+    data = manifest_bytes(header, rows)
+    if where == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+def _manifest_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("batch")
+    (directory / "scenario.cfg").write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
+    (directory / "profile.csv").write_text(PROFILE)
+    return directory
+
+
+@settings(max_examples=10, deadline=None)
+@given(rows=valid_manifest())
+def test_the_unbroken_manifest_runs(tmp_path_factory, rows):
+    # the manifests the fuzzing below breaks are valid as generated
+    directory = _manifest_dir(tmp_path_factory)
+    (directory / "manifest.csv").write_bytes(manifest_bytes(MANIFEST_HEADER, rows))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["batch", "--manifest", str(directory / "manifest.csv"), "--jobs", "1"]) == 0
+    assert out.getvalue() == "".join(f"done {directory / row[2]}\n" for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=broken_manifest())
+def test_a_broken_manifest_fails_with_one_line_naming_the_file(tmp_path_factory, data):
+    directory = _manifest_dir(tmp_path_factory)
+    manifest = directory / "manifest.csv"
+    manifest.write_bytes(data)
+    assert_refused_in_one_line(["batch", "--manifest", str(manifest), "--jobs", "1"], str(manifest))
+    assert not any(directory.glob("out*"))
+
+
+# strategy modules the spec fuzzing imports, by what each does when imported
+STRATEGY_MODULES = {
+    "fuzzed_strategy_good": "X = 1\n\n\ndef f(obs):\n    return 0.0\n",
+    "fuzzed_strategy_unclosed": "def f(obs:\n    return 0.0\n",
+    "fuzzed_strategy_keyerror": "X = {}['k']\n",
+    "fuzzed_strategy_zerodiv": "X = 1 / 0\n",
+    "fuzzed_strategy_imports": "import fuzzed_strategy_nowhere\n",
+    "fuzzed_strategy_exits": "import sys\n\nsys.exit(3)\n",
+}
+
+
+@pytest.fixture(scope="module")
+def strategy_modules(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("strategy_modules")
+    for name, source in STRATEGY_MODULES.items():
+        (directory / f"{name}.py").write_text(source)
+    sys.path.insert(0, str(directory))
+    yield
+    sys.path.remove(str(directory))
+    for name in STRATEGY_MODULES:
+        sys.modules.pop(name, None)
+
+
+# names that no module has: a spec only ever imports these or STRATEGY_MODULES
+MISSING_MODULES = ["", ".fuzzed", "fuzzed_strategy_missing", "fuzzed_strategy_good.sub", "evplant.fuzzed_strategy"]
+
+
+@st.composite
+def broken_spec(draw):
+    """A --strategy spec that no strategy answers to."""
+    where = draw(st.sampled_from(["name", "constant", "module", "callable"]))
+    if where == "name":
+        # no colon, so nothing is imported
+        spec = draw(st.text(st.characters(exclude_categories=("Cs",), exclude_characters=":"), max_size=12))
+        assume(spec not in ("profile", "max_power", "off"))
+    elif where == "constant":
+        watts = st.sampled_from(["", "nan", "inf", "-inf", "-1", "-1e-300", "1e999", "0x10", "1,5", "--1", "five"])
+        spec = "constant:" + draw(watts)
+    elif where == "module":
+        module = draw(st.sampled_from(MISSING_MODULES + [m for m in STRATEGY_MODULES if m != "fuzzed_strategy_good"]))
+        spec = f"{module}:f"
+    else:
+        spec = "fuzzed_strategy_good:" + draw(st.sampled_from(["", "g", "X", "F", "f.g", " f", "__name__"]))
+    return spec
+
+
+@pytest.fixture(scope="module")
+def scenario_files_once(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("scenario")
+    config = directory / "scenario.cfg"
+    config.write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
+    profile = directory / "profile.csv"
+    profile.write_text(PROFILE)
+    return config, profile
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=broken_spec())
+def test_a_broken_strategy_spec_fails_with_one_line_naming_it(scenario_files_once, strategy_modules, spec):
+    config, profile = scenario_files_once
+    argv = ["simulate", "--config", str(config), "--profile", str(profile), "--out", str(config.parent / "out")]
+    # in one argument, so that a spec that starts with '-' is not read as an option
+    assert_refused_in_one_line(argv + [f"--strategy={spec}"], repr(spec))
+    assert not (config.parent / "out").exists()
+
+
+# every table simulate reads from a data directory
+DATA_TABLES = [*PARAM_NAMES, *CALENDAR_FILES, *CYCLE_FILES]
+# texts that no table cell may hold
+BAD_TABLE_CELLS = ["", "abc", "nan", "inf", "-inf", "1e999", "0x10", "1.2.3"]
+
+
+@st.composite
+def broken_table(draw):
+    """(name, bytes) of a shipped table broken in one cell, row, its header or its encoding."""
+    name = draw(st.sampled_from(DATA_TABLES))
+    head, *rows = (line.split(",") for line in (default_data_dir() / f"{name}.csv").read_text().split())
+    where = draw(st.sampled_from(["cell", "row", "header", "bytes"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    if where == "cell":
+        rows[r][draw(st.integers(0, len(head) - 1))] = draw(st.sampled_from(BAD_TABLE_CELLS))
+    elif where == "row":
+        change = draw(st.sampled_from(["drop a cell", "add a cell", "repeat", "move back"]))
+        if change == "drop a cell":
+            del rows[r][draw(st.integers(0, len(head) - 1))]
+        elif change == "add a cell":
+            rows[r].insert(draw(st.integers(0, len(head))), draw(st.sampled_from(["", "0", "1.5"])))
+        elif change == "repeat":
+            rows.insert(r, list(rows[r]))
+        else:
+            rows.insert(0, rows.pop(draw(st.integers(1, len(rows) - 1))))
+    elif where == "header":
+        # the first cell names the row axis; the others are the column breakpoints
+        c = draw(st.integers(1, len(head) - 2))
+        change = draw(st.sampled_from(["bad cell", "repeat", "drop"]))
+        if change == "bad cell":
+            head[c] = draw(st.sampled_from(BAD_TABLE_CELLS))
+        elif change == "repeat":
+            head[c + 1] = head[c]
+        else:
+            del head[c]
+    data = "\n".join(",".join(row) for row in [head, *rows]).encode() + b"\n"
+    if where == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return name, data
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken=broken_table())
+def test_a_broken_data_table_fails_with_one_line_naming_the_file(tmp_path_factory, broken):
+    name, data = broken
+    directory = tmp_path_factory.mktemp("tables")
+    shutil.copytree(default_data_dir(), directory / "data")
+    table = directory / "data" / f"{name}.csv"
+    table.write_bytes(data)
+    config = directory / "scenario.cfg"
+    config.write_text(f"initial_soc = 0.5\ninitial_temp_c = 20\ndata_dir = {directory / 'data'}\n")
+    (directory / "profile.csv").write_text(PROFILE)
+    argv = ["simulate", "--config", str(config), "--profile", str(directory / "profile.csv")]
+    assert_refused_in_one_line(argv + ["--out", str(directory / "out")], str(table))
+    assert not (directory / "out").exists()

@@ -8,7 +8,9 @@ naming the path and ``row <n>``, where n is the row's 1-based line in the
 file. The CLI commands reading such a file exit 2 with one ``error:`` line.
 A file, or a config, that does not decode as text names its path.
 The trajectory reader's one-call parse must also agree with the row-by-row
-reader it replaced on valid and broken files alike.
+reader it replaced on valid and broken files alike. Every reader, the
+config's too, ends a line where a text-mode file does, so the other breaks
+of ``str.splitlines`` stay inside their cell.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from evplant.params import PARAM_NAMES, default_data_dir, load_grid, read_csv_ro
 from evplant.scenario import PROFILE_HEADER, ScenarioProfile, load_config
 
 MANIFEST_HEADER = "config,profile,out,strategy"
+PROFILE = f"{PROFILE_HEADER}\n0,plugged,11040,20,\n60,idle,0,20,\n"
 BLANKS = st.sampled_from(["", " ", "\t"])
 NUMBERS = st.floats(-1e4, 1e4, allow_nan=False).map(repr)
 
@@ -164,7 +167,7 @@ def _cli_case(kind: str, tmp: Path) -> tuple[Path, list[str]]:
     bad = tmp / f"bad_{kind}.csv"
     config = tmp / "scenario.cfg"
     profile = tmp / "profile.csv"
-    profile.write_text(PROFILE_HEADER + "\n0,plugged,11040,20,\n60,idle,0,20,\n")
+    profile.write_text(PROFILE)
     config.write_text("")
     if kind == "grid":
         data = tmp / "data"
@@ -274,6 +277,16 @@ ODD_CELLS = [
 ]
 # the line breaks of str.splitlines besides \n, other whitespace, and the delimiter
 FLAG_CHARS = "ab|_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\u3000#\",\r"
+# every code point that is whitespace, a break of str.splitlines or a C0
+# control, but the line ends \n and \r: 50 in all
+CODE_POINTS = sorted(
+    {chr(c) for c in range(0x20)}
+    | {c for c in map(chr, range(0x3001)) if c.isspace() or len(f"a{c}b".splitlines()) > 1}
+    - set("\n\r")
+)
+# breaks of str.splitlines that a text-mode file keeps inside a line, and
+# that np.loadtxt and float read alike (\x1c-\x1e they do not)
+SEPARATORS = "\x0b\x0c\x85\u2028\u2029"
 
 
 @st.composite
@@ -305,7 +318,12 @@ def test_trajectory_reader_matches_the_row_by_row_reader(text):
 
 
 @pytest.mark.parametrize(
-    "row", [c + ",1.0" * 10 + ",idle" for c in ODD_CELLS] + ["1.0," * 11 + f"a{c}b" for c in FLAG_CHARS]
+    "row",
+    [c + ",1.0" * 10 + ",idle" for c in ODD_CELLS]
+    + ["1.0," * 11 + f"a{c}b" for c in FLAG_CHARS]
+    # each code point before a number, after it and inside a flag
+    + [row for c in CODE_POINTS for row in (f"{c}1" + ",1.0" * 10 + ",idle", f"1{c}" + ",1.0" * 10 + ",idle")]
+    + ["1.0," * 11 + f"a{c}b" for c in CODE_POINTS],
 )
 def test_odd_cell_reads_as_the_row_by_row_reader_reads_it(row, tmp_path):
     path = tmp_path / "trajectory.csv"
@@ -324,10 +342,11 @@ def test_header_only_trajectory_reads_empty_without_a_warning(body, tmp_path):
     assert all(getattr(traj, name).dtype == np.float64 for name in FLOAT_COLUMNS)
 
 
-def test_a_written_report_reads_in_one_parse(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flag", ["drive|soc_clip"] + [f"drive{c}|soc_clip" for c in SEPARATORS])
+def test_a_written_report_reads_in_one_parse(tmp_path, monkeypatch, flag):
     # over several of the pass's reads, and not a row read by the row-by-row reader
     n = 3000
-    traj = Trajectory(*np.random.default_rng(5).random((len(FLOAT_COLUMNS), n)), flags=["drive|soc_clip"] * n)
+    traj = Trajectory(*np.random.default_rng(5).random((len(FLOAT_COLUMNS), n)), flags=[flag] * n)
     traj.t_s = np.arange(1.0, n + 1.0)
     path = emit_report(traj, None, tmp_path)[0]
     assert path.stat().st_size > 3 << 16
@@ -340,3 +359,43 @@ def test_a_written_report_reads_in_one_parse(tmp_path, monkeypatch):
     for name in FLOAT_COLUMNS:
         assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
     assert back.flags == traj.flags
+
+
+def _table(path: Path) -> tuple:
+    grid = load_grid(path, "r1")
+    return grid.soc_breakpoints, grid.temp_breakpoints, grid.values.tolist()
+
+
+def _batch_output(manifest: Path) -> tuple[int, str]:
+    """Exit status and output of a batch over ``manifest``, with its directory written as ``<dir>``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["batch", "--manifest", str(manifest), "--jobs", "1"])
+    return code, out.getvalue().replace(str(manifest.parent), "<dir>")
+
+
+# per reader: (file name, valid text, the text a separator goes after, the parse)
+READERS = {
+    "grid": ("r1.csv", (default_data_dir() / "r1.csv").read_text(), "0.0075994", _table),
+    "curve": ("ramp.csv", (default_data_dir() / "ramp_curve.csv").read_text(), "\n10", lambda p: load_curve(p).points),
+    "profile": ("profile.csv", PROFILE, "11040", lambda p: ScenarioProfile.from_csv(p).records),
+    "manifest": ("manifest.csv", f"{MANIFEST_HEADER}\nscenario.cfg,profile.csv,out,\n", "profile.csv", _batch_output),
+    "config": ("scenario.cfg", "initial_soc = 0.5\ndt_s = 2\n", "initial_soc =", load_config),
+}
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+@pytest.mark.parametrize("kind", list(READERS))
+def test_a_separator_inside_a_cell_stays_on_its_line(kind, sep, tmp_path):
+    name, text, before, parse = READERS[kind]
+    # the separator goes inside a cell or value that is not the line's last
+    assert text.count(before) == 1 and text[text.index(before) + len(before)] in ", "
+    for directory, body in (("plain", text), ("separated", text.replace(before, before + sep))):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / name).write_text(body)
+        if kind == "manifest":
+            (tmp_path / directory / "scenario.cfg").write_text("initial_soc = 0.5\n")
+            (tmp_path / directory / "profile.csv").write_text(PROFILE)
+    assert parse(tmp_path / "separated" / name) == parse(tmp_path / "plain" / name)
+    if kind == "manifest":
+        assert parse(tmp_path / "plain" / name) == (0, "done <dir>/out\n")

@@ -1,4 +1,10 @@
-"""The package imports nothing beyond the standard library and its stated dependencies."""
+"""The package, its demos and its tests import nothing beyond the standard library and the stated dependencies.
+
+The package and the demos need only ``[project] dependencies``; the tests
+may also import the ``test`` extra and each other. A package that happens
+to be installed but is not stated (SciPy, say) fails here, not on a clean
+install.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +19,8 @@ tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11 on
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "evplant").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_packages(path: Path) -> set[str]:
@@ -26,16 +34,26 @@ def imported_packages(path: Path) -> set[str]:
     return packages
 
 
-def stated_dependencies() -> set[str]:
+def stated_dependencies(extra: str | None = None) -> set[str]:
+    """The names of ``[project] dependencies``, and of the optional ``extra`` when given."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in project["dependencies"]}
+    specs = project["dependencies"] + (project["optional-dependencies"][extra] if extra else [])
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
 
 
 def test_the_modules_are_found():
     assert len(MODULES) > 5 and ROOT / "src" / "evplant" / "engine.py" in MODULES
+    assert len(DEMOS) > 5 and Path(__file__).resolve() in TESTS
+    assert stated_dependencies("test") - stated_dependencies() == {"pytest", "hypothesis"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda path: path.name)
 def test_every_import_is_stdlib_evplant_or_a_dependency(path):
     allowed = set(sys.stdlib_module_names) | {"evplant"} | stated_dependencies()
+    assert imported_packages(path) - allowed == set()
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_a_test_imports_only_what_the_test_extra_installs(path):
+    allowed = set(sys.stdlib_module_names) | {"evplant"} | stated_dependencies("test") | {p.stem for p in TESTS}
     assert imported_packages(path) - allowed == set()

@@ -1600,6 +1600,34 @@ def report_trajectory(draw):
     return Trajectory(**columns, flags=[flags[i] for i in rng.integers(0, len(flags), n)])
 
 
+# the breaks of str.splitlines that a text-mode file keeps inside a line
+SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def written_trajectory(draw):
+    """A trajectory that emit_report writes: finite floats, times that increase, any flags.
+
+    Zeros of both signs and subnormals are drawn often. A flag holds any
+    text but a ``,`` or a line end, which the CSV, without quoting, cannot hold.
+    """
+    n = draw(st.integers(0, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1e-310, -5e-324])
+    times = np.array(sorted(draw(st.lists(finite, min_size=n, max_size=n, unique=True))))
+    columns = [np.array(draw(st.lists(finite, min_size=n, max_size=n)), dtype=float) for _ in FLOAT_COLUMNS[1:]]
+    flag = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r"), max_size=6)
+    flag |= st.text(st.sampled_from("a| \t\x1f" + SEPARATORS), max_size=4)
+    return Trajectory(times, *columns, flags=draw(st.lists(flag, min_size=n, max_size=n)))
+
+
+def flagged_trajectory(flags: list[str]) -> Trajectory:
+    """One row of ones per flag, at increasing times."""
+    n = len(flags)
+    traj = Trajectory(*np.ones((len(FLOAT_COLUMNS), n)), flags=flags)
+    traj.t_s = np.arange(1.0, n + 1.0)
+    return traj
+
+
 def block_edge_trajectory() -> Trajectory:
     """One write block and one row more, at increasing times.
 
@@ -1678,6 +1706,16 @@ class TestReports:
         np.testing.assert_array_equal(back.t_s, traj.t_s)
         np.testing.assert_array_equal(back.v_cell, traj.v_cell)
         np.testing.assert_array_equal(back.eqfc, traj.eqfc)
+        assert back.flags == traj.flags
+
+    @settings(max_examples=200, deadline=None)
+    @given(traj=written_trajectory())
+    @example(traj=flagged_trajectory(["idle\x0c"]))
+    @example(traj=flagged_trajectory([f"a{c}b" for c in SEPARATORS]))
+    def test_every_written_report_reads_back_bit_for_bit(self, traj, tmp_path_factory):
+        back = read_trajectory(emit_report(traj, None, tmp_path_factory.mktemp("out"))[0])
+        for name in FLOAT_COLUMNS:
+            assert getattr(back, name).tobytes() == getattr(traj, name).tobytes(), name
         assert back.flags == traj.flags
 
     def test_read_back_over_blocks_is_bit_identical(self, tmp_path):
