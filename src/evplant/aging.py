@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import GridLookup, ParamGrid, load_grid, reuse
+from .params import GridLookup, ParamGrid, load_grid, load_grids
 from .rainflow import HalfCycle, RainflowCounter
 
 # end-of-life thresholds
@@ -87,14 +87,10 @@ def load_calendar_coeffs(directory: str | Path) -> CalendarCoeffGrid:
     """Load calendar_alpha_c.csv / calendar_alpha_r.csv from ``directory``.
 
     While both files hold the same bytes, the grid built from them is
-    returned again (see :func:`~evplant.params.reuse`).
+    returned again, and a table the grid refuses is named by its file (see
+    :func:`~evplant.params.load_grids`).
     """
-    paths = [Path(directory) / f"{n}.csv" for n in CALENDAR_FILES]
-
-    def build(sources) -> CalendarCoeffGrid:
-        return CalendarCoeffGrid(*map(load_grid, paths, CALENDAR_FILES, sources))
-
-    return reuse("calendar rates", paths, build)
+    return load_grids("calendar rates", CalendarCoeffGrid, directory, CALENDAR_FILES)
 
 
 def load_cycle_coeffs(directory: str | Path) -> CycleCoeffGrid:
@@ -102,14 +98,10 @@ def load_cycle_coeffs(directory: str | Path) -> CycleCoeffGrid:
 
     Rows are cycle depth in percent, columns mean SOC in percent; both axes
     are converted to fractions. While both files hold the same bytes, the
-    grid built from them is returned again (see :func:`~evplant.params.reuse`).
+    grid built from them is returned again, and a table the grid refuses is
+    named by its file (see :func:`~evplant.params.load_grids`).
     """
-    paths = [Path(directory) / f"{n}.csv" for n in CYCLE_FILES]
-
-    def build(sources) -> CycleCoeffGrid:
-        return CycleCoeffGrid(*map(_load_fraction_grid, paths, CYCLE_FILES, sources))
-
-    return reuse("cycle rates", paths, build)
+    return load_grids("cycle rates", CycleCoeffGrid, directory, CYCLE_FILES, _load_fraction_grid)
 
 
 @dataclass

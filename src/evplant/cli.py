@@ -111,7 +111,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         config, profile, out, strategy = (c.strip() for c in cells)
         first = row_of_out.setdefault((base / out).resolve(), n)
         if first != n:
-            raise ValueError(f"{args.manifest} row {n}: out '{out}' is the output of row {first} too")
+            raise ValueError(f"{args.manifest} row {n}: out {out!r} is the output of row {first} too")
         entries.append((str(base / config), str(base / profile), str(base / out), strategy or None))
 
     # a process pool forks all its workers at the first submit, so never

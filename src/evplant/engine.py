@@ -638,16 +638,18 @@ def emit_report(
 def read_trajectory(path: str | Path) -> Trajectory:
     """Read back a trajectory CSV written by :func:`emit_report`.
 
-    A well-formed file is parsed by one ``np.loadtxt`` call on the open file, which checks
-    the row width too; any other file goes through :func:`read_csv_rows`, whose errors name
-    the row. Both end a line where a text-mode file does. A file is well formed when
-    :func:`_loadtxt_reads_alike` finds, in one pass over it in blocks of ``_READ_CHARS``
-    characters, the header as the first line, a row after it and none of ``_ROUTED_CHARS``,
-    which ``loadtxt`` skips around a number and ``float`` refuses. Else ``loadtxt`` accepts a
-    subset of what ``float`` does, with the same values; a file it rejects (``1_0``, a
-    fullwidth digit, a line of spaces) is read row by row. So the read holds one block of
-    text and then ``loadtxt``'s table, never the whole text or its lines. The float columns
-    are returned as that table's fields, strided views of one record array, not copies.
+    A well-formed file is parsed by one ``np.loadtxt`` call on the open
+    file, which checks the row width too; any other file goes through
+    :func:`read_csv_rows`, whose errors name the row. Both end a line where
+    a text-mode file does. A file is well formed
+    when :func:`_loadtxt_reads_alike` finds, in one pass over it in
+    blocks of ``_READ_CHARS`` characters, that ``loadtxt`` sees the rows
+    ``read_csv_rows`` sees. ``loadtxt`` accepts a subset of what ``float``
+    does, with the same values; a file it rejects (``1_0``, a fullwidth
+    digit, a line of spaces) is read row by row. So
+    the read holds one block of text and then ``loadtxt``'s table, never
+    the whole text or its lines. The float columns are returned as that
+    table's fields, strided views of one record array, not copies.
     """
     path = Path(path)
     if path.is_file():
@@ -670,8 +672,9 @@ def read_trajectory(path: str | Path) -> Trajectory:
 def _loadtxt_reads_alike(f: TextIO) -> bool:
     """Whether ``np.loadtxt`` sees the rows of the open file that :func:`read_csv_rows` sees.
 
-    That needs the header as the first line, a non-empty line after it (on a file without one
-    ``loadtxt`` warns), and none of ``_ROUTED_CHARS``, which ``loadtxt`` skips and ``float`` refuses.
+    That needs the header as the first line, a non-empty line after it (on
+    a file without one ``loadtxt`` warns), and none of ``_ROUTED_CHARS``,
+    which ``loadtxt`` skips and ``float`` refuses.
     Text that does not decode is left to ``read_csv_rows``, which names the file.
     """
     head = TRAJECTORY_HEADER + "\n"

@@ -468,10 +468,33 @@ def load_grid(path: Path, name: str, data: bytes | None = None) -> ParamGrid:
     temps = tuple(float_cells(path, n, head[1:]))
     body = [float_cells(path, n, cells) for n, cells in rows]
     socs = tuple(row[0] / 100.0 for row in body)  # percent -> fraction
-    try:
-        return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return ParamGrid(name, socs, temps, np.array([row[1:] for row in body]))
+
+
+def load_grids(
+    kind: str, record: Callable[..., T], directory: str | Path, names: Sequence[str], load=None
+) -> T:
+    """``record`` of the grids ``load(path, name, data)`` builds from ``directory``'s files ``<name>.csv``.
+
+    ``load`` is :func:`load_grid` unless given, and ``kind`` names the
+    loader to :func:`reuse`, so while the files hold the same bytes the
+    object built from them is returned again. A refusal of
+    :class:`ParamGrid` or of ``record`` names the grid it refuses first, and
+    is raised again with that grid's file in front; any other error, a
+    missing file or a bad row, names its file already.
+    """
+    paths = [Path(directory) / f"{name}.csv" for name in names]
+
+    def build(sources) -> T:
+        try:
+            return record(*map(load or load_grid, paths, names, sources))
+        except ValueError as exc:
+            name = str(exc).split(":", 1)[0]
+            if name not in names:
+                raise
+            raise ValueError(f"{paths[names.index(name)]}: {exc}") from None
+
+    return reuse(kind, paths, build)
 
 
 def load_parameter_set(directory: str | Path) -> CellParameterSet:
@@ -484,12 +507,7 @@ def load_parameter_set(directory: str | Path) -> CellParameterSet:
     files hold the same bytes, the set built from them is returned again
     (see :func:`reuse`).
     """
-    paths = [Path(directory) / f"{name}.csv" for name in PARAM_NAMES]
-
-    def build(sources) -> CellParameterSet:
-        return CellParameterSet(*map(load_grid, paths, PARAM_NAMES, sources))
-
-    return reuse("parameter set", paths, build)
+    return load_grids("parameter set", CellParameterSet, directory, PARAM_NAMES)
 
 
 @dataclass

@@ -163,7 +163,7 @@ class ScenarioConfig:
 def _finite(key: str, value: str) -> float:
     number = float(value)
     if not math.isfinite(number):
-        raise ValueError(f"{key} must be a finite number, got '{value}'")
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return number
 
 
@@ -208,9 +208,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown key '{key}'")
+                raise ValueError(f"unknown key {key!r}")
             if key in first_line:
-                raise ValueError(f"duplicate key '{key}' (first set on line {first_line[key]})")
+                raise ValueError(f"duplicate key {key!r} (first set on line {first_line[key]})")
             first_line[key] = idx
             record, kind = _CONFIG_KEYS[key]
             values[record][key] = _parse_value(kind, key, value, base)

@@ -10,8 +10,24 @@ import pytest
 from evplant import params
 from evplant.aging import load_calendar_coeffs, load_cycle_coeffs
 from evplant.params import PARAM_NAMES, default_data_dir, load_parameter_set
+from evplant.scenario import PROFILE_HEADER
 
 TESTS_DIR = Path(__file__).parent
+
+# the valid inputs the command-line and file-format tests run or break: a
+# profile of a short plugged run, a config that runs it on the shipped
+# tables, and the header of a batch manifest
+PROFILE = f"{PROFILE_HEADER}\n0,plugged,11040,20,\n600,idle,0,20,\n"
+CONFIG = "initial_soc = 0.5\ninitial_temp_c = 20\n"
+MANIFEST_HEADER = "config,profile,out,strategy"
+
+
+def write_scenario(directory: Path, config: str = CONFIG) -> tuple[Path, Path]:
+    """``config`` and :data:`PROFILE` written into ``directory`` as scenario.cfg and profile.csv: their paths."""
+    paths = directory / "scenario.cfg", directory / "profile.csv"
+    paths[0].write_text(config)
+    paths[1].write_text(PROFILE)
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ import io
 import re
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import evplant.cli
@@ -17,22 +18,14 @@ from evplant.aging import CALENDAR_FILES, CYCLE_FILES
 from evplant.cli import main, resolve_strategy
 from evplant.engine import strategy_max_power, strategy_off
 from evplant.params import PARAM_NAMES, default_data_dir
-from evplant.scenario import load_config
+from evplant.scenario import PROFILE_HEADER, load_config
 
-PROFILE_HEADER = "t_s,kind,value_w,ambient_c,charger_mode"
-PROFILE = f"""{PROFILE_HEADER}
-0,plugged,11040,20,
-600,idle,0,20,
-"""
+from conftest import CONFIG, MANIFEST_HEADER, PROFILE, write_scenario
 
 
 @pytest.fixture
 def scenario_files(tmp_path):
-    config = tmp_path / "scenario.cfg"
-    config.write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
-    profile = tmp_path / "profile.csv"
-    profile.write_text(PROFILE)
-    return config, profile
+    return write_scenario(tmp_path)
 
 
 def test_validate_params_on_shipped_data(capsys):
@@ -455,7 +448,7 @@ def test_bad_strategy_is_reported(scenario_files, tmp_path, capsys, monkeypatch,
 def test_bad_power_constant_strategy_fails_on_a_profile_never_plugged(tmp_path, capsys, spec, message):
     # no step polls the strategy, so only its resolution can refuse it
     config = tmp_path / "scenario.cfg"
-    config.write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
+    config.write_text(CONFIG)
     profile = tmp_path / "drive.csv"
     profile.write_text("t_s,kind,value_w,ambient_c,charger_mode\n0,drive,-5000,20,\n60,idle,0,20,\n")
     assert _simulate(config, profile, tmp_path / "o", "--strategy", spec) == 2
@@ -575,7 +568,9 @@ def broken_config(draw):
         if change == "repeat":
             lines.insert(r, list(lines[r]))
         elif change == "unknown key":
-            lines[r][0] += draw(st.sampled_from(["_", "x", "2"]))
+            # inside the key, where strip leaves even a break of str.splitlines
+            key, at = lines[r][0], draw(st.integers(1, len(lines[r][0]) - 1))
+            lines[r][0] = key[:at] + draw(st.sampled_from(["_", "x", "2", "\x0b", "\x85", "\u2028"])) + key[at:]
     elif where == "header":
         lines[0][0] = lines[0][0].upper()
     data = config_bytes(lines)
@@ -601,12 +596,12 @@ def test_the_unbroken_profile_and_config_run(tmp_path_factory, rows, lines):
 
 @settings(max_examples=200, deadline=None)
 @given(broken=st.one_of(st.tuples(st.just("profile"), broken_profile()), st.tuples(st.just("config"), broken_config())))
+@example(broken=("config", b"initial\x0bsoc = 0.5\n"))
+@example(broken=("config", "initial_soc = 0.5\ninitial\u2028temp_c = 20\n".encode()))
 def test_a_broken_profile_or_config_fails_with_one_line_naming_the_file(tmp_path_factory, broken):
     which, data = broken
     directory = tmp_path_factory.mktemp("fuzz")
-    paths = {"config": directory / "scenario.cfg", "profile": directory / "profile.csv"}
-    paths["config"].write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
-    paths["profile"].write_text(PROFILE)
+    paths = dict(zip(("config", "profile"), write_scenario(directory)))
     paths[which].write_bytes(data)
     args = ["simulate", "--config", str(paths["config"]), "--profile", str(paths["profile"])]
     assert_refused_in_one_line(args + ["--out", str(directory / "out")], str(paths[which]))
@@ -618,7 +613,8 @@ def assert_refused_in_one_line(argv: list[str], name: str) -> None:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     text = err.getvalue()
-    assert (rc, out.getvalue(), text.count("\n")) == (2, "", 1), text
+    # one line by its \n and by str.splitlines, which also breaks at a \x0b, \x85 or \u2028 in it
+    assert (rc, out.getvalue(), text.count("\n"), len(text.splitlines())) == (2, "", 1, 1), text
     assert text.startswith("error: ") and text.endswith("\n") and name in text, text
     assert "Traceback" not in text
 
@@ -627,14 +623,17 @@ def assert_refused_in_one_line(argv: list[str], name: str) -> None:
 # the tables of a data directory, each broken in one place and each refused
 # in one line that names it.
 
-MANIFEST_HEADER = "config,profile,out,strategy"
-
-
 @st.composite
 def valid_manifest(draw):
-    """Rows of a valid manifest: 1-3 runs of one scenario, each into its own directory."""
+    """Rows of a valid manifest: 1-3 runs of one scenario, each into its own directory.
+
+    A directory's name may hold a break of str.splitlines, which a refusal
+    that names it must quote.
+    """
     strategy = st.sampled_from(["", "off", "max_power", "constant:5000"])
-    return [["scenario.cfg", "profile.csv", f"out{i}", draw(strategy)] for i in range(draw(st.integers(1, 3)))]
+    out = st.sampled_from(["out", "out\x0b", "out\u2028"])
+    n = draw(st.integers(1, 3))
+    return [["scenario.cfg", "profile.csv", f"{draw(out)}{i}", draw(strategy)] for i in range(n)]
 
 
 def manifest_bytes(header: str, rows: list[list[str]]) -> bytes:
@@ -677,8 +676,7 @@ def broken_manifest(draw):
 
 def _manifest_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("batch")
-    (directory / "scenario.cfg").write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
-    (directory / "profile.csv").write_text(PROFILE)
+    write_scenario(directory)
     return directory
 
 
@@ -696,6 +694,7 @@ def test_the_unbroken_manifest_runs(tmp_path_factory, rows):
 
 @settings(max_examples=100, deadline=None)
 @given(data=broken_manifest())
+@example(data=manifest_bytes(MANIFEST_HEADER, [["scenario.cfg", "profile.csv", "out\u20280", ""]] * 2))
 def test_a_broken_manifest_fails_with_one_line_naming_the_file(tmp_path_factory, data):
     directory = _manifest_dir(tmp_path_factory)
     manifest = directory / "manifest.csv"
@@ -752,12 +751,7 @@ def broken_spec(draw):
 
 @pytest.fixture(scope="module")
 def scenario_files_once(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("scenario")
-    config = directory / "scenario.cfg"
-    config.write_text("initial_soc = 0.5\ninitial_temp_c = 20\n")
-    profile = directory / "profile.csv"
-    profile.write_text(PROFILE)
-    return config, profile
+    return write_scenario(tmp_path_factory.mktemp("scenario"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -784,7 +778,9 @@ def broken_table(draw):
     where = draw(st.sampled_from(["cell", "row", "header", "bytes"]))
     r = draw(st.integers(0, len(rows) - 1))
     if where == "cell":
-        rows[r][draw(st.integers(0, len(head) - 1))] = draw(st.sampled_from(BAD_TABLE_CELLS))
+        c = draw(st.integers(0, len(head) - 1))
+        # a value of an electrical table may be negative, an aging rate not
+        rows[r][c] = draw(st.sampled_from(BAD_TABLE_CELLS + (["-1"] if name not in PARAM_NAMES and c else [])))
     elif where == "row":
         change = draw(st.sampled_from(["drop a cell", "add a cell", "repeat", "move back"]))
         if change == "drop a cell":
@@ -812,17 +808,36 @@ def broken_table(draw):
     return name, data
 
 
-@settings(max_examples=100, deadline=None)
-@given(broken=broken_table())
-def test_a_broken_data_table_fails_with_one_line_naming_the_file(tmp_path_factory, broken):
-    name, data = broken
-    directory = tmp_path_factory.mktemp("tables")
+def _run_on_table(directory: Path, name: str, data: bytes) -> tuple[list[str], Path]:
+    """The argv of a run on the shipped tables, but for table ``name``, which holds ``data``; and that table."""
     shutil.copytree(default_data_dir(), directory / "data")
     table = directory / "data" / f"{name}.csv"
     table.write_bytes(data)
-    config = directory / "scenario.cfg"
-    config.write_text(f"initial_soc = 0.5\ninitial_temp_c = 20\ndata_dir = {directory / 'data'}\n")
-    (directory / "profile.csv").write_text(PROFILE)
-    argv = ["simulate", "--config", str(config), "--profile", str(directory / "profile.csv")]
-    assert_refused_in_one_line(argv + ["--out", str(directory / "out")], str(table))
+    config, profile = write_scenario(directory, CONFIG + f"data_dir = {directory / 'data'}\n")
+    return ["simulate", "--config", str(config), "--profile", str(profile), "--out", str(directory / "out")], table
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken=broken_table())
+def test_a_broken_data_table_fails_with_one_line_naming_the_file(tmp_path_factory, broken):
+    directory = tmp_path_factory.mktemp("tables")
+    argv, table = _run_on_table(directory, *broken)
+    assert_refused_in_one_line(argv, str(table))
     assert not (directory / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("calendar_alpha_r", "90,8.620690e-05", "90,-1", "calendar rates must be >= 0"),
+        ("cycle_beta_r", "30,2.500000e-05", "30,-1", "cycle rates must be >= 0"),
+        ("calendar_alpha_c", "0,1.288224e-05,7.471698e-05", "0,7.471698e-05,1.288224e-05", "rate must increase with temperature"),
+        ("cycle_beta_c", "10,1.500000e-05", "10,3e-05", "rate must not decrease with cycle depth"),
+        # breakpoints that only collapse once the percent is a fraction
+        ("cycle_beta_c", "dod_pct,25,50", "dod_pct,1e-322,2e-322", "temperature breakpoints not strictly increasing"),
+    ],
+)
+def test_a_table_its_aging_grid_refuses_is_named_by_its_file(tmp_path, name, old, new, message):
+    text = (default_data_dir() / f"{name}.csv").read_text()
+    argv, table = _run_on_table(tmp_path, name, text.replace(old, new, 1).encode())
+    assert_refused_in_one_line(argv, f"{table}: {name}: {message}")

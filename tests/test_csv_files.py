@@ -36,8 +36,8 @@ from evplant.engine import FLOAT_COLUMNS, TRAJECTORY_HEADER, Trajectory, emit_re
 from evplant.params import PARAM_NAMES, default_data_dir, load_grid, read_csv_rows
 from evplant.scenario import PROFILE_HEADER, ScenarioProfile, load_config
 
-MANIFEST_HEADER = "config,profile,out,strategy"
-PROFILE = f"{PROFILE_HEADER}\n0,plugged,11040,20,\n60,idle,0,20,\n"
+from conftest import MANIFEST_HEADER, PROFILE, write_scenario
+
 BLANKS = st.sampled_from(["", " ", "\t"])
 NUMBERS = st.floats(-1e4, 1e4, allow_nan=False).map(repr)
 
@@ -165,10 +165,7 @@ def test_valid_file_with_blank_lines_parses(kind, data):
 def _cli_case(kind: str, tmp: Path) -> tuple[Path, list[str]]:
     """Where the corrupted file goes, and the argv of the command that reads it."""
     bad = tmp / f"bad_{kind}.csv"
-    config = tmp / "scenario.cfg"
-    profile = tmp / "profile.csv"
-    profile.write_text(PROFILE)
-    config.write_text("")
+    config, profile = write_scenario(tmp, "")
     if kind == "grid":
         data = tmp / "data"
         shutil.copytree(default_data_dir(), data)
@@ -286,7 +283,7 @@ CODE_POINTS = sorted(
 )
 # breaks of str.splitlines that a text-mode file keeps inside a line, and
 # that np.loadtxt and float read alike (\x1c-\x1e they do not)
-SEPARATORS = "\x0b\x0c\x85\u2028\u2029"
+LOADTXT_SAFE_BREAKS = "\x0b\x0c\x85\u2028\u2029"
 
 
 @st.composite
@@ -342,7 +339,7 @@ def test_header_only_trajectory_reads_empty_without_a_warning(body, tmp_path):
     assert all(getattr(traj, name).dtype == np.float64 for name in FLOAT_COLUMNS)
 
 
-@pytest.mark.parametrize("flag", ["drive|soc_clip"] + [f"drive{c}|soc_clip" for c in SEPARATORS])
+@pytest.mark.parametrize("flag", ["drive|soc_clip"] + [f"drive{c}|soc_clip" for c in LOADTXT_SAFE_BREAKS])
 def test_a_written_report_reads_in_one_parse(tmp_path, monkeypatch, flag):
     # over several of the pass's reads, and not a row read by the row-by-row reader
     n = 3000
@@ -394,8 +391,7 @@ def test_a_separator_inside_a_cell_stays_on_its_line(kind, sep, tmp_path):
         (tmp_path / directory).mkdir()
         (tmp_path / directory / name).write_text(body)
         if kind == "manifest":
-            (tmp_path / directory / "scenario.cfg").write_text("initial_soc = 0.5\n")
-            (tmp_path / directory / "profile.csv").write_text(PROFILE)
+            write_scenario(tmp_path / directory)
     assert parse(tmp_path / "separated" / name) == parse(tmp_path / "plain" / name)
     if kind == "manifest":
         assert parse(tmp_path / "plain" / name) == (0, "done <dir>/out\n")

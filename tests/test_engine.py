@@ -1600,8 +1600,9 @@ def report_trajectory(draw):
     return Trajectory(**columns, flags=[flags[i] for i in rng.integers(0, len(flags), n)])
 
 
-# the breaks of str.splitlines that a text-mode file keeps inside a line
-SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# the breaks of str.splitlines that a text-mode file keeps inside a line,
+# where the readers once broke it
+FORMER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @st.composite
@@ -1616,7 +1617,7 @@ def written_trajectory(draw):
     times = np.array(sorted(draw(st.lists(finite, min_size=n, max_size=n, unique=True))))
     columns = [np.array(draw(st.lists(finite, min_size=n, max_size=n)), dtype=float) for _ in FLOAT_COLUMNS[1:]]
     flag = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r"), max_size=6)
-    flag |= st.text(st.sampled_from("a| \t\x1f" + SEPARATORS), max_size=4)
+    flag |= st.text(st.sampled_from("a| \t\x1f" + FORMER_BREAKS), max_size=4)
     return Trajectory(times, *columns, flags=draw(st.lists(flag, min_size=n, max_size=n)))
 
 
@@ -1711,7 +1712,7 @@ class TestReports:
     @settings(max_examples=200, deadline=None)
     @given(traj=written_trajectory())
     @example(traj=flagged_trajectory(["idle\x0c"]))
-    @example(traj=flagged_trajectory([f"a{c}b" for c in SEPARATORS]))
+    @example(traj=flagged_trajectory([f"a{c}b" for c in FORMER_BREAKS]))
     def test_every_written_report_reads_back_bit_for_bit(self, traj, tmp_path_factory):
         back = read_trajectory(emit_report(traj, None, tmp_path_factory.mktemp("out"))[0])
         for name in FLOAT_COLUMNS:
